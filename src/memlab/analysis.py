@@ -8,6 +8,16 @@ non-null block) and a failure branch (a null result), so null checks in the
 program prune the failure path naturally instead of requiring dominator
 bookkeeping.
 
+Each function is explored once, callees first, and that one exploration
+yields both its findings and its FunctionSummary, the depth-1 shape that
+callers read at call sites.  Emitting a finding never changes the abstract
+state, so a function whose defined callees all had their summaries when its
+exploration began reports exactly what a later exploration would.  The walk
+breaks a call cycle at the function that calls back into it (a function
+that calls itself is one): that function is explored while a callee still
+lacks a summary, keeps the summary from that exploration, and is explored
+once more for its findings after every summary exists.
+
 Checkers are toggled through a CheckerConfig; named profiles emulate the
 detection columns of the tools compared in the benchmark corpus.
 """
@@ -72,15 +82,6 @@ CHECKER_KIND = {
     CHECKER_DEAD_STORE_NULL_INIT: KIND_DEAD_STORE,
     CHECKER_UNINIT_USE: KIND_UNINITIALIZED_VALUE,
 }
-
-
-class AnalysisBudgetExceeded(Exception):
-    """Path exploration hit the configured budget.
-
-    The engine never raises this during a normal run: it truncates
-    exploration and marks the result incomplete instead.  The class exists
-    for callers that want to escalate an incomplete result into an error.
-    """
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,7 @@ class PtrValue:
     For null values, origin records why the pointer may be null
     ("literal", "alloc_failure", "refined") and line where it was assigned.
     param_index marks values flowing in unchanged from a parameter, which
-    the summary pass uses to detect parameter frees and derefs.
+    the summary uses to detect parameter frees.
     """
 
     kind: str
@@ -352,10 +353,8 @@ class AbstractHeap:
 class FunctionSummary:
     name: str
     returns_fresh: bool = False
-    may_return_null: bool = False
     returns_null_always: bool = False
     frees_params: frozenset = frozenset()
-    param_deref: frozenset = frozenset()
 
 
 @dataclass
@@ -380,57 +379,45 @@ class AnalysisResult:
 # ---------------------------------------------------------------------------
 
 
-def _collect_calls(node, out: set) -> None:
-    if isinstance(node, ast.Call):
-        out.add(node.name)
-    for value in vars(node).values():
-        if isinstance(value, ast.Node):
-            _collect_calls(value, out)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.Node):
-                    _collect_calls(item, out)
-
-
-def _collect_addr_taken(node, out: set) -> None:
-    if isinstance(node, ast.AddressOf) and isinstance(node.expr, ast.Ident):
-        out.add(node.expr.name)
-    for value in vars(node).values():
-        if isinstance(value, ast.Node):
-            _collect_addr_taken(value, out)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, ast.Node):
-                    _collect_addr_taken(item, out)
+def _scan_body(fn: ast.FunctionDef) -> tuple[set, set]:
+    """The names a function calls and the variables whose address it takes."""
+    calls: set[str] = set()
+    addr_taken: set[str] = set()
+    work = list(fn.body)
+    while work:
+        node = work.pop()
+        if isinstance(node, ast.Call):
+            calls.add(node.name)
+        elif isinstance(node, ast.AddressOf) and isinstance(node.expr, ast.Ident):
+            addr_taken.add(node.expr.name)
+        for value in vars(node).values():
+            if isinstance(value, ast.Node):
+                work.append(value)
+            elif isinstance(value, list):
+                work.extend(v for v in value if isinstance(v, ast.Node))
+    return calls, addr_taken
 
 
 class _FunctionAnalysis:
     def __init__(self, tu: ast.TranslationUnit, fn: ast.FunctionDef, cfg: Cfg,
-                 config: CheckerConfig, summaries: dict, report: bool):
+                 config: CheckerConfig, summaries: dict):
         self.tu = tu
         self.fn = fn
         self.cfg = cfg
         self.config = config
         self.summaries = summaries
-        self.report = report
         self.findings: set[Finding] = set()
         self.incomplete = False
         self.paths_done = 0
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
-        self.param_deref: set[int] = set()
 
-        calls: set[str] = set()
-        _collect_calls_in_fn(fn, calls)
+        self.calls, self.addr_taken = _scan_body(fn)
         self.has_user_calls = any(
-            name not in ast.BUILTIN_FUNCTIONS for name in calls)
-
-        self.addr_taken: set[str] = set()
-        _collect_addr_taken_in_fn(fn, self.addr_taken)
+            name not in ast.BUILTIN_FUNCTIONS for name in self.calls)
 
         self.param_names = [name for name, _ in fn.params]
         self.global_names = {g.name for g in tu.globals}
-        self.defined_functions = {f.name for f in tu.functions}
 
         # Dead-store bookkeeping is global across paths: a store is dead
         # only if no explored path reads it.
@@ -440,7 +427,7 @@ class _FunctionAnalysis:
     # -- reporting --
 
     def emit(self, checker: str, line: int, message: str) -> None:
-        if not self.report or checker not in self.config.enabled:
+        if checker not in self.config.enabled:
             return
         self.findings.add(Finding(
             file=self.tu.unit.path, line=line, kind=CHECKER_KIND[checker],
@@ -459,8 +446,19 @@ class _FunctionAnalysis:
         for g in self.tu.globals:
             state.env[g.name] = UNKNOWN
         self._exec(self.cfg.entry, state, {})
-        if self.report:
-            self.check_dead_store()
+        self.check_dead_store()
+
+    def summary(self) -> FunctionSummary:
+        """The depth-1 summary of the paths explored by run()."""
+        returned = [(v, fresh) for v, fresh in self.returns if v is not None]
+        return FunctionSummary(
+            name=self.fn.name,
+            returns_fresh=any(fresh for _, fresh in returned),
+            returns_null_always=bool(returned) and all(
+                isinstance(v, PtrValue) and v.kind == "null"
+                for v, _ in returned),
+            frees_params=frozenset(self.frees_params),
+        )
 
     # -- path walking --
 
@@ -508,7 +506,7 @@ class _FunctionAnalysis:
         true_edges = [(d, k) for d, k in succs if k == "true-branch"]
         false_edges = [(d, k) for d, k in succs if k == "false-branch"]
         for cstate, value in self.eval(cond, state):
-            truth = self._cond_truth(cond, value, cstate)
+            truth = truthiness(value)
             if truth != "false":
                 tstate = cstate.clone() if truth == "unknown" else cstate
                 self._refine(tstate, cond, branch=True)
@@ -518,12 +516,6 @@ class _FunctionAnalysis:
                 self._refine(cstate, cond, branch=False)
                 for dst, kind in false_edges:
                     self._follow(dst, cstate, back_counts, kind, block_id)
-
-    def _cond_truth(self, cond, value, state: AbstractHeap) -> str:
-        if isinstance(cond, ast.BinOp) and cond.op in ("==", "!="):
-            # `value` already folded by eval; fall through to truthiness.
-            pass
-        return truthiness(value)
 
     def _refine(self, state: AbstractHeap, cond, branch: bool) -> None:
         """Narrow a pointer tested by the condition on the taken branch."""
@@ -878,11 +870,7 @@ class _FunctionAnalysis:
 
     def check_null_deref(self, state: AbstractHeap, value, expr, loc):
         """Check a dereference through `value`; returns the recovered value."""
-        if not isinstance(value, PtrValue):
-            return value
-        if isinstance(value, PtrValue) and value.param_index >= 0:
-            self.param_deref.add(value.param_index)
-        if value.kind != "null":
+        if not isinstance(value, PtrValue) or value.kind != "null":
             return value
         name = expr.name if isinstance(expr, ast.Ident) else "pointer"
         if value.origin == "alloc_failure":
@@ -994,16 +982,6 @@ class _FunctionAnalysis:
                       f"The value written to &{var} is never used")
 
 
-def _collect_calls_in_fn(fn: ast.FunctionDef, out: set) -> None:
-    for stmt in fn.body:
-        _collect_calls(stmt, out)
-
-
-def _collect_addr_taken_in_fn(fn: ast.FunctionDef, out: set) -> None:
-    for stmt in fn.body:
-        _collect_addr_taken(stmt, out)
-
-
 def _is_null_expr(expr) -> bool:
     return isinstance(expr, ast.NullLit) or \
         (isinstance(expr, ast.IntLit) and expr.value == 0)
@@ -1030,78 +1008,77 @@ def _stmt_line(stmt) -> int:
 # ---------------------------------------------------------------------------
 
 
-def summarize_function(fn: ast.FunctionDef, cfg: Cfg,
-                       config: CheckerConfig | None = None,
-                       summaries: dict | None = None,
-                       tu: ast.TranslationUnit | None = None) -> FunctionSummary:
-    """Compute the depth-1 interprocedural summary for one function."""
-    config = config or PROFILES["union"]
-    if tu is None:
-        tu = ast.TranslationUnit(
-            ast.SourceUnit.from_text("<summary>", ""), [], [fn], [])
-    fa = _FunctionAnalysis(tu, fn, cfg, config, summaries or {}, report=False)
-    fa.run()
-    pointer_returns = [(v, fresh) for v, fresh in fa.returns if v is not None]
-    returns_fresh = any(fresh for _, fresh in pointer_returns)
-    nulls = [v for v, _ in pointer_returns
-             if isinstance(v, PtrValue) and v.kind == "null"]
-    may_return_null = bool(nulls)
-    returns_null_always = bool(pointer_returns) and \
-        len(nulls) == len(pointer_returns)
-    return FunctionSummary(
-        name=fn.name,
-        returns_fresh=returns_fresh,
-        may_return_null=may_return_null,
-        returns_null_always=returns_null_always,
-        frees_params=frozenset(fa.frees_params),
-        param_deref=frozenset(fa.param_deref),
-    )
+def _explore(tu: ast.TranslationUnit, cfgs: dict,
+             config: CheckerConfig) -> tuple[dict, set, bool]:
+    """Explore each function callees first: (summaries, findings, incomplete).
 
-
-def compute_summaries(tu: ast.TranslationUnit, cfgs: dict,
-                      config: CheckerConfig) -> dict:
-    """Summaries in call-graph dependency order; recursion breaks to None."""
+    A function's findings are kept from its first exploration when every
+    function it calls that the unit defines already had a summary then.
+    The others call back into a cycle that the walk has not closed yet:
+    their summaries keep the first exploration, and their findings come
+    from one more exploration against the full table.
+    """
     summaries: dict[str, FunctionSummary] = {}
     in_progress: set[str] = set()
     by_name = {fn.name: fn for fn in tu.functions}
+    findings: set[Finding] = set()
+    incomplete = False
+    on_cycle: list[str] = []
+
+    def keep(fa: _FunctionAnalysis) -> None:
+        nonlocal incomplete
+        findings.update(fa.findings)
+        incomplete = incomplete or fa.incomplete
 
     def visit(name: str) -> None:
         if name in summaries or name in in_progress or name not in by_name:
             return
         in_progress.add(name)
-        callees: set[str] = set()
-        _collect_calls_in_fn(by_name[name], callees)
-        for callee in sorted(callees):
+        fa = _FunctionAnalysis(tu, by_name[name], cfgs[name], config,
+                               summaries)
+        for callee in sorted(fa.calls):
             if callee not in ast.BUILTIN_FUNCTIONS:
                 visit(callee)
-        summaries[name] = summarize_function(
-            by_name[name], cfgs[name], config, summaries, tu)
+        final = all(callee in summaries
+                    for callee in fa.calls if callee in by_name)
+        fa.run()
+        summaries[name] = fa.summary()
+        if final:
+            keep(fa)
+        else:
+            on_cycle.append(name)
         in_progress.discard(name)
 
     for fn in tu.functions:
         visit(fn.name)
-    return summaries
+    for name in on_cycle:
+        fa = _FunctionAnalysis(tu, by_name[name], cfgs[name], config,
+                               summaries)
+        fa.run()
+        keep(fa)
+    return summaries, findings, incomplete
+
+
+def compute_summaries(tu: ast.TranslationUnit, cfgs: dict,
+                      config: CheckerConfig) -> dict:
+    """Summaries in call-graph dependency order; recursion breaks to None."""
+    return _explore(tu, cfgs, config)[0]
 
 
 def analyze_unit(tu: ast.TranslationUnit, cfgs: dict | None = None,
                  config: CheckerConfig | None = None) -> AnalysisResult:
     """Run all enabled checkers over one translation unit.
 
-    Returns findings sorted by (file, line, kind, checker); the result is
-    marked incomplete when any function hit the path budget.
+    Each function is explored once, callees first, and gives its findings
+    and its summary together.  A function that calls back into an open call
+    cycle (itself included) is explored once more after every summary in
+    the unit exists, and keeps the findings of that second exploration.
+    Returns findings sorted by (file, line, kind, checker, message,
+    function); the result is marked incomplete when any kept exploration
+    hit the path budget.
     """
     config = config or PROFILES["union"]
     if cfgs is None:
         cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
-    summaries = compute_summaries(tu, cfgs, config)
-    findings: set[Finding] = set()
-    incomplete = False
-    for fn in tu.functions:
-        fa = _FunctionAnalysis(tu, fn, cfgs[fn.name], config, summaries,
-                               report=True)
-        fa.run()
-        findings |= fa.findings
-        incomplete = incomplete or fa.incomplete
-    ordered = sorted(findings, key=lambda f: (
-        f.file, f.line, f.kind, f.checker, f.message, f.function))
-    return AnalysisResult(ordered, incomplete)
+    _, findings, incomplete = _explore(tu, cfgs, config)
+    return AnalysisResult(sorted(findings), incomplete)

@@ -37,9 +37,17 @@ class Cfg:
     exit: int
     edges: list[tuple[int, int, str]]
     has_dead_code: bool = False
+    # (dst, kind) per block, in edge insertion order; built once because the
+    # engine asks for a block's successors on every step of every path.
+    _succs: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._succs = [[] for _ in self.blocks]
+        for src, dst, kind in self.edges:
+            self._succs[src].append((dst, kind))
 
     def successors(self, block_id: int) -> list[tuple[int, str]]:
-        return [(dst, kind) for src, dst, kind in self.edges if src == block_id]
+        return self._succs[block_id]
 
     def block(self, block_id: int) -> BasicBlock:
         return self.blocks[block_id]
@@ -140,30 +148,3 @@ class _Builder:
 def build_cfg(fn: FunctionDef) -> Cfg:
     return _Builder(fn.name).build(fn)
 
-
-def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
-    """Brute-force enumeration of entry→exit block paths.
-
-    Loop-back edges are followed at most once per path, so this terminates.
-    Intended for testing/debugging, not for the analyzer itself.
-    """
-    paths: list[list[int]] = []
-
-    def walk(block_id: int, path: list[int], used_back: frozenset) -> None:
-        if len(paths) >= max_paths:
-            return
-        path = path + [block_id]
-        if block_id == cfg.exit:
-            paths.append(path)
-            return
-        for dst, kind in cfg.successors(block_id):
-            if kind == LOOP_BACK:
-                key = (block_id, dst)
-                if key in used_back:
-                    continue
-                walk(dst, path, used_back | {key})
-            else:
-                walk(dst, path, used_back)
-
-    walk(cfg.entry, [], frozenset())
-    return paths

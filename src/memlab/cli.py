@@ -6,7 +6,8 @@ external tool report), and ``persistence`` (defect lifetime in months).
 
 Exit codes: 0 when there is nothing to report (or a conversion succeeded),
 1 when findings were produced or expectations failed, 2 on usage, parse,
-format, or manifest errors.
+format, or manifest errors, and on any internal error, which is reported as
+one ``memlab: error:`` line instead of a traceback.
 
 Configuration precedence for ``analyze``: command-line flags override the
 config file, which overrides the profile's defaults.  The profile itself is
@@ -300,9 +301,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, LexError, ParseError, FormatError,
             benchlab.ManifestError, benchlab.NegativeInterval,
-            benchlab.UnknownVersion, ValueError) as exc:
+            benchlab.UnknownVersion, ValueError, OSError) as exc:
         print(f"memlab: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"memlab: error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # A traceback would exit 1, which callers read as "findings".
+        detail = " ".join(str(exc).split())
+        print(f"memlab: error: internal error: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
         return 2

@@ -5,12 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .analysis import Finding
-
-
-def _sort_key(f: Finding):
-    return (f.file, f.line, f.kind, f.checker, f.message, f.function)
-
 
 @dataclass
 class Report:
@@ -20,7 +14,7 @@ class Report:
     summary: dict = field(init=False)
 
     def __post_init__(self):
-        self.findings = sorted(self.findings, key=_sort_key)
+        self.findings = sorted(self.findings)
         counts: dict[str, int] = {}
         for f in self.findings:
             counts[f.kind] = counts.get(f.kind, 0) + 1
@@ -30,17 +24,17 @@ class Report:
 def render_text(report: Report) -> str:
     """Console rendering; byte-stable for equal reports."""
     n = len(report.findings)
-    if n == 0:
-        return "Found 0 issues\n"
-    lines = [f"Found {n} issue" + ("s" if n != 1 else ""), ""]
-    for f in report.findings:
-        lines.append(f"{f.file}:{f.line}: error: {f.kind}")
-        lines.append(f"  {f.message}")
+    lines = [f"Found {n} issue" + ("s" if n != 1 else "")]
+    if n:
         lines.append("")
-    lines.append("Summary of the reports")
-    lines.append("")
-    for kind in sorted(report.summary):
-        lines.append(f"  {kind}: {report.summary[kind]}")
+        for f in report.findings:
+            lines.append(f"{f.file}:{f.line}: error: {f.kind}")
+            lines.append(f"  {f.message}")
+            lines.append("")
+        lines.append("Summary of the reports")
+        lines.append("")
+        for kind in sorted(report.summary):
+            lines.append(f"  {kind}: {report.summary[kind]}")
     if report.incomplete:
         lines.append("")
         lines.append("warning: analysis incomplete (path budget exceeded)")

@@ -3,14 +3,41 @@
 import glob
 
 from memlab.cfg import (
+    Cfg,
     FALLTHROUGH,
     FALSE_BRANCH,
     LOOP_BACK,
     TRUE_BRANCH,
     build_cfg,
-    enumerate_paths,
 )
 from memlab.frontend import parse_source
+
+
+def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
+    """Brute-force enumeration of entry->exit block paths.
+
+    Loop-back edges are followed at most once per path, so this terminates.
+    """
+    paths: list[list[int]] = []
+
+    def walk(block_id: int, path: list[int], used_back: frozenset) -> None:
+        if len(paths) >= max_paths:
+            return
+        path = path + [block_id]
+        if block_id == cfg.exit:
+            paths.append(path)
+            return
+        for dst, kind in cfg.successors(block_id):
+            if kind == LOOP_BACK:
+                key = (block_id, dst)
+                if key in used_back:
+                    continue
+                walk(dst, path, used_back | {key})
+            else:
+                walk(dst, path, used_back)
+
+    walk(cfg.entry, [], frozenset())
+    return paths
 
 
 def _cfg(body, name="main"):
@@ -51,6 +78,13 @@ class TestShapes:
         cfg = _cfg("int x = 1; if (x) { while (x) { x = 0; } } return x;")
         for _, _, kind in cfg.edges:
             assert kind in (FALLTHROUGH, TRUE_BRANCH, FALSE_BRANCH, LOOP_BACK)
+
+    def test_successors_keep_edge_insertion_order(self):
+        cfg = _cfg("int x = 1; if (x) { while (x) { x = 0; } } "
+                   "else { if (x) { return 1; } } return x;")
+        for blk in cfg.blocks:
+            assert cfg.successors(blk.id) == [
+                (dst, kind) for src, dst, kind in cfg.edges if src == blk.id]
 
 
 class TestPaths:

@@ -118,6 +118,42 @@ class TestAnalyze:
         assert out1 == out2
 
 
+def _plain_ifs(n):
+    body = "int x = 0;\n" + "if (c) { x = i; }\n" * n + "return x;"
+    return "int f(int c, int i) {\n%s\n}\n" % body
+
+
+class TestTruncationAndCrashes:
+    def test_truncated_clean_run_still_warns(self, capsys, tmp_path):
+        src = tmp_path / "wide.c"
+        src.write_text(_plain_ifs(30))
+        code, out, _ = run_cli(capsys, "analyze", str(src))
+        assert code == 0
+        assert out == ("Found 0 issues\n"
+                       "\n"
+                       "warning: analysis incomplete (path budget exceeded)\n")
+
+    def test_deep_function_is_an_error_not_findings(self, capsys, tmp_path):
+        src = tmp_path / "deep.c"
+        src.write_text(_plain_ifs(200))
+        # The recursive engine runs out of stack on 200 ifs in a row.
+        code, out, err = run_cli(capsys, "analyze", str(src))
+        assert (code, out) == (2, "")
+        assert err.startswith("memlab: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unexpected_exception_exits_two_on_one_line(self, capsys,
+                                                        monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine fault\nwith a second line")
+
+        monkeypatch.setattr("memlab.cli.analyze_unit", broken)
+        code, out, err = run_cli(capsys, "analyze", "corpus/explicit_leak.c")
+        assert (code, out) == (2, "")
+        assert err == ("memlab: error: internal error: RuntimeError: "
+                       "engine fault with a second line\n")
+
+
 class TestBench:
     def test_corpus_all_pass_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--corpus",

@@ -44,6 +44,18 @@ class TestRenderText:
         assert text.endswith(
             "warning: analysis incomplete (path budget exceeded)\n")
 
+    def test_incomplete_empty_report_still_warns(self):
+        assert render_text(Report([], incomplete=True)) == (
+            "Found 0 issues\n"
+            "\n"
+            "warning: analysis incomplete (path budget exceeded)\n")
+
+    def test_incomplete_report_keeps_structured_output(self):
+        assert emit_structured(Report([], incomplete=True)) == ""
+        finding = _finding()
+        assert emit_structured(Report([finding], incomplete=True)) == \
+            emit_structured(Report([finding]))
+
     def test_findings_sorted_regardless_of_input_order(self):
         a = _finding(file="a.c", line=9)
         b = _finding(file="b.c", line=1)
