@@ -18,6 +18,14 @@ that calls itself is one): that function is explored while a callee still
 lacks a summary, keeps the summary from that exploration, and is explored
 once more for its findings after every summary exists.
 
+A path that enters a join or a loop head in a state already explored from
+there (same heap up to site numbering, same loop trip counts) is dropped:
+transfer is deterministic and everything an exploration collects is a set,
+so it would only repeat what was found.  The path budget counts finished
+paths, and a dropped path as one when the exploration it repeats counted
+any.  A dropped path stands for at least one path of the full walk, so a
+function with no more paths than the budget is always explored completely.
+
 Checkers are toggled through a CheckerConfig; named profiles emulate the
 detection columns of the tools compared in the benchmark corpus.
 """
@@ -102,6 +110,7 @@ class CheckerConfig:
     # escape instead of reporting them.
     struct_field_leak: bool = True
     unroll_bound: int = 2
+    # Paths per function; one dropped as already explored counts one at most.
     path_budget: int = 4096
 
     def __post_init__(self):
@@ -349,6 +358,74 @@ class AbstractHeap:
                 self.propagate_escapes()
 
 
+def _is_block(value) -> bool:
+    return type(value) is PtrValue and value.kind == "block"
+
+
+def _scalar_state(value):
+    # A scalar stands for its state string in a key: a str hashes from a
+    # cache, a dataclass by building a tuple.
+    return value.state if type(value) is ScalarValue else value
+
+
+def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
+               interned: dict) -> tuple:
+    """The entry into a block, with the state in canonical form, as tuples.
+
+    Freed and leaked sites that nothing refers to are dropped; live sites
+    stay, referenced or not, because a leak is reported at the statement
+    after it happens.  Sites are renumbered in order of first reference:
+    env by name, then each numbered site's fields, then any live site
+    nothing refers to.  Transfer is deterministic, so two entries with
+    equal keys explore the same continuations and report the same things.
+    The variable names and the current stores repeat across many keys;
+    `interned` keeps one copy of each.
+    """
+    names, values = zip(*sorted(state.env.items())) if state.env else ((), ())
+    names = interned.setdefault(names, names)
+    stores = tuple(sorted(state.cur_store.values()))
+    stores = interned.setdefault(stores, stores)
+    sites = state.sites
+    if not sites:
+        return (block_id, names, tuple(map(_scalar_state, values)), stores,
+                state.ret_line, back_counts, ())
+
+    renum: dict = {}
+    order: list = []
+
+    def number(refs) -> None:
+        for v in refs:
+            if _is_block(v) and v.site not in renum:
+                renum[v.site] = len(order)
+                order.append(v.site)
+
+    number(values)
+    live = (sid for sid, s in sites.items() if s.status == "live")
+    done = 0
+    while True:
+        while done < len(order):
+            number(sites[order[done]].fields.values())
+            done += 1
+        sid = next((sid for sid in live if sid not in renum), None)
+        if sid is None:
+            break
+        renum[sid] = len(order)
+        order.append(sid)
+
+    def canon(v):
+        if _is_block(v):
+            return ("block", renum[v.site], v.offset, v.origin, v.line,
+                    v.var, v.param_index)
+        return _scalar_state(v)
+
+    return (block_id, names, tuple(map(canon, values)), stores,
+            state.ret_line, back_counts,
+            tuple([(s.line, s.status, s.escaped,
+                    tuple([(f, canon(v)) for f, v in s.fields.items()]),
+                    s.default_field, s.hint)
+                   for s in map(sites.__getitem__, order)]))
+
+
 @dataclass(frozen=True)
 class FunctionSummary:
     name: str
@@ -408,7 +485,13 @@ class _FunctionAnalysis:
         self.summaries = summaries
         self.findings: set[Finding] = set()
         self.incomplete = False
-        self.paths_done = 0
+        # Paths finished plus paths dropped as already explored; the path
+        # budget caps it.
+        self.paths_counted = 0
+        # _state_key of each merge-block entry explored -> 1 if the paths
+        # from it counted any, else 0
+        self.seen: dict = {}
+        self.interned: dict = {}
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
 
@@ -421,7 +504,9 @@ class _FunctionAnalysis:
 
         # Dead-store bookkeeping is global across paths: a store is dead
         # only if no explored path reads it.
-        self.stores: dict = {}          # (var, line) -> value class
+        # (var, line) -> "null-or-zero" if every value written there was
+        # null or zero, else "other"
+        self.stores: dict = {}
         self.read_stores: set = set()
 
     # -- reporting --
@@ -445,7 +530,7 @@ class _FunctionAnalysis:
                 state.env[name] = ScalarValue("unknown")
         for g in self.tu.globals:
             state.env[g.name] = UNKNOWN
-        self._exec(self.cfg.entry, state, {})
+        self._exec(self.cfg.entry, state, ())
         self.check_dead_store()
 
     def summary(self) -> FunctionSummary:
@@ -462,10 +547,23 @@ class _FunctionAnalysis:
 
     # -- path walking --
 
-    def _exec(self, block_id: int, state: AbstractHeap, back_counts: dict) -> None:
-        if self.paths_done >= self.config.path_budget:
+    def _exec(self, block_id: int, state: AbstractHeap,
+              back_counts: tuple) -> None:
+        key = None
+        if block_id in self.cfg.merges:
+            key = _state_key(block_id, state, back_counts, self.interned)
+            weight = self.seen.get(key)
+            if weight is not None:
+                # Explored from here already: the paths it found stand for
+                # this one, which counts as one path if they counted any.
+                self.paths_counted += weight
+                return
+        if self.paths_counted >= self.config.path_budget:
             self.incomplete = True
             return
+        if key is not None:
+            self.seen[key] = 0  # until the paths from here are explored
+            before = self.paths_counted
         blk = self.cfg.block(block_id)
         states = [state]
         for stmt in blk.statements:
@@ -476,33 +574,34 @@ class _FunctionAnalysis:
                 next_states.extend(self.transfer(stmt, s))
             states = next_states
             if not states:
-                return
+                break
+        succs = self.cfg.successors(block_id)
         if block_id == self.cfg.exit:
             for s in states:
                 self.finish_path(s)
-            return
-        succs = self.cfg.successors(block_id)
-        if blk.terminator == "branch":
+        elif blk.terminator == "branch":
             for s in states:
                 self._branch(block_id, blk.branch_cond, s, back_counts, succs)
         else:
             for s in states:
                 for dst, kind in succs:
                     self._follow(dst, s, back_counts, kind, block_id)
+        if key is not None:
+            self.seen[key] = int(self.paths_counted > before)
 
-    def _follow(self, dst: int, state: AbstractHeap, back_counts: dict,
+    def _follow(self, dst: int, state: AbstractHeap, back_counts: tuple,
                 edge_kind: str, src: int) -> None:
         if edge_kind == LOOP_BACK:
-            key = (src, dst)
-            taken = back_counts.get(key, 0)
+            counts = dict(back_counts)
+            taken = counts.get((src, dst), 0)
             if taken >= self.config.unroll_bound:
                 return  # bounded unrolling: abandon this continuation
-            back_counts = dict(back_counts)
-            back_counts[key] = taken + 1
+            counts[(src, dst)] = taken + 1
+            back_counts = tuple(sorted(counts.items()))
         self._exec(dst, state, back_counts)
 
     def _branch(self, block_id: int, cond, state: AbstractHeap,
-                back_counts: dict, succs) -> None:
+                back_counts: tuple, succs) -> None:
         true_edges = [(d, k) for d, k in succs if k == "true-branch"]
         false_edges = [(d, k) for d, k in succs if k == "false-branch"]
         for cstate, value in self.eval(cond, state):
@@ -587,7 +686,10 @@ class _FunctionAnalysis:
     def _store_var(self, state: AbstractHeap, name: str, value,
                    line: int, cls: str) -> None:
         key = (name, line)
-        self.stores[key] = cls
+        # "other" wins over "null-or-zero" whatever order paths write in,
+        # so which duplicate paths are skipped cannot change the checker.
+        if cls != "null-or-zero" or key not in self.stores:
+            self.stores[key] = cls
         state.cur_store[name] = key
         state.env[name] = value
         if isinstance(value, PtrValue) and value.kind == "block":
@@ -950,7 +1052,7 @@ class _FunctionAnalysis:
             info.status = "leaked"
 
     def finish_path(self, state: AbstractHeap) -> None:
-        self.paths_done += 1
+        self.paths_counted += 1
         line = state.ret_line or self.fn.loc.line
         state.propagate_escapes()
         # Only globals survive the function; locals go out of scope.

@@ -201,9 +201,14 @@ def match_finding(finding: Finding, truth, tolerance: int = 0):
     Ties on distance break toward the lower line; an exact tie (two entries
     at the same line) raises AmbiguousMatch.
     """
-    candidates = [e for e in truth
-                  if e.file == finding.file and e.kind == finding.kind
-                  and abs(e.line - finding.line) <= tolerance]
+    return _nearest(finding, [e for e in truth if e.file == finding.file
+                              and e.kind == finding.kind], tolerance)
+
+
+def _nearest(finding: Finding, same_file_kind, tolerance: int):
+    """match_finding over the entries of the finding's file and kind."""
+    candidates = [e for e in same_file_kind
+                  if abs(e.line - finding.line) <= tolerance]
     if not candidates:
         return None
     best = min(candidates, key=lambda e: (abs(e.line - finding.line), e.line))
@@ -227,11 +232,14 @@ def classify(findings, truth, tolerance: int = 0):
     labels = []
     matched_entries = set()
     tp = fp = 0
+    by_file_kind: dict = {}
+    for e in truth:
+        by_file_kind.setdefault((e.file, e.kind), []).append(e)
     for f in findings:
         if f.kind == KIND_UNMAPPED:
             labels.append((f, "UNMAPPED"))
             continue
-        entry = match_finding(f, truth, tolerance)
+        entry = _nearest(f, by_file_kind.get((f.file, f.kind), ()), tolerance)
         if entry is None:
             fp += 1
             labels.append((f, "FP"))

@@ -40,11 +40,22 @@ class Cfg:
     # (dst, kind) per block, in edge insertion order; built once because the
     # engine asks for a block's successors on every step of every path.
     _succs: list = field(init=False, repr=False, compare=False)
+    # Blocks with two or more incoming edges, joins and loop heads: where
+    # paths meet, and so where the engine looks for a state it has already
+    # explored.  The exit is left out: no block follows it.
+    merges: set = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._succs = [[] for _ in self.blocks]
+        succs = self._succs = [[] for _ in self.blocks]
+        entered = set()
+        merges = self.merges = set()
         for src, dst, kind in self.edges:
-            self._succs[src].append((dst, kind))
+            succs[src].append((dst, kind))
+            if dst in entered:
+                merges.add(dst)
+            else:
+                entered.add(dst)
+        merges.discard(self.exit)
 
     def successors(self, block_id: int) -> list[tuple[int, str]]:
         return self._succs[block_id]

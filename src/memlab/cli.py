@@ -18,7 +18,6 @@ environment variable, else ``union``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
@@ -28,7 +27,8 @@ from pathlib import Path
 
 from . import benchlab
 from .analysis import ALL_CHECKERS, PROFILES, analyze_unit
-from .diagnostics import Report, emit_structured, render_text
+from .diagnostics import INCOMPLETE_WARNING, Report, emit_structured, \
+    render_text
 from .frontend import LexError, ParseError, parse_file
 from .ingest import PARSERS, FormatError, parse_report
 
@@ -127,24 +127,17 @@ def resolve_config(args) -> "PROFILES.__class__":
 def cmd_analyze(args) -> int:
     config = resolve_config(args)
     started = time.perf_counter()
-
-    def analyze_one(path: str):
-        return analyze_unit(parse_file(path), config=config)
-
-    results = []
-    if args.jobs > 1 and len(args.paths) > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            # Buffered per unit, emitted in command-line path order.
-            results = list(pool.map(analyze_one, args.paths))
-    else:
-        results = [analyze_one(path) for path in args.paths]
-
+    results = [analyze_unit(parse_file(path), config=config)
+               for path in args.paths]
     findings = [f for result in results for f in result]
     incomplete = any(r.incomplete for r in results)
     elapsed = time.perf_counter() - started
     report = Report(findings, incomplete=incomplete, elapsed=elapsed)
     if args.format == "structured":
         sys.stdout.write(emit_structured(report))
+        if incomplete:
+            # The JSONL stays findings only, so readers of it still parse it.
+            print(INCOMPLETE_WARNING, file=sys.stderr)
     else:
         sys.stdout.write(render_text(report))
     if args.timings:
@@ -260,8 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--unroll-bound", dest="unroll_bound", type=int,
                       default=None)
     p_an.add_argument("--path-budget", dest="path_budget", type=int,
-                      default=None)
-    p_an.add_argument("--jobs", type=int, default=1)
+                      default=None,
+                      help="paths a function may count before its "
+                           "analysis stops and is marked incomplete "
+                           f"(default {PROFILES['union'].path_budget}): "
+                           "a path that reaches a join or loop head in a "
+                           "state already explored there is dropped and "
+                           "counts as one at most")
     p_an.add_argument("--timings", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+INCOMPLETE_WARNING = "warning: analysis incomplete (path budget exceeded)"
+
 
 @dataclass
 class Report:
@@ -37,7 +39,7 @@ def render_text(report: Report) -> str:
             lines.append(f"  {kind}: {report.summary[kind]}")
     if report.incomplete:
         lines.append("")
-        lines.append("warning: analysis incomplete (path budget exceeded)")
+        lines.append(INCOMPLETE_WARNING)
     return "\n".join(lines) + "\n"
 
 

@@ -273,6 +273,19 @@ class TestDeadStore:
         clang_like = PROFILES["clang-like"]
         assert run(src, clang_like) == []
 
+    def test_null_on_some_paths_only_is_a_plain_dead_store(self):
+        # y = x stores 0 on one path and an unknown value on the other; the
+        # class must not depend on which path is explored last.
+        src = """int f(int c, int i) {
+            int x = 0;
+            int y;
+            if (c) { x = i; }
+            y = x;
+            return 0;
+        }"""
+        assert run(src) == [(5, CHECKER_DEAD_STORE)]
+        assert run(src, PROFILES["clang-like"]) == [(5, CHECKER_DEAD_STORE)]
+
     def test_address_taken_variables_exempt(self):
         assert run("""int f(int *out) {
             int x = 1;

@@ -1,5 +1,6 @@
 """Ground truth, classification, size classes, and persistence tests."""
 
+import random
 from datetime import date
 
 import pytest
@@ -132,6 +133,33 @@ class TestMatching:
             match_finding(finding(line=10), truth)
 
 
+def _scan_classify(findings, truth, tolerance):
+    """classify as it was before its truth index: every finding scans every
+    entry."""
+    labels, matched, tp, fp = [], set(), 0, 0
+    for f in findings:
+        if f.kind == "UNMAPPED":
+            labels.append((f, "UNMAPPED"))
+            continue
+        candidates = [e for e in truth
+                      if e.file == f.file and e.kind == f.kind
+                      and abs(e.line - f.line) <= tolerance]
+        best = min(candidates, default=None,
+                   key=lambda e: (abs(e.line - f.line), e.line))
+        if best is None:
+            fp += 1
+            labels.append((f, "FP"))
+            continue
+        if any(e.line == best.line and e is not best for e in candidates):
+            raise AmbiguousMatch(f"{f.file}:{f.line}")
+        matched.add(id(best))
+        tp, fp = (tp + 1, fp) if best.is_real else (tp, fp + 1)
+        labels.append((f, "TP" if best.is_real else "FP"))
+    fn = sum(1 for e in truth if e.is_real and id(e) not in matched)
+    tn = sum(1 for e in truth if not e.is_real and id(e) not in matched)
+    return ConfusionMatrix(tp, fp, fn, tn), labels
+
+
 class TestClassify:
     def test_four_way_partition(self):
         truth = [
@@ -152,6 +180,26 @@ class TestClassify:
         matrix, labels = classify(findings, [entry(line=1)])
         assert labels[0][1] == "UNMAPPED"
         assert matrix == ConfusionMatrix(tp=0, fp=0, fn=1, tn=0)
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_index_agrees_with_a_full_scan(self, seed):
+        rng = random.Random(seed)
+        files, kinds = ("a.c", "b.c", "c.c"), ("MEMORY_LEAK", "DEAD_STORE",
+                                               "UNMAPPED")
+        truth = [entry(file=rng.choice(files), line=rng.randint(1, 40),
+                       kind=rng.choice(kinds[:2]), is_real=rng.random() < 0.7)
+                 for _ in range(rng.randint(0, 30))]
+        findings = [finding(file=rng.choice(files), line=rng.randint(1, 40),
+                            kind=rng.choice(kinds))
+                    for _ in range(rng.randint(0, 30))]
+        tolerance = rng.randint(0, 3)
+        try:
+            want = _scan_classify(findings, truth, tolerance)
+        except AmbiguousMatch:
+            with pytest.raises(AmbiguousMatch):
+                classify(findings, truth, tolerance)
+            return
+        assert classify(findings, truth, tolerance) == want
 
     def test_rates_partition_to_one(self):
         matrix = ConfusionMatrix(tp=3, fp=1, fn=4, tn=2)

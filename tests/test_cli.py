@@ -103,13 +103,6 @@ class TestAnalyze:
                              "--config", str(cfg))
         assert code == 2
 
-    def test_jobs_do_not_change_output(self, capsys):
-        paths = ["corpus/explicit_leak.c", "corpus/dead_store_tp.c",
-                 "corpus/realloc_leak.c"]
-        _, serial, _ = run_cli(capsys, "analyze", *paths)
-        _, threaded, _ = run_cli(capsys, "analyze", *paths, "--jobs", "4")
-        assert serial == threaded
-
     def test_timings_go_to_stderr_only(self, capsys):
         _, out1, err = run_cli(capsys, "analyze", "corpus/explicit_leak.c",
                                "--timings")
@@ -123,15 +116,45 @@ def _plain_ifs(n):
     return "int f(int c, int i) {\n%s\n}\n" % body
 
 
+def _own_var_ifs(n):
+    """`n` ifs that each assign their own variable: 2**n distinct states."""
+    decls = "".join(f"int x{k} = 0;\n" for k in range(n))
+    ifs = "".join(f"if (c) {{ x{k} = i; }}\n" for k in range(n))
+    total = " + ".join(f"x{k}" for k in range(n))
+    return "int f(int c, int i) {\n%s%sreturn %s;\n}\n" % (decls, ifs, total)
+
+
 class TestTruncationAndCrashes:
     def test_truncated_clean_run_still_warns(self, capsys, tmp_path):
         src = tmp_path / "wide.c"
-        src.write_text(_plain_ifs(30))
+        src.write_text(_own_var_ifs(30))
         code, out, _ = run_cli(capsys, "analyze", str(src))
         assert code == 0
         assert out == ("Found 0 issues\n"
                        "\n"
                        "warning: analysis incomplete (path budget exceeded)\n")
+
+    def test_truncated_structured_run_warns_on_stderr(self, capsys, tmp_path):
+        src = tmp_path / "wide.c"
+        src.write_text(_own_var_ifs(30))
+        code, out, err = run_cli(capsys, "analyze", str(src),
+                                 "--format", "structured")
+        assert (code, out) == (0, "")
+        assert err == "warning: analysis incomplete (path budget exceeded)\n"
+
+    def test_complete_structured_run_has_no_warning(self, capsys, tmp_path):
+        src = tmp_path / "narrow.c"
+        src.write_text(_own_var_ifs(4))
+        code, out, err = run_cli(capsys, "analyze", str(src),
+                                 "--format", "structured")
+        assert (code, out, err) == (0, "", "")
+
+    def test_plain_ifs_on_one_variable_finish(self, capsys, tmp_path):
+        # 2**30 paths, but only 31 states at the last join.
+        src = tmp_path / "plain.c"
+        src.write_text(_plain_ifs(30))
+        code, out, _ = run_cli(capsys, "analyze", str(src))
+        assert (code, out) == (0, "Found 0 issues\n")
 
     def test_deep_function_is_an_error_not_findings(self, capsys, tmp_path):
         src = tmp_path / "deep.c"

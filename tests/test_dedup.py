@@ -1,0 +1,205 @@
+"""Exact state deduplication against exploring every path.
+
+The engine drops a path when it enters a merge block in a state it has
+already explored from there.  With ``_state_key`` replaced by one that never
+repeats, nothing is dropped, which is how paths were explored before.  Both
+must give the same findings, ``incomplete`` flags and summaries on every
+input that both finish within the budget, and the deduplicated walk must
+finish within every budget the full walk finishes within.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from memlab import analysis
+from memlab.analysis import PROFILES, _FunctionAnalysis, analyze_unit, \
+    compute_summaries
+from memlab.cfg import build_cfg
+from memlab.frontend import parse_source
+from test_cli import _own_var_ifs
+from test_exploration import random_program
+
+# Large enough that exploring every path finishes on every input below.
+NO_LIMIT = 10 ** 6
+
+
+def p_chain(n):
+    """`n` plain ifs in a row: 2**n paths."""
+    return ("int f(int c, int i) {\n    int x = 0;\n"
+            + "    if (c) { x = i; }\n" * n + "    return x;\n}\n")
+
+
+def a_chain(k):
+    """`k` allocating ifs in a row: 3**k paths."""
+    return ("int f(int c) {\n    int *p;\n"
+            + "    if (c) { p = malloc(8); if (p) { free(p); } }\n" * k
+            + "    return 0;\n}\n")
+
+
+def loop_nest(ifs, leak):
+    """Two nested loops round `ifs` plain ifs, optionally leaking."""
+    body = "            if (c) { x = x + i; }\n" * ifs
+    if leak:
+        body += "            q = malloc(4);\n"
+    return ("int f(int c, int i, int m) {\n"
+            "    int x = 0;\n    int *q = NULL;\n    int k0 = 0;\n"
+            "    while (k0 < m) {\n        int k1 = 0;\n"
+            "        while (k1 < m) {\n" + body
+            + "            k1 = k1 + 1;\n        }\n"
+            "        k0 = k0 + 1;\n    }\n    return x;\n}\n")
+
+
+def branching_loop(rng):
+    """One loop whose body branches, between straight-line code.  Two paths
+    through the body can reach one state after different numbers of trips
+    round the loop, so the key must tell the trips left apart."""
+    simple = ("p = malloc(4);", "free(p);", "p = NULL;", "q = p;", "p = q;",
+              "x = *p;", "*p = 1;", "x = y;", "y = x;", "x = 0;", "x = 1;",
+              "free(q);", "q = NULL;", "x = *q;")
+    conds = ("c", "x", "p", "!p", "p == NULL", "q", "y")
+
+    def stmts(lo, hi):
+        return " ".join(rng.choice(simple) for _ in range(rng.randint(lo, hi)))
+
+    lines = ["int f(int c, int *r) {", "int *p = r;", "int *q = NULL;",
+             "int x = 0;", "int y;", stmts(0, 2),
+             f"while ({rng.choice(('c > 0', 'c', 'x'))}) {{",
+             f"if ({rng.choice(conds)}) {{ {stmts(0, 2)} }} "
+             f"else {{ {stmts(0, 2)} }}"]
+    if rng.random() < 0.5:
+        lines.append(f"if ({rng.choice(conds)}) {{ {stmts(0, 2)} }}")
+    lines += ["}", stmts(1, 3), "return x;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+SIX_IF_LOOP = ("int f(int c, int i) {\n    int x = 0;\n    while (c > 0) {\n"
+               + "        if (i) { x = i; }\n" * 6
+               + "        c = c - 1;\n    }\n    return x;\n}\n")
+
+
+def outcome(source, config):
+    tu = parse_source("t.c", source)
+    cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
+    result = analyze_unit(tu, cfgs, config)
+    return list(result), result.incomplete, compute_summaries(tu, cfgs, config)
+
+
+def counted_outcome(source, config, monkeypatch, dedup=True):
+    """outcome() and, for each exploration in order, the paths it counted
+    or, without dedup, the paths it finished."""
+    counts = []
+    run, finish_path = _FunctionAnalysis.run, _FunctionAnalysis.finish_path
+
+    def counting_run(self):
+        self.finished = 0
+        run(self)
+        counts.append((self.fn.name,
+                       self.paths_counted if dedup else self.finished))
+
+    def counting_finish_path(self, state):
+        self.finished += 1
+        finish_path(self, state)
+
+    with monkeypatch.context() as m:
+        m.setattr(_FunctionAnalysis, "run", counting_run)
+        m.setattr(_FunctionAnalysis, "finish_path", counting_finish_path)
+        if not dedup:
+            m.setattr(analysis, "_state_key", lambda *args: object())
+        return outcome(source, config), counts
+
+
+def assert_same_without_dedup(source, config, monkeypatch):
+    """Same results with and without dedup, and a budget never tighter: no
+    exploration counts more paths than the full walk, so a budget the full
+    walk fits in is one the deduplicated walk fits in."""
+    config = replace(config, path_budget=NO_LIMIT)
+    deduped, counts = counted_outcome(source, config, monkeypatch)
+    every_path, full_counts = counted_outcome(source, config, monkeypatch,
+                                              dedup=False)
+    assert not every_path[1], "raise NO_LIMIT: the reference was cut short"
+    assert deduped == every_path, source
+    assert [name for name, _ in counts] == [name for name, _ in full_counts]
+    assert all(n <= full for (_, n), (_, full) in zip(counts, full_counts))
+    tight = replace(config, path_budget=max(full for _, full in full_counts))
+    if not counted_outcome(source, tight, monkeypatch, dedup=False)[0][1]:
+        assert outcome(source, tight) == every_path, source
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_random_programs_under_every_profile(seed, monkeypatch):
+    source = random_program(random.Random(seed))
+    for profile in sorted(PROFILES):
+        assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(600))
+def test_branching_loops(seed, monkeypatch):
+    source = branching_loop(random.Random(seed))
+    assert_same_without_dedup(source, PROFILES["union"], monkeypatch)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(p_chain(n), id=f"p{n}") for n in (1, 3, 8)] + [
+    pytest.param(a_chain(k), id=f"a{k}") for k in (1, 3, 5)] + [
+    pytest.param(loop_nest(ifs, leak), id=f"loops{ifs}{'-leak' * leak}")
+    for ifs, leak in ((1, False), (2, False), (3, False), (1, True),
+                      (2, True))])
+def test_families_under_every_profile(source, monkeypatch):
+    for profile in sorted(PROFILES):
+        assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# Paths counted under the default budget
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """Function name -> (paths counted, incomplete) of its last run."""
+    seen = {}
+    run = _FunctionAnalysis.run
+
+    def counting_run(self):
+        run(self)
+        seen[self.fn.name] = (self.paths_counted, self.incomplete)
+
+    monkeypatch.setattr(_FunctionAnalysis, "run", counting_run)
+    return seen
+
+
+class TestPathsCounted:
+    @pytest.mark.parametrize("n", [0, 1, 4, 31, 48, 90])
+    def test_p_chain_is_quadratic(self, paths, n):
+        # k + 1 states leave the k-th if's join and k - 1 of its 2k arrivals
+        # are dropped: n * (n - 1) / 2 dropped paths, n + 1 finished ones.
+        analyze_unit(parse_source("t.c", p_chain(n)))
+        assert paths["f"] == (n * (n - 1) // 2 + n + 1, False)
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 10])
+    def test_a_chain_is_quadratic(self, paths, k):
+        analyze_unit(parse_source("t.c", a_chain(k)))
+        assert paths["f"] == (2 * k * k + 1, False)
+
+    def test_six_ifs_in_a_loop_finish(self, paths):
+        result = analyze_unit(parse_source("t.c", SIX_IF_LOOP))
+        assert paths["f"] == (72, False)
+        assert not result.incomplete
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_paths_that_never_meet_fit_the_budget_as_before(self, paths, n):
+        # Nothing is dropped, so each path counts once: 2**12 = 4096 paths
+        # is exactly the default budget and still complete.
+        result = analyze_unit(parse_source("t.c", _own_var_ifs(n)))
+        assert paths["f"] == (2 ** n, False)
+        assert not result.incomplete
+
+    def test_budget_still_cuts_what_it_cannot_fit(self, paths):
+        # p91 counts 91 * 90 / 2 + 92 = 4187 paths; _own_var_ifs(13) 8192.
+        budget = PROFILES["union"].path_budget
+        for source in (p_chain(91), _own_var_ifs(13)):
+            result = analyze_unit(parse_source("t.c", source))
+            assert paths["f"] == (budget, True)
+            assert result.incomplete
