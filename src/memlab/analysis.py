@@ -21,10 +21,15 @@ once more for its findings after every summary exists.
 A path that enters a join or a loop head in a state already explored from
 there (same heap up to site numbering, same loop trip counts) is dropped:
 transfer is deterministic and everything an exploration collects is a set,
-so it would only repeat what was found.  The path budget counts finished
-paths, and a dropped path as one when the exploration it repeats counted
-any.  A dropped path stands for at least one path of the full walk, so a
-function with no more paths than the budget is always explored completely.
+so it would only repeat what was found.  The state names the variables
+that hold a store but not the lines of the stores, since only the
+dead-store checker asks which store a read reads: the first entry puts an
+alias in place of each current store, a dropped path adds its own stores to
+those aliases, and a read of an alias reads every store it stands for.  The
+path budget counts finished paths, and a dropped path as one when the
+exploration it repeats counted any.  A dropped path stands for at least
+one path of the full walk, so a function with no more paths than the budget
+is always explored completely.
 
 Checkers are toggled through a CheckerConfig; named profiles emulate the
 detection columns of the tools compared in the benchmark corpus.
@@ -294,7 +299,8 @@ class AbstractHeap:
 
     env: dict = field(default_factory=dict)
     sites: dict = field(default_factory=dict)
-    cur_store: dict = field(default_factory=dict)  # var -> (var, line)
+    # var -> (var, line) of its last store, or an alias standing for it
+    cur_store: dict = field(default_factory=dict)
     ret_line: int = 0
     next_site: int = 0
 
@@ -378,12 +384,14 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
     env by name, then each numbered site's fields, then any live site
     nothing refers to.  Transfer is deterministic, so two entries with
     equal keys explore the same continuations and report the same things.
-    The variable names and the current stores repeat across many keys;
-    `interned` keeps one copy of each.
+    Of the current stores only the variables count: which store is current
+    decides only which store a read reads, and the aliases of
+    `_alias_stores` carry that.  The variable names repeat across many
+    keys; `interned` keeps one copy of each tuple of them.
     """
     names, values = zip(*sorted(state.env.items())) if state.env else ((), ())
     names = interned.setdefault(names, names)
-    stores = tuple(sorted(state.cur_store.values()))
+    stores = tuple(sorted(state.cur_store))
     stores = interned.setdefault(stores, stores)
     sites = state.sites
     if not sites:
@@ -485,12 +493,14 @@ class _FunctionAnalysis:
         self.summaries = summaries
         self.findings: set[Finding] = set()
         self.incomplete = False
-        # Paths finished plus paths dropped as already explored; the path
-        # budget caps it.
+        # Paths finished plus paths dropped as already explored; nothing
+        # new is explored once it reaches the path budget.
         self.paths_counted = 0
-        # _state_key of each merge-block entry explored -> 1 if the paths
-        # from it counted any, else 0
+        # _state_key of each merge-block entry explored -> (1 if the paths
+        # from it counted any, else 0; its [(var, alias)] from _alias_stores)
         self.seen: dict = {}
+        # alias -> the stores and aliases it stands for
+        self.alias_sources: list = []
         self.interned: dict = {}
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
@@ -552,17 +562,23 @@ class _FunctionAnalysis:
         key = None
         if block_id in self.cfg.merges:
             key = _state_key(block_id, state, back_counts, self.interned)
-            weight = self.seen.get(key)
-            if weight is not None:
+            explored = self.seen.get(key)
+            if explored is not None:
                 # Explored from here already: the paths it found stand for
-                # this one, which counts as one path if they counted any.
+                # this one, which counts as one path if they counted any,
+                # and each alias made there stands for this one's store too.
+                weight, aliases = explored
+                for var, alias in aliases:
+                    self.alias_sources[alias].append(state.cur_store[var])
                 self.paths_counted += weight
                 return
         if self.paths_counted >= self.config.path_budget:
             self.incomplete = True
             return
         if key is not None:
-            self.seen[key] = 0  # until the paths from here are explored
+            aliases = self._alias_stores(state)
+            # weight 0 until the paths from here are explored
+            self.seen[key] = (0, aliases)
             before = self.paths_counted
         blk = self.cfg.block(block_id)
         states = [state]
@@ -587,7 +603,24 @@ class _FunctionAnalysis:
                 for dst, kind in succs:
                     self._follow(dst, s, back_counts, kind, block_id)
         if key is not None:
-            self.seen[key] = int(self.paths_counted > before)
+            self.seen[key] = (int(self.paths_counted > before), aliases)
+
+    def _alias_stores(self, state: AbstractHeap) -> list:
+        """Replace each current store with a fresh alias: [(var, alias)].
+
+        The continuation from a merge entry reads a variable's entry store
+        exactly when it reads the variable before writing it, whichever
+        store that is; so a read of the alias is a read of every store it
+        stands for, this entry's and those of the arrivals dropped here.
+        """
+        sources = self.alias_sources
+        aliases = []
+        for var, store in state.cur_store.items():
+            alias = len(sources)
+            sources.append([store])
+            state.cur_store[var] = alias
+            aliases.append((var, alias))
+        return aliases
 
     def _follow(self, dst: int, state: AbstractHeap, back_counts: tuple,
                 edge_kind: str, src: int) -> None:
@@ -1073,8 +1106,17 @@ class _FunctionAnalysis:
     def check_dead_store(self) -> None:
         if self.incomplete:
             return  # unexplored paths could read the stores; stay quiet
+        # A read of an alias reads every store it stands for.
+        read = set(self.read_stores)
+        work = [alias for alias in read if type(alias) is int]
+        while work:
+            for store in self.alias_sources[work.pop()]:
+                if store not in read:
+                    read.add(store)
+                    if type(store) is int:
+                        work.append(store)
         for (var, line), cls in sorted(self.stores.items()):
-            if (var, line) in self.read_stores:
+            if (var, line) in read:
                 continue
             if var in self.addr_taken or var in self.global_names:
                 continue

@@ -124,15 +124,23 @@ def resolve_config(args) -> "PROFILES.__class__":
 # ---------------------------------------------------------------------------
 
 
+def _parse(path):
+    try:
+        return parse_file(path)
+    except (LexError, ParseError) as exc:
+        # The error reads "line:col: message"; say which file it is in.
+        raise UsageError(f"{path}:{exc}") from None
+
+
 def cmd_analyze(args) -> int:
     config = resolve_config(args)
     started = time.perf_counter()
-    results = [analyze_unit(parse_file(path), config=config)
+    results = [analyze_unit(_parse(path), config=config)
                for path in args.paths]
     findings = [f for result in results for f in result]
     incomplete = any(r.incomplete for r in results)
     elapsed = time.perf_counter() - started
-    report = Report(findings, incomplete=incomplete, elapsed=elapsed)
+    report = Report(findings, incomplete=incomplete)
     if args.format == "structured":
         sys.stdout.write(emit_structured(report))
         if incomplete:

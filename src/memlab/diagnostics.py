@@ -12,7 +12,6 @@ INCOMPLETE_WARNING = "warning: analysis incomplete (path budget exceeded)"
 class Report:
     findings: list
     incomplete: bool = False
-    elapsed: float = 0.0
     summary: dict = field(init=False)
 
     def __post_init__(self):

@@ -25,6 +25,11 @@ BUILTIN_FUNCTIONS = {
     "memset", "memcpy", "memmove",
 }
 
+# Statements, blocks, parentheses, call arguments, sizeof operands, casts and
+# prefix operators nest at most this deep.  The parser recurses at most eight
+# frames per level, so this stays inside Python's default limit of 1000.
+MAX_NESTING = 100
+
 PUNCTUATION = [
     "->", "==", "!=", "<=", ">=",
     "(", ")", "{", "}", ";", ",", "*", "&", "=", "<", ">",
@@ -365,6 +370,7 @@ class _Parser:
         self.unit = unit
         self.pos = 0
         self.struct_names: set[str] = set()
+        self.depth = 0
 
     # -- token helpers --
 
@@ -409,6 +415,16 @@ class _Parser:
         col = tok.column if tok else 1
         cls = UnsupportedConstruct if unsupported else ParseError
         return cls(message, line, col)
+
+    def nested(self, parse):
+        """parse() one nesting level deeper; past MAX_NESTING, an error."""
+        if self.depth >= MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels",
+                             unsupported=True)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def loc(self, tok: Token) -> Loc:
         return Loc(tok.line, tok.column)
@@ -551,8 +567,8 @@ class _Parser:
 
     def parse_stmt_or_block(self) -> list:
         if self.check("{"):
-            return self.parse_block()
-        return [self.parse_stmt()]
+            return self.nested(self.parse_block)
+        return [self.nested(self.parse_stmt)]
 
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
@@ -606,7 +622,7 @@ class _Parser:
         els = None
         if self.accept("else"):
             if self.check("if"):
-                els = [self.parse_if()]
+                els = [self.nested(self.parse_if)]
             else:
                 els = self.parse_stmt_or_block()
         return If(self.loc(start), cond, then, els)
@@ -654,16 +670,16 @@ class _Parser:
             raise self.error("unexpected end of input")
         if tok.lexeme == "*":
             self.advance()
-            return Deref(self.loc(tok), self.parse_unary())
+            return Deref(self.loc(tok), self.nested(self.parse_unary))
         if tok.lexeme == "&":
             self.advance()
-            return AddressOf(self.loc(tok), self.parse_unary())
+            return AddressOf(self.loc(tok), self.nested(self.parse_unary))
         if tok.lexeme == "!":
             self.advance()
-            return UnaryNot(self.loc(tok), self.parse_unary())
+            return UnaryNot(self.loc(tok), self.nested(self.parse_unary))
         if tok.lexeme == "-":
             self.advance()
-            operand = self.parse_unary()
+            operand = self.nested(self.parse_unary)
             if isinstance(operand, IntLit):
                 return IntLit(self.loc(tok), -operand.value)
             return BinOp(self.loc(tok), "-", IntLit(self.loc(tok), 0), operand)
@@ -675,7 +691,7 @@ class _Parser:
             if not ctype.is_pointer:
                 raise self.error("only pointer casts are in the subset", unsupported=True)
             self.expect(")")
-            return Cast(self.loc(tok), ctype, self.parse_unary())
+            return Cast(self.loc(tok), ctype, self.nested(self.parse_unary))
         return self.parse_postfix()
 
     def _at_cast(self) -> bool:
@@ -695,7 +711,7 @@ class _Parser:
             ctype = self.parse_type()
             self.expect(")")
             return SizeofType(self.loc(start), ctype)
-        inner = self.parse_expr()
+        inner = self.nested(self.parse_expr)
         self.expect(")")
         star_of_ident = isinstance(inner, Deref) and isinstance(inner.expr, Ident)
         return SizeofExpr(self.loc(start), inner, star_of_ident)
@@ -711,7 +727,7 @@ class _Parser:
                 args: list = []
                 if not self.check(")"):
                     while True:
-                        args.append(self.parse_expr())
+                        args.append(self.nested(self.parse_expr))
                         if not self.accept(","):
                             break
                 self.expect(")")
@@ -735,7 +751,7 @@ class _Parser:
         if tok.kind == "IDENT":
             return Ident(self.loc(tok), tok.lexeme)
         if tok.lexeme == "(":
-            expr = self.parse_expr()
+            expr = self.nested(self.parse_expr)
             self.expect(")")
             return expr
         raise ParseError(f"unexpected token {tok.lexeme!r}", tok.line, tok.column)

@@ -286,6 +286,21 @@ class TestDeadStore:
         assert run(src) == [(5, CHECKER_DEAD_STORE)]
         assert run(src, PROFILES["clang-like"]) == [(5, CHECKER_DEAD_STORE)]
 
+    def test_store_of_an_arm_that_reaches_a_join_second_is_read(self):
+        # Both arms leave x nonzero, so the paths meet at the join in one
+        # state and the second is dropped; its store is still read there.
+        assert run("""int f(int c) {
+            int x;
+            int y;
+            if (c) {
+                x = 1;
+            } else {
+                x = 2;
+            }
+            y = x;
+            return y;
+        }""") == []
+
     def test_address_taken_variables_exempt(self):
         assert run("""int f(int *out) {
             int x = 1;

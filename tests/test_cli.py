@@ -165,6 +165,21 @@ class TestTruncationAndCrashes:
         assert err.startswith("memlab: error: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("body,where", [
+        ("int x = " + "(" * 2000 + "1" + ")" * 2000 + ";\nreturn x;",
+         ":2:110: "),
+        ("if (c) {\n" * 300 + "c = 1;\n" + "}\n" * 300 + "return c;",
+         ":102:8: "),
+    ], ids=["parentheses", "ifs"])
+    def test_deep_nesting_is_a_located_error(self, capsys, tmp_path, body,
+                                             where):
+        src = tmp_path / "nested.c"
+        src.write_text("int f(int c) {\n%s\n}\n" % body)
+        code, out, err = run_cli(capsys, "analyze", str(src))
+        assert (code, out) == (2, "")
+        assert err == (f"memlab: error: {src}{where}nesting deeper than "
+                       f"100 levels\n")
+
     def test_unexpected_exception_exits_two_on_one_line(self, capsys,
                                                         monkeypatch):
         def broken(*args, **kwargs):

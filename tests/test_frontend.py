@@ -5,6 +5,7 @@ import re
 import pytest
 
 from memlab.frontend import (
+    MAX_NESTING,
     BinOp,
     Call,
     Deref,
@@ -169,6 +170,20 @@ class TestParser:
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_source("<t>", "int main() {\n    int x = ;\n}")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "int x = " + "(" * n + "1" + ")" * n + "; return x;",
+        lambda n: "int x = " + "!" * n + "c; return x;",
+        lambda n: "int x = " + "g(" * n + "1" + ")" * n + "; return x;",
+        lambda n: "if (c) {" * n + " c = 1; " + "}" * n + " return c;",
+        lambda n: "while (c)" * n + " c = 1; return c;",
+    ], ids=["parens", "nots", "calls", "blocks", "bodies"])
+    def test_nesting_guard(self, nest):
+        source = "int f(int c) {\n%s\n}"
+        parse_source("<t>", source % nest(MAX_NESTING))
+        with pytest.raises(UnsupportedConstruct) as err:
+            parse_source("<t>", source % nest(MAX_NESTING + 1))
         assert err.value.line == 2
 
     def test_whole_corpus_parses(self):
