@@ -464,25 +464,6 @@ class AnalysisResult:
 # ---------------------------------------------------------------------------
 
 
-def _scan_body(fn: ast.FunctionDef) -> tuple[set, set]:
-    """The names a function calls and the variables whose address it takes."""
-    calls: set[str] = set()
-    addr_taken: set[str] = set()
-    work = list(fn.body)
-    while work:
-        node = work.pop()
-        if isinstance(node, ast.Call):
-            calls.add(node.name)
-        elif isinstance(node, ast.AddressOf) and isinstance(node.expr, ast.Ident):
-            addr_taken.add(node.expr.name)
-        for value in vars(node).values():
-            if isinstance(value, ast.Node):
-                work.append(value)
-            elif isinstance(value, list):
-                work.extend(v for v in value if isinstance(v, ast.Node))
-    return calls, addr_taken
-
-
 class _FunctionAnalysis:
     def __init__(self, tu: ast.TranslationUnit, fn: ast.FunctionDef, cfg: Cfg,
                  config: CheckerConfig, summaries: dict):
@@ -505,9 +486,8 @@ class _FunctionAnalysis:
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
 
-        self.calls, self.addr_taken = _scan_body(fn)
         self.has_user_calls = any(
-            name not in ast.BUILTIN_FUNCTIONS for name in self.calls)
+            name not in ast.BUILTIN_FUNCTIONS for name in fn.calls)
 
         self.param_names = [name for name, _ in fn.params]
         self.global_names = {g.name for g in tu.globals}
@@ -1118,7 +1098,7 @@ class _FunctionAnalysis:
         for (var, line), cls in sorted(self.stores.items()):
             if (var, line) in read:
                 continue
-            if var in self.addr_taken or var in self.global_names:
+            if var in self.fn.addr_taken or var in self.global_names:
                 continue
             checker = CHECKER_DEAD_STORE_NULL_INIT if cls == "null-or-zero" \
                 else CHECKER_DEAD_STORE
@@ -1178,13 +1158,13 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
         if name in summaries or name in in_progress or name not in by_name:
             return
         in_progress.add(name)
-        fa = _FunctionAnalysis(tu, by_name[name], cfgs[name], config,
-                               summaries)
-        for callee in sorted(fa.calls):
+        fn = by_name[name]
+        for callee in sorted(fn.calls):
             if callee not in ast.BUILTIN_FUNCTIONS:
                 visit(callee)
         final = all(callee in summaries
-                    for callee in fa.calls if callee in by_name)
+                    for callee in fn.calls if callee in by_name)
+        fa = _FunctionAnalysis(tu, fn, cfgs[name], config, summaries)
         fa.run()
         summaries[name] = fa.summary()
         if final:

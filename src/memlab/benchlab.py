@@ -365,6 +365,40 @@ class CorpusManifest:
     fixtures: list
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _corpus_fixture(record, where: str) -> CorpusFixture:
+    """The fixture one manifest record describes; a field that is missing
+    or of the wrong JSON type is a ManifestError located at `where`."""
+    if not isinstance(record, dict):
+        raise ManifestError(f"{where}: a record must be a JSON object")
+
+    def get(key, ok, want):
+        if key not in record:
+            raise ManifestError(f"{where}: missing {key!r}")
+        if not ok(record[key]):
+            raise ManifestError(f"{where}: {key!r} must be {want}")
+        return record[key]
+
+    fixture = get("fixture", lambda v: isinstance(v, str), "a string")
+    fixed = record.get("fixed")
+    if fixed is not None and not isinstance(fixed, str):
+        raise ManifestError(f"{where}: 'fixed' must be a string or null")
+    pattern = get("pattern", _is_int, "an integer")
+    expected = get("expected", lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and _is_int(e.get("line"))
+        and isinstance(e.get("kind"), str) for e in v),
+        'a list of {"line": integer, "kind": string}')
+    profiles = get("profiles", lambda v: isinstance(v, dict) and all(
+        isinstance(b, bool) for b in v.values()), "an object of booleans")
+    return CorpusFixture(
+        path=fixture, fixed_path=fixed, pattern=pattern,
+        expected=tuple((e["line"], e["kind"]) for e in expected),
+        profiles=dict(profiles))
+
+
 def load_corpus_manifest(path) -> CorpusManifest:
     path = Path(path)
     if not path.exists():
@@ -378,14 +412,7 @@ def load_corpus_manifest(path) -> CorpusManifest:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}:{idx}: invalid record: {exc}") from exc
-        fixtures.append(CorpusFixture(
-            path=record["fixture"],
-            fixed_path=record.get("fixed"),
-            pattern=int(record["pattern"]),
-            expected=tuple((int(e["line"]), e["kind"])
-                           for e in record["expected"]),
-            profiles=dict(record["profiles"]),
-        ))
+        fixtures.append(_corpus_fixture(record, f"{path}:{idx}"))
     manifest = CorpusManifest(root=path.parent, fixtures=fixtures)
     for fx in fixtures:
         for p in (fx.path, fx.fixed_path):

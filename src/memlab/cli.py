@@ -116,6 +116,9 @@ def resolve_config(args) -> "PROFILES.__class__":
         config = config.with_checkers(enable=_split_checkers(args.enable))
     if args.disable:
         config = config.with_checkers(disable=_split_checkers(args.disable))
+    if config.path_budget < 1:
+        raise UsageError(
+            f"path budget must be at least 1, got {config.path_budget}")
     return config
 
 
@@ -124,18 +127,10 @@ def resolve_config(args) -> "PROFILES.__class__":
 # ---------------------------------------------------------------------------
 
 
-def _parse(path):
-    try:
-        return parse_file(path)
-    except (LexError, ParseError) as exc:
-        # The error reads "line:col: message"; say which file it is in.
-        raise UsageError(f"{path}:{exc}") from None
-
-
 def cmd_analyze(args) -> int:
     config = resolve_config(args)
     started = time.perf_counter()
-    results = [analyze_unit(_parse(path), config=config)
+    results = [analyze_unit(parse_file(path), config=config)
                for path in args.paths]
     findings = [f for result in results for f in result]
     incomplete = any(r.incomplete for r in results)

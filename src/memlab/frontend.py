@@ -7,11 +7,18 @@ builtins, ``printf`` and user functions), ``sizeof``, ``.``/``->`` field
 access, address-of, dereference, pointer casts and comparisons against
 ``NULL``/``0``.  Anything else is rejected with a located error instead of
 a crash.
+
+The lexer matches one regular expression at each offset, one alternative
+per token shape.  Source text is ASCII: outside a comment or a string
+literal, any other character is an illegal character.  The parser records
+on each ``FunctionDef`` the functions its body calls and the variables it
+takes the address of, so the analyzer needs no second walk of the tree.
 """
 
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, field
 
 KEYWORDS = {
@@ -30,11 +37,20 @@ BUILTIN_FUNCTIONS = {
 # frames per level, so this stays inside Python's default limit of 1000.
 MAX_NESTING = 100
 
-PUNCTUATION = [
-    "->", "==", "!=", "<=", ">=",
-    "(", ")", "{", "}", ";", ",", "*", "&", "=", "<", ">",
-    "+", "-", "/", "!", ".",
-]
+# One alternative per token shape, tried in order at each offset.  Two-
+# character punctuators come before their one-character prefixes, and `/`
+# is no punctuator in front of `*`, so an unclosed `/*` matches nothing and
+# is reported as an unterminated comment.  ASCII only: `\d` and `\w` match no other digit
+# or letter, so any other character outside a comment or string literal is
+# an illegal character.
+_TOKEN = re.compile(r"""
+    (?P<SKIP> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )
+  | (?P<PREPROC> \#[^\n]* )
+  | (?P<STRING> "(?:[^"\\]|\\.)*" )
+  | (?P<INT> \d+ )
+  | (?P<IDENT> [A-Za-z_]\w* )
+  | (?P<PUNCT> -> | [=!<>]= | [-(){};,*&=<>+!.] | /(?!\*) )
+""", re.VERBOSE | re.DOTALL | re.ASCII)
 
 
 class LexError(Exception):
@@ -45,11 +61,10 @@ class LexError(Exception):
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, column: int, expected: set[str] | None = None):
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
-        self.expected = expected or set()
 
 
 class UnsupportedConstruct(ParseError):
@@ -66,10 +81,7 @@ class SourceUnit:
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceUnit":
-        starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                starts.append(i + 1)
+        starts = [0] + [m.end() for m in re.finditer("\n", text)]
         return cls(path=path, text=text, _line_starts=tuple(starts))
 
     @classmethod
@@ -82,10 +94,6 @@ class SourceUnit:
             raise ValueError(f"offset {offset} outside source of length {len(self.text)}")
         lineno = bisect.bisect_right(self._line_starts, offset)
         return lineno, offset - self._line_starts[lineno - 1] + 1
-
-    @property
-    def line_count(self) -> int:
-        return len(self._line_starts)
 
 
 @dataclass(frozen=True)
@@ -105,69 +113,24 @@ def tokenize(unit: SourceUnit) -> list[Token]:
     """
     text = unit.text
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            if j < 0:
-                line, col = unit.line_col(i)
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            line, col = unit.line_col(pos)
+            if text.startswith("/*", pos):
                 raise LexError("unterminated block comment", line, col)
-            i = j + 2
-            continue
-        line, col = unit.line_col(i)
-        if ch == "#":
-            # Preprocessor directives are captured whole and skipped later.
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            tokens.append(Token("PREPROC", text[i:j], line, col, i))
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    break
-                j += 1
-            if j >= n:
+            if text[pos] == '"':
                 raise LexError("unterminated string literal", line, col)
-            tokens.append(Token("STRING", text[i:j + 1], line, col, i))
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            lexeme = text[i:j]
-            kind = "KW" if lexeme in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, lexeme, line, col, i))
-            i = j
-            continue
-        for punct in PUNCTUATION:
-            if text.startswith(punct, i):
-                tokens.append(Token("PUNCT", punct, line, col, i))
-                i += len(punct)
-                break
-        else:
-            raise LexError(f"illegal character {ch!r}", line, col)
+            raise LexError(f"illegal character {text[pos]!r}", line, col)
+        kind = match.lastgroup
+        if kind != "SKIP":
+            lexeme = match.group()
+            if kind == "IDENT" and lexeme in KEYWORDS:
+                kind = "KW"
+            line, col = unit.line_col(pos)
+            tokens.append(Token(kind, lexeme, line, col, pos))
+        pos = match.end()
     return tokens
 
 
@@ -336,6 +299,8 @@ class FunctionDef(Node):
     params: list[tuple[str, CType]]
     return_type: CType
     body: list
+    calls: frozenset  # names of the functions the body calls
+    addr_taken: frozenset  # variables the body applies `&` to
 
 
 @dataclass
@@ -371,6 +336,9 @@ class _Parser:
         self.pos = 0
         self.struct_names: set[str] = set()
         self.depth = 0
+        # What the function being parsed calls and takes the address of.
+        self.calls: set[str] = set()
+        self.addr_taken: set[str] = set()
 
     # -- token helpers --
 
@@ -406,7 +374,7 @@ class _Parser:
             got = tok.lexeme if tok else "end of input"
             line = tok.line if tok else (self.tokens[-1].line if self.tokens else 1)
             col = tok.column if tok else 1
-            raise ParseError(f"expected {lexeme!r}, got {got!r}", line, col, {lexeme})
+            raise ParseError(f"expected {lexeme!r}, got {got!r}", line, col)
         return self.advance()
 
     def error(self, message: str, unsupported: bool = False) -> ParseError:
@@ -532,6 +500,7 @@ class _Parser:
         return fields
 
     def parse_function_rest(self, ret: CType, name_tok: Token, start: Token) -> FunctionDef:
+        self.calls, self.addr_taken = set(), set()
         self.expect("(")
         params: list[tuple[str, CType]] = []
         if not self.check(")"):
@@ -546,7 +515,8 @@ class _Parser:
                         break
         self.expect(")")
         body = self.parse_block()
-        return FunctionDef(self.loc(start), name_tok.lexeme, params, ret, body)
+        return FunctionDef(self.loc(start), name_tok.lexeme, params, ret, body,
+                           frozenset(self.calls), frozenset(self.addr_taken))
 
     def parse_decl_rest(self, ctype: CType, name_tok: Token, start: Token) -> VarDecl:
         init = None
@@ -673,7 +643,10 @@ class _Parser:
             return Deref(self.loc(tok), self.nested(self.parse_unary))
         if tok.lexeme == "&":
             self.advance()
-            return AddressOf(self.loc(tok), self.nested(self.parse_unary))
+            operand = self.nested(self.parse_unary)
+            if isinstance(operand, Ident):
+                self.addr_taken.add(operand.name)
+            return AddressOf(self.loc(tok), operand)
         if tok.lexeme == "!":
             self.advance()
             return UnaryNot(self.loc(tok), self.nested(self.parse_unary))
@@ -732,6 +705,7 @@ class _Parser:
                             break
                 self.expect(")")
                 expr = Call(expr.loc, expr.name, args)
+                self.calls.add(expr.name)
                 continue
             if tok.lexeme in (".", "->"):
                 self.advance()
@@ -767,5 +741,10 @@ def parse_source(path: str, text: str) -> TranslationUnit:
 
 
 def parse_file(path) -> TranslationUnit:
+    """Parse a file; a lex or parse error reads "path:line:col: message"."""
     unit = SourceUnit.from_file(path)
-    return parse(tokenize(unit), unit)
+    try:
+        return parse(tokenize(unit), unit)
+    except (LexError, ParseError) as exc:
+        exc.args = (f"{path}:{exc}",)
+        raise

@@ -103,6 +103,36 @@ class TestAnalyze:
                              "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--path-budget", "0"], None),
+        (["--path-budget", "-5"], None),
+        ([], "path_budget = 0\n"),
+    ], ids=["flag-zero", "flag-negative", "config-zero"])
+    def test_path_budget_below_one_is_a_usage_error(self, capsys, tmp_path,
+                                                    argv, config):
+        if config is not None:
+            cfg = tmp_path / "memlab.conf"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "analyze",
+                                 "corpus/dead_store_tp_fixed.c", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("memlab: error: path budget must be at least 1")
+
+    def test_path_budget_of_one_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze",
+                               "corpus/dead_store_tp_fixed.c",
+                               "--path-budget", "1")
+        assert (code, out) == (0, "Found 0 issues\n")
+
+    def test_non_ascii_character_is_a_located_error(self, capsys, tmp_path):
+        src = tmp_path / "f.c"
+        src.write_text("int f() {\n  int x = \u00b2;\n  return x;\n}\n",
+                       encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(src))
+        assert (code, out) == (2, "")
+        assert err == f"memlab: error: {src}:2:11: illegal character '\u00b2'\n"
+
     def test_timings_go_to_stderr_only(self, capsys):
         _, out1, err = run_cli(capsys, "analyze", "corpus/explicit_leak.c",
                                "--timings")
@@ -210,6 +240,50 @@ class TestBench:
                                "memlab")
         assert code == 0
         assert "tp=1 fp=0" in out
+
+    def test_corpus_fixture_outside_the_subset_names_its_file(
+            self, capsys, tmp_path):
+        (tmp_path / "loop.c").write_text("int f() {\n  for (;;) {}\n}\n")
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps({
+            "fixture": "loop.c", "pattern": 1, "expected": [],
+            "profiles": {}}) + "\n")
+        code, out, err = run_cli(capsys, "bench", "--corpus", str(manifest))
+        assert (code, out) == (2, "")
+        assert err == (f"memlab: error: {tmp_path / 'loop.c'}:2:3: 'for' "
+                       "statements are outside the subset\n")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("fixture", None, "missing 'fixture'"),
+        ("pattern", None, "missing 'pattern'"),
+        ("expected", None, "missing 'expected'"),
+        ("profiles", None, "missing 'profiles'"),
+        ("fixture", 3, "'fixture' must be a string"),
+        ("pattern", "1", "'pattern' must be an integer"),
+        ("pattern", True, "'pattern' must be an integer"),
+        ("expected", [{"line": "6", "kind": "MEMORY_LEAK"}],
+         "'expected' must be a list of"),
+        ("expected", {"line": 6}, "'expected' must be a list of"),
+        ("profiles", {"union": "yes"}, "'profiles' must be an object"),
+        ("fixed", 7, "'fixed' must be a string or null"),
+    ], ids=["no-fixture", "no-pattern", "no-expected", "no-profiles",
+            "int-fixture", "str-pattern", "bool-pattern", "str-line",
+            "dict-expected", "str-profile", "int-fixed"])
+    def test_malformed_corpus_record_is_a_located_error(
+            self, capsys, tmp_path, key, value, message):
+        (tmp_path / "f.c").write_text("int main() { return 0; }\n")
+        record = {"fixture": "f.c", "pattern": 1, "expected": [],
+                  "profiles": {"union": True}}
+        if value is None:
+            del record[key]
+        else:
+            record[key] = value
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("\n" + json.dumps(record) + "\n")
+        code, out, err = run_cli(capsys, "bench", "--corpus", str(manifest))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"memlab: error: {manifest}:2: {message}")
+        assert err.count("\n") == 1
 
     def test_corpus_and_truth_together_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--corpus",

@@ -6,8 +6,13 @@ exploration of every function against the full summary table for its
 findings.  The single pass must give the same findings, the same
 ``incomplete`` flag and the same summaries on randomized multi-function
 programs with branches, loops, allocation, call chains and recursion.
+
+``scan_body_reference`` keeps the tree walk that found what each function
+calls and takes the address of; the calls and address-taken sets the
+parser records must equal it.
 """
 
+import glob
 import random
 from dataclasses import replace
 
@@ -23,24 +28,38 @@ from memlab.analysis import (
     compute_summaries,
 )
 from memlab.cfg import build_cfg
-from memlab.frontend import BUILTIN_FUNCTIONS, Call, Node, parse_source
+from memlab.frontend import (
+    BUILTIN_FUNCTIONS,
+    AddressOf,
+    Call,
+    Ident,
+    Node,
+    parse_source,
+)
 
 
 # ---------------------------------------------------------------------------
-# The two-pass schedule, kept as a test oracle
+# The tree walk and the two-pass schedule, kept as test oracles
 # ---------------------------------------------------------------------------
 
 
-def _collect_calls(node, out: set) -> None:
-    if isinstance(node, Call):
-        out.add(node.name)
-    for value in vars(node).values():
-        if isinstance(value, Node):
-            _collect_calls(value, out)
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    _collect_calls(item, out)
+def scan_body_reference(fn) -> tuple[set, set]:
+    """The names a function calls and the variables whose address it takes."""
+    calls: set[str] = set()
+    addr_taken: set[str] = set()
+    work = list(fn.body)
+    while work:
+        node = work.pop()
+        if isinstance(node, Call):
+            calls.add(node.name)
+        elif isinstance(node, AddressOf) and isinstance(node.expr, Ident):
+            addr_taken.add(node.expr.name)
+        for value in vars(node).values():
+            if isinstance(value, Node):
+                work.append(value)
+            elif isinstance(value, list):
+                work.extend(v for v in value if isinstance(v, Node))
+    return calls, addr_taken
 
 
 def _summarize(tu, fn, cfg, config, summaries) -> FunctionSummary:
@@ -70,9 +89,7 @@ def two_pass_reference(tu, config):
         if name in summaries or name in in_progress or name not in by_name:
             return
         in_progress.add(name)
-        callees = set()
-        for stmt in by_name[name].body:
-            _collect_calls(stmt, callees)
+        callees, _ = scan_body_reference(by_name[name])
         for callee in sorted(callees):
             if callee not in BUILTIN_FUNCTIONS:
                 visit(callee)
@@ -227,6 +244,60 @@ def test_random_programs_cover_the_interesting_cases():
                 f.kind == "DEAD_STORE" for f in full)
     assert kinds == analysis.ANALYZER_KINDS
     assert truncated_with_stores >= 10
+
+
+# ---------------------------------------------------------------------------
+# What the parser records against the tree walk
+# ---------------------------------------------------------------------------
+
+
+def _assert_records_match_walk(tu):
+    for fn in tu.functions:
+        assert (fn.calls, fn.addr_taken) == scan_body_reference(fn), fn.name
+
+
+def test_parser_records_match_walk_on_random_programs():
+    for seed, _, _ in _cases():
+        tu = parse_source("r.c", random_program(random.Random(seed)))
+        _assert_records_match_walk(tu)
+
+
+def test_parser_records_match_walk_on_corpus():
+    paths = sorted(glob.glob("corpus/*.c"))
+    assert paths
+    for path in paths:
+        _assert_records_match_walk(
+            parse_source(path, open(path, encoding="utf-8").read()))
+
+
+def test_parser_records_calls_inside_sizeof_and_address_of_parens():
+    tu = parse_source("<t>", """
+        int f(int x) { return x; }
+        int g(int y) {
+            int *p = malloc(sizeof(f(y)));
+            int *q = &(y);
+            free(p);
+            return *q;
+        }
+    """)
+    _assert_records_match_walk(tu)
+    g = tu.function("g")
+    assert (g.calls, g.addr_taken) == ({"malloc", "f", "free"}, {"y"})
+
+
+def test_global_initializer_after_a_function_is_in_no_function():
+    tu = parse_source("<t>", """
+        int *g = malloc(4);
+        int f(int x) { int *p = &x; return *p; }
+        int *h = malloc(4);
+        int *k = &x;
+        int main() { return f(1); }
+    """)
+    _assert_records_match_walk(tu)
+    assert (tu.function("f").calls, tu.function("f").addr_taken) \
+        == (frozenset(), {"x"})
+    assert (tu.function("main").calls, tu.function("main").addr_taken) \
+        == ({"f"}, frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Lexer and parser tests for the supported C subset."""
 
+import glob
+import random
 import re
 
 import pytest
 
 from memlab.frontend import (
+    KEYWORDS,
     MAX_NESTING,
     BinOp,
     Call,
@@ -18,6 +21,7 @@ from memlab.frontend import (
     SizeofExpr,
     SizeofType,
     SourceUnit,
+    Token,
     UnsupportedConstruct,
     VarDecl,
     parse_source,
@@ -45,6 +49,106 @@ def _reference_token_count(text):
     return len(pattern.findall(text))
 
 
+# ---------------------------------------------------------------------------
+# The character-stepping lexer the regex lexer replaced, kept as a test oracle
+# ---------------------------------------------------------------------------
+
+REFERENCE_PUNCTUATION = [
+    "->", "==", "!=", "<=", ">=",
+    "(", ")", "{", "}", ";", ",", "*", "&", "=", "<", ">",
+    "+", "-", "/", "!", ".",
+]
+
+
+def reference_tokenize(unit):
+    """The tokens of `unit`, one character step at a time."""
+    text = unit.text
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if text.startswith("/*", i):
+            j = text.find("*/", i + 2)
+            if j < 0:
+                line, col = unit.line_col(i)
+                raise LexError("unterminated block comment", line, col)
+            i = j + 2
+            continue
+        line, col = unit.line_col(i)
+        if ch == "#":
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            tokens.append(Token("PREPROC", text[i:j], line, col, i))
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n:
+                if text[j] == "\\":
+                    j += 2
+                    continue
+                if text[j] == '"':
+                    break
+                j += 1
+            if j >= n:
+                raise LexError("unterminated string literal", line, col)
+            tokens.append(Token("STRING", text[i:j + 1], line, col, i))
+            i = j + 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("INT", text[i:j], line, col, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            lexeme = text[i:j]
+            kind = "KW" if lexeme in KEYWORDS else "IDENT"
+            tokens.append(Token(kind, lexeme, line, col, i))
+            i = j
+            continue
+        for punct in REFERENCE_PUNCTUATION:
+            if text.startswith(punct, i):
+                tokens.append(Token("PUNCT", punct, line, col, i))
+                i += len(punct)
+                break
+        else:
+            raise LexError(f"illegal character {ch!r}", line, col)
+    return tokens
+
+
+def _lex_outcome(lex, text):
+    """The tokens, or the error as (text, line, column)."""
+    unit = SourceUnit.from_text("<t>", text)
+    try:
+        return lex(unit)
+    except LexError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+# Pieces that start, end or break every token shape, plus one character
+# that is none of them.
+LEX_ALPHABET = (REFERENCE_PUNCTUATION + list("abxz_019 \t\r\n\"\\#@")
+                + ["//", "/*", "*/", "int", "if", "NULL"])
+
+
+def _random_text(rng):
+    return "".join(rng.choice(LEX_ALPHABET)
+                   for _ in range(rng.randint(0, 40)))
+
+
 class TestTokenize:
     def test_dead_store_fixture_token_count(self):
         text = open(f"{CORPUS}/dead_store_tp.c", encoding="utf-8").read()
@@ -66,12 +170,56 @@ class TestTokenize:
         assert kinds == ["PREPROC", "KW", "IDENT", "PUNCT"]
 
     def test_unterminated_comment_rejected(self):
-        with pytest.raises(LexError):
-            _tokens("/* never closed")
+        with pytest.raises(LexError, match="^2:3: unterminated block comment$"):
+            _tokens("int x; /* closed */\n  /* never * / closed")
+        with pytest.raises(LexError, match="^1:1: unterminated block comment$"):
+            _tokens("/*/")
+
+    def test_unterminated_string_rejected(self):
+        with pytest.raises(LexError, match="^2:11: unterminated string literal$"):
+            _tokens('int x;\nchar *s = "ab\\"c;\n')
 
     def test_illegal_character_rejected(self):
-        with pytest.raises(LexError):
+        with pytest.raises(LexError, match="^1:9: illegal character '@'$"):
             _tokens("int x = @;")
+
+    @pytest.mark.parametrize("text,where,char", [
+        ("int x = \u00b2;", "1:9", "\u00b2"),
+        ("int caf\u00e9 = 1;", "1:8", "\u00e9"),
+        ("int x =\u00a01;", "1:8", "\u00a0"),
+        ("int x = \u0661;", "1:9", "\u0661"),
+    ], ids=["superscript-digit", "letter", "nbsp", "arabic-digit"])
+    def test_non_ascii_outside_comments_and_strings_is_illegal(
+            self, text, where, char):
+        with pytest.raises(LexError) as err:
+            _tokens(text)
+        assert str(err.value) == f"{where}: illegal character {char!r}"
+
+    def test_non_ascii_inside_comments_and_strings_is_kept(self):
+        toks = _tokens('// caf\u00e9\n/* \u00b2 */ printf("\u00b2");')
+        assert [t.lexeme for t in toks] == [
+            "printf", "(", '"\u00b2"', ")", ";"]
+
+    def test_corpus_lexes_as_the_reference_does(self):
+        paths = sorted(glob.glob(f"{CORPUS}/*.c"))
+        assert paths
+        for path in paths:
+            text = open(path, encoding="utf-8").read()
+            assert _lex_outcome(tokenize, text) \
+                == _lex_outcome(reference_tokenize, text), path
+
+    def test_random_text_lexes_as_the_reference_does(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(20000):
+            text = _random_text(rng)
+            want = _lex_outcome(reference_tokenize, text)
+            assert _lex_outcome(tokenize, text) == want, repr(text)
+            outcomes.add(re.sub(r"^\d+:\d+: | '.*'$", "", want[0])
+                         if isinstance(want, tuple) else "tokens")
+        assert outcomes == {"tokens", "unterminated block comment",
+                            "unterminated string literal",
+                            "illegal character"}
 
     def test_line_col_round_trip(self):
         unit = SourceUnit.from_text("<t>", "ab\ncd\n")
@@ -187,7 +335,6 @@ class TestParser:
         assert err.value.line == 2
 
     def test_whole_corpus_parses(self):
-        import glob
         for path in sorted(glob.glob(f"{CORPUS}/*.c")):
             tu = parse_source(path, open(path, encoding="utf-8").read())
             assert tu.functions
