@@ -31,6 +31,13 @@ exploration it repeats counted any.  A dropped path stands for at least
 one path of the full walk, so a function with no more paths than the budget
 is always explored completely.
 
+Exploration is depth first over an explicit stack of entries into blocks,
+in the order of a recursive walk: the states leaving a block in turn, each
+down its true edge before its false edge.  The callee-first walk over the
+calls keeps a stack of its own too.  So neither the length of a function,
+nor its nesting depth, nor the depth of a call chain meets Python's
+recursion limit.
+
 Checkers are toggled through a CheckerConfig; named profiles emulate the
 detection columns of the tools compared in the benchmark corpus.
 """
@@ -40,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import frontend as ast
-from .cfg import Cfg, LOOP_BACK, build_cfg
+from .cfg import Cfg, FALSE_BRANCH, LOOP_BACK, TRUE_BRANCH, build_cfg
 
 # ---------------------------------------------------------------------------
 # Checker ids, finding kinds, configuration
@@ -539,51 +546,78 @@ class _FunctionAnalysis:
 
     def _exec(self, block_id: int, state: AbstractHeap,
               back_counts: tuple) -> None:
-        key = None
-        if block_id in self.cfg.merges:
-            key = _state_key(block_id, state, back_counts, self.interned)
-            explored = self.seen.get(key)
-            if explored is not None:
-                # Explored from here already: the paths it found stand for
-                # this one, which counts as one path if they counted any,
-                # and each alias made there stands for this one's store too.
-                weight, aliases = explored
-                for var, alias in aliases:
-                    self.alias_sources[alias].append(state.cur_store[var])
-                self.paths_counted += weight
-                return
-        if self.paths_counted >= self.config.path_budget:
-            self.incomplete = True
-            return
-        if key is not None:
-            aliases = self._alias_stores(state)
-            # weight 0 until the paths from here are explored
-            self.seen[key] = (0, aliases)
-            before = self.paths_counted
-        blk = self.cfg.block(block_id)
-        states = [state]
-        for stmt in blk.statements:
-            if isinstance(stmt, (ast.If, ast.While)):
-                continue  # the condition is handled with the terminator
-            next_states: list[AbstractHeap] = []
+        """Explore every path from the block, depth first, on a stack of
+        (block, state, back_counts) entries pushed in reverse, so that they
+        are entered in order.  A merge entry puts its close entry, (None,
+        key, paths counted before it), under its successors.
+        """
+        stack = [(block_id, state, back_counts)]
+        while stack:
+            block_id, state, back_counts = stack.pop()
+            if block_id is None:  # every path from the merge entry is done
+                key, before = state, back_counts
+                self.seen[key] = (int(self.paths_counted > before),
+                                  self.seen[key][1])
+                continue
+            key = None
+            if block_id in self.cfg.merges:
+                key = _state_key(block_id, state, back_counts, self.interned)
+                explored = self.seen.get(key)
+                if explored is not None:
+                    # Explored from here already: the paths it found stand
+                    # for this one, which counts as one path if they counted
+                    # any; each alias made there stands for this store too.
+                    weight, aliases = explored
+                    for var, alias in aliases:
+                        self.alias_sources[alias].append(state.cur_store[var])
+                    self.paths_counted += weight
+                    continue
+            if self.paths_counted >= self.config.path_budget:
+                self.incomplete = True
+                continue
+            if key is not None:
+                # weight 0 until the paths from here are explored
+                self.seen[key] = (0, self._alias_stores(state))
+                stack.append((None, key, self.paths_counted))
+            blk = self.cfg.block(block_id)
+            states = [state]
+            for stmt in blk.statements:
+                if isinstance(stmt, (ast.If, ast.While)):
+                    continue  # the condition is handled with the terminator
+                states = [t for s in states for t in self.transfer(stmt, s)]
+                if not states:
+                    break
+            if block_id == self.cfg.exit:
+                for s in states:
+                    self.finish_path(s)
+                continue
+            succs = self.cfg.successors(block_id)
+            nexts = []  # (dst, edge kind, state), in the order to enter them
             for s in states:
-                next_states.extend(self.transfer(stmt, s))
-            states = next_states
-            if not states:
-                break
-        succs = self.cfg.successors(block_id)
-        if block_id == self.cfg.exit:
-            for s in states:
-                self.finish_path(s)
-        elif blk.terminator == "branch":
-            for s in states:
-                self._branch(block_id, blk.branch_cond, s, back_counts, succs)
-        else:
-            for s in states:
-                for dst, kind in succs:
-                    self._follow(dst, s, back_counts, kind, block_id)
-        if key is not None:
-            self.seen[key] = (int(self.paths_counted > before), aliases)
+                if blk.terminator != "branch":
+                    nexts += [(dst, kind, s) for dst, kind in succs]
+                    continue
+                for cstate, value in self.eval(blk.branch_cond, s):
+                    truth = truthiness(value)
+                    if truth != "false":
+                        tstate = cstate if truth == "true" else cstate.clone()
+                        self._refine(tstate, blk.branch_cond, branch=True)
+                        nexts += [(d, k, tstate) for d, k in succs
+                                  if k == TRUE_BRANCH]
+                    if truth != "true":
+                        self._refine(cstate, blk.branch_cond, branch=False)
+                        nexts += [(d, k, cstate) for d, k in succs
+                                  if k == FALSE_BRANCH]
+            for dst, kind, s in reversed(nexts):
+                edge_counts = back_counts
+                if kind == LOOP_BACK:
+                    counts = dict(back_counts)
+                    taken = counts.get((block_id, dst), 0)
+                    if taken >= self.config.unroll_bound:
+                        continue  # bounded unrolling: abandon this path
+                    counts[(block_id, dst)] = taken + 1
+                    edge_counts = tuple(sorted(counts.items()))
+                stack.append((dst, s, edge_counts))
 
     def _alias_stores(self, state: AbstractHeap) -> list:
         """Replace each current store with a fresh alias: [(var, alias)].
@@ -601,33 +635,6 @@ class _FunctionAnalysis:
             state.cur_store[var] = alias
             aliases.append((var, alias))
         return aliases
-
-    def _follow(self, dst: int, state: AbstractHeap, back_counts: tuple,
-                edge_kind: str, src: int) -> None:
-        if edge_kind == LOOP_BACK:
-            counts = dict(back_counts)
-            taken = counts.get((src, dst), 0)
-            if taken >= self.config.unroll_bound:
-                return  # bounded unrolling: abandon this continuation
-            counts[(src, dst)] = taken + 1
-            back_counts = tuple(sorted(counts.items()))
-        self._exec(dst, state, back_counts)
-
-    def _branch(self, block_id: int, cond, state: AbstractHeap,
-                back_counts: tuple, succs) -> None:
-        true_edges = [(d, k) for d, k in succs if k == "true-branch"]
-        false_edges = [(d, k) for d, k in succs if k == "false-branch"]
-        for cstate, value in self.eval(cond, state):
-            truth = truthiness(value)
-            if truth != "false":
-                tstate = cstate.clone() if truth == "unknown" else cstate
-                self._refine(tstate, cond, branch=True)
-                for dst, kind in true_edges:
-                    self._follow(dst, tstate, back_counts, kind, block_id)
-            if truth != "true":
-                self._refine(cstate, cond, branch=False)
-                for dst, kind in false_edges:
-                    self._follow(dst, cstate, back_counts, kind, block_id)
 
     def _refine(self, state: AbstractHeap, cond, branch: bool) -> None:
         """Narrow a pointer tested by the condition on the taken branch."""
@@ -693,7 +700,7 @@ class _FunctionAnalysis:
         else:
             out.append(state)
         for s in out:
-            self.check_memory_leak_at(s, _stmt_line(stmt))
+            self.check_memory_leak_at(s, stmt.loc.line)
         return out
 
     def _store_var(self, state: AbstractHeap, name: str, value,
@@ -891,13 +898,12 @@ class _FunctionAnalysis:
         if name == "free":
             return self._eval_free(call, state)
         if name in ("printf", "memset", "memcpy", "memmove"):
-            self._eval_args(call.args, state)
-            return [(s, UNKNOWN) for s, _ in self._arg_outcomes]
+            return [(s, UNKNOWN) for s, _ in self._eval_args(call.args, state)]
         return self._eval_user_call(call, state)
 
-    def _eval_args(self, args, state: AbstractHeap) -> None:
-        # Evaluate arguments left to right, threading forks through; the
-        # (state, values) outcomes land in self._arg_outcomes.
+    def _eval_args(self, args, state: AbstractHeap) -> list:
+        # Evaluate arguments left to right, threading forks through:
+        # (state, values) outcomes.
         outcomes = [(state, [])]
         for arg in args:
             next_outcomes = []
@@ -905,15 +911,14 @@ class _FunctionAnalysis:
                 for s2, v in self.eval(arg, s):
                     next_outcomes.append((s2, vals + [v]))
             outcomes = next_outcomes
-        self._arg_outcomes = outcomes
+        return outcomes
 
     def _eval_alloc(self, call: ast.Call, state: AbstractHeap) -> list:
         lost = not self.config.sizeof_star_tracking and any(
             isinstance(a, ast.SizeofExpr) and a.star_of_ident for a in call.args)
         default_field = ZERO if call.name == "calloc" else SCALAR_UNINIT
         results = []
-        self._eval_args(call.args, state)
-        for s, _vals in self._arg_outcomes:
+        for s, _vals in self._eval_args(call.args, state):
             if lost:
                 results.append((s, PTR_UNKNOWN))
                 continue
@@ -925,8 +930,7 @@ class _FunctionAnalysis:
 
     def _eval_realloc(self, call: ast.Call, state: AbstractHeap) -> list:
         results = []
-        self._eval_args(call.args, state)
-        for s, vals in self._arg_outcomes:
+        for s, vals in self._eval_args(call.args, state):
             old = vals[0] if vals else UNKNOWN
             fail = s.clone()
             # Success: the old block is consumed by realloc itself.
@@ -946,8 +950,7 @@ class _FunctionAnalysis:
 
     def _eval_free(self, call: ast.Call, state: AbstractHeap) -> list:
         results = []
-        self._eval_args(call.args, state)
-        for s, vals in self._arg_outcomes:
+        for s, vals in self._eval_args(call.args, state):
             v = vals[0] if vals else UNKNOWN
             self.check_invalid_free(s, v, call)
             results.append((s, UNKNOWN))
@@ -957,8 +960,7 @@ class _FunctionAnalysis:
         summary = self.summaries.get(call.name) \
             if self.config.interprocedural else None
         results = []
-        self._eval_args(call.args, state)
-        for s, vals in self._arg_outcomes:
+        for s, vals in self._eval_args(call.args, state):
             if summary is None:
                 for v in vals:
                     s.escape_value(v)
@@ -1123,10 +1125,6 @@ def _literal_of(expr):
     return None
 
 
-def _stmt_line(stmt) -> int:
-    return stmt.loc.line
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -1143,7 +1141,7 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
     from one more exploration against the full table.
     """
     summaries: dict[str, FunctionSummary] = {}
-    in_progress: set[str] = set()
+    started: set[str] = set()  # in progress or summarized
     by_name = {fn.name: fn for fn in tu.functions}
     findings: set[Finding] = set()
     incomplete = False
@@ -1154,27 +1152,36 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
         findings.update(fa.findings)
         incomplete = incomplete or fa.incomplete
 
-    def visit(name: str) -> None:
-        if name in summaries or name in in_progress or name not in by_name:
-            return
-        in_progress.add(name)
-        fn = by_name[name]
-        for callee in sorted(fn.calls):
-            if callee not in ast.BUILTIN_FUNCTIONS:
-                visit(callee)
-        final = all(callee in summaries
-                    for callee in fn.calls if callee in by_name)
-        fa = _FunctionAnalysis(tu, fn, cfgs[name], config, summaries)
-        fa.run()
-        summaries[name] = fa.summary()
-        if final:
-            keep(fa)
-        else:
-            on_cycle.append(name)
-        in_progress.discard(name)
+    def opened(name: str) -> tuple:
+        started.add(name)
+        return name, iter(sorted(by_name[name].calls))
 
-    for fn in tu.functions:
-        visit(fn.name)
+    # Depth first over the calls, each function analysed after its callees:
+    # the stack holds the functions in progress, each with the callees it
+    # has yet to go through, in sorted order.
+    for root in tu.functions:
+        if root.name in started:
+            continue
+        stack = [opened(root.name)]
+        while stack:
+            name, callees = stack[-1]
+            for callee in callees:
+                if callee in by_name and callee not in started \
+                        and callee not in ast.BUILTIN_FUNCTIONS:
+                    stack.append(opened(callee))
+                    break
+            else:
+                stack.pop()
+                fn = by_name[name]
+                final = all(callee in summaries
+                            for callee in fn.calls if callee in by_name)
+                fa = _FunctionAnalysis(tu, fn, cfgs[name], config, summaries)
+                fa.run()
+                summaries[name] = fa.summary()
+                if final:
+                    keep(fa)
+                else:
+                    on_cycle.append(name)
     for name in on_cycle:
         fa = _FunctionAnalysis(tu, by_name[name], cfgs[name], config,
                                summaries)

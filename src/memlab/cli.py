@@ -119,6 +119,9 @@ def resolve_config(args) -> "PROFILES.__class__":
     if config.path_budget < 1:
         raise UsageError(
             f"path budget must be at least 1, got {config.path_budget}")
+    if config.unroll_bound < 0:
+        raise UsageError(
+            f"unroll bound must be at least 0, got {config.unroll_bound}")
     return config
 
 

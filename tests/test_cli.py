@@ -119,6 +119,27 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("memlab: error: path budget must be at least 1")
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--unroll-bound", "-7"], None),
+        ([], "unroll_bound = -1\n"),
+    ], ids=["flag-negative", "config-negative"])
+    def test_unroll_bound_below_zero_is_a_usage_error(self, capsys, tmp_path,
+                                                      argv, config):
+        if config is not None:
+            cfg = tmp_path / "memlab.conf"
+            cfg.write_text(config)
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "analyze",
+                                 "corpus/dead_store_tp_fixed.c", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("memlab: error: unroll bound must be at least 0")
+
+    def test_unroll_bound_of_zero_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze",
+                               "corpus/dead_store_tp_fixed.c",
+                               "--unroll-bound", "0")
+        assert (code, out) == (0, "Found 0 issues\n")
+
     def test_path_budget_of_one_is_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze",
                                "corpus/dead_store_tp_fixed.c",
@@ -186,14 +207,35 @@ class TestTruncationAndCrashes:
         code, out, _ = run_cli(capsys, "analyze", str(src))
         assert (code, out) == (0, "Found 0 issues\n")
 
-    def test_deep_function_is_an_error_not_findings(self, capsys, tmp_path):
+    def test_deep_function_is_analysed(self, capsys, tmp_path):
+        # The engine walks paths on a stack of its own, so neither the
+        # length of a function nor its nesting depth meets Python's
+        # recursion limit.
         src = tmp_path / "deep.c"
-        src.write_text(_plain_ifs(200))
-        # The recursive engine runs out of stack on 200 ifs in a row.
+        for n in (200, 400):
+            src.write_text(_plain_ifs(n))
+            code, out, err = run_cli(capsys, "analyze", str(src))
+            assert (code, out, err) == (0, "Found 0 issues\n", "")
+        loops = "while (x < m) { if (c) { x = x + 1; } }\n" * 40
+        nest = "while (c) {\n" * 60 + "x = x + 1;\n" + "}\n" * 60
+        for body, argv in ((loops, ()), (nest, ("--path-budget", "64"))):
+            src.write_text("int f(int c, int m) {\nint x = 0;\n%s"
+                           "return x;\n}\n" % body)
+            code, out, err = run_cli(capsys, "analyze", str(src), *argv)
+            assert (code, err) == (0, "")  # no internal error
+            assert out in ("Found 0 issues\n",
+                           "Found 0 issues\n\nwarning: analysis incomplete "
+                           "(path budget exceeded)\n")
+
+    def test_long_call_chain_is_analysed(self, capsys, tmp_path):
+        # Callers first, so each function is reached through its caller:
+        # the walk over the calls goes 1500 functions deep.
+        src = tmp_path / "chain.c"
+        src.write_text("".join(
+            f"int f{i}(int c) {{ return f{i + 1}(c); }}\n"
+            for i in range(1499)) + "int f1499(int c) { return c; }\n")
         code, out, err = run_cli(capsys, "analyze", str(src))
-        assert (code, out) == (2, "")
-        assert err.startswith("memlab: error: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert (code, out, err) == (0, "Found 0 issues\n", "")
 
     @pytest.mark.parametrize("body,where", [
         ("int x = " + "(" * 2000 + "1" + ")" * 2000 + ";\nreturn x;",

@@ -1,0 +1,195 @@
+"""The explicit-stack engine against the recursive engine it replaced.
+
+``recursive_reference`` puts back the engine that explored a function with
+one Python call per CFG block: ``_exec`` entered a block, ``_branch`` split
+the paths at its condition and ``_follow`` took one edge.  The stack engine
+must enter the blocks in exactly the same depth-first order, because the
+order decides which paths the budget cuts and which arrivals at a merge are
+dropped.  So every exploration must count the same paths, record the same
+merge entries and end with the same ``incomplete`` flag, and the unit must
+give the same findings and summaries, under every profile and under budgets
+small enough that the order shows.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from memlab import analysis
+from memlab import frontend as ast
+from memlab.analysis import (
+    PROFILES,
+    AbstractHeap,
+    _FunctionAnalysis,
+    _state_key,
+    truthiness,
+)
+from memlab.cfg import LOOP_BACK, build_cfg
+from memlab.frontend import parse_source
+from test_dedup import a_chain, branching_loop, loop_nest, p_chain, \
+    store_program
+from test_exploration import random_program
+
+
+# ---------------------------------------------------------------------------
+# The recursive engine, kept as the test oracle
+# ---------------------------------------------------------------------------
+
+
+def _exec(self, block_id: int, state: AbstractHeap,
+          back_counts: tuple) -> None:
+    key = None
+    if block_id in self.cfg.merges:
+        key = _state_key(block_id, state, back_counts, self.interned)
+        explored = self.seen.get(key)
+        if explored is not None:
+            weight, aliases = explored
+            for var, alias in aliases:
+                self.alias_sources[alias].append(state.cur_store[var])
+            self.paths_counted += weight
+            return
+    if self.paths_counted >= self.config.path_budget:
+        self.incomplete = True
+        return
+    if key is not None:
+        aliases = self._alias_stores(state)
+        self.seen[key] = (0, aliases)
+        before = self.paths_counted
+    blk = self.cfg.block(block_id)
+    states = [state]
+    for stmt in blk.statements:
+        if isinstance(stmt, (ast.If, ast.While)):
+            continue
+        next_states = []
+        for s in states:
+            next_states.extend(self.transfer(stmt, s))
+        states = next_states
+        if not states:
+            break
+    succs = self.cfg.successors(block_id)
+    if block_id == self.cfg.exit:
+        for s in states:
+            self.finish_path(s)
+    elif blk.terminator == "branch":
+        for s in states:
+            self._branch(block_id, blk.branch_cond, s, back_counts, succs)
+    else:
+        for s in states:
+            for dst, kind in succs:
+                self._follow(dst, s, back_counts, kind, block_id)
+    if key is not None:
+        self.seen[key] = (int(self.paths_counted > before), aliases)
+
+
+def _follow(self, dst: int, state: AbstractHeap, back_counts: tuple,
+            edge_kind: str, src: int) -> None:
+    if edge_kind == LOOP_BACK:
+        counts = dict(back_counts)
+        taken = counts.get((src, dst), 0)
+        if taken >= self.config.unroll_bound:
+            return
+        counts[(src, dst)] = taken + 1
+        back_counts = tuple(sorted(counts.items()))
+    self._exec(dst, state, back_counts)
+
+
+def _branch(self, block_id: int, cond, state: AbstractHeap,
+            back_counts: tuple, succs) -> None:
+    true_edges = [(d, k) for d, k in succs if k == "true-branch"]
+    false_edges = [(d, k) for d, k in succs if k == "false-branch"]
+    for cstate, value in self.eval(cond, state):
+        truth = truthiness(value)
+        if truth != "false":
+            tstate = cstate.clone() if truth == "unknown" else cstate
+            self._refine(tstate, cond, branch=True)
+            for dst, kind in true_edges:
+                self._follow(dst, tstate, back_counts, kind, block_id)
+        if truth != "true":
+            self._refine(cstate, cond, branch=False)
+            for dst, kind in false_edges:
+                self._follow(dst, cstate, back_counts, kind, block_id)
+
+
+def recursive_reference(m) -> None:
+    """Put the recursive engine in place of the stack engine on the
+    monkeypatch context `m`."""
+    for method in (_exec, _branch, _follow):
+        m.setattr(_FunctionAnalysis, method.__name__, method, raising=False)
+
+
+# ---------------------------------------------------------------------------
+# The comparison
+# ---------------------------------------------------------------------------
+
+
+def explore(source, config, monkeypatch, recursive):
+    """(summaries, sorted findings, incomplete, explorations) of one unit,
+    with one (function, paths counted, merge entries, incomplete) per
+    exploration, in order."""
+    explorations = []
+    run = _FunctionAnalysis.run
+
+    def recording_run(self):
+        run(self)
+        explorations.append((self.fn.name, self.paths_counted,
+                             len(self.seen), self.incomplete))
+
+    tu = parse_source("t.c", source)
+    cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
+    with monkeypatch.context() as m:
+        m.setattr(_FunctionAnalysis, "run", recording_run)
+        if recursive:
+            recursive_reference(m)
+        summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
+    return summaries, sorted(findings), incomplete, explorations
+
+
+def assert_same_order(source, profiles, monkeypatch):
+    """Both engines agree under each profile's own budget, the paths the
+    full walk counts, and budgets 1-6; returns how many runs were cut."""
+    cut = 0
+    for profile in profiles:
+        config = PROFILES[profile]
+        want = explore(source, config, monkeypatch, recursive=True)
+        assert explore(source, config, monkeypatch, recursive=False) \
+            == want, (profile, source)
+        full = max(paths for _, paths, _, _ in want[3])
+        for budget in (full, 1, 2, 3, 4, 5, 6):
+            tight = replace(config, path_budget=budget)
+            want = explore(source, tight, monkeypatch, recursive=True)
+            got = explore(source, tight, monkeypatch, recursive=False)
+            assert got == want, (profile, budget, source)
+            cut += want[2]
+    return cut
+
+
+ALL_PROFILES = sorted(PROFILES)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_programs(seed, monkeypatch):
+    assert_same_order(random_program(random.Random(seed)), ALL_PROFILES,
+                      monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_store_programs(seed, monkeypatch):
+    assert_same_order(store_program(random.Random(seed)), ALL_PROFILES,
+                      monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_branching_loops(seed, monkeypatch):
+    assert_same_order(branching_loop(random.Random(seed)), ["union"],
+                      monkeypatch)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(p_chain(n), id=f"p{n}") for n in (1, 2, 3, 5, 8, 20)] + [
+    pytest.param(a_chain(k), id=f"a{k}") for k in (1, 2, 3, 4, 6)] + [
+    pytest.param(loop_nest(ifs, leak), id=f"loops{ifs}{'-leak' * leak}")
+    for ifs, leak in ((1, False), (2, True))])
+def test_families(source, monkeypatch):
+    assert assert_same_order(source, ALL_PROFILES, monkeypatch) > 0
+
