@@ -861,10 +861,22 @@ class _FunctionAnalysis:
         return UNKNOWN
 
     def _eval_binop(self, expr: ast.BinOp, state: AbstractHeap) -> list:
-        results = []
-        for s1, left in self.eval(expr.left, state):
-            for s2, right in self.eval(expr.right, s1):
-                results.append((s2, self._binop_value(expr.op, left, right, expr)))
+        # Fold the left spine of an operator chain in a loop: evaluate its
+        # leftmost operand, then apply each (op, right) in turn, so a chain
+        # of any length costs no stack.  The outcomes come out in the order
+        # that recursing into `expr.left` would give.
+        spine = []
+        while isinstance(expr, ast.BinOp):
+            spine.append(expr)
+            expr = expr.left
+        results = self.eval(expr, state)
+        for binop in reversed(spine):
+            folded = []
+            for s1, left in results:
+                for s2, right in self.eval(binop.right, s1):
+                    folded.append(
+                        (s2, self._binop_value(binop.op, left, right, binop)))
+            results = folded
         return results
 
     def _binop_value(self, op: str, left, right, expr: ast.BinOp):

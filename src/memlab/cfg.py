@@ -115,29 +115,40 @@ class _Builder:
             self.edge(current.id, exit_blk.id, FALLTHROUGH)
             return None
         if isinstance(stmt, If):
-            current.statements.append(stmt)
-            current.terminator = "branch"
-            current.branch_cond = stmt.cond
-            then_blk = self.new_block()
-            self.edge(current.id, then_blk.id, TRUE_BRANCH)
-            then_end = self.lower_stmts(stmt.then, then_blk, exit_blk)
-            if stmt.els is not None:
+            # An `else` that is exactly one `If` goes round this loop instead
+            # of recursing, so an else-if chain costs no stack; the joins are
+            # then made last arm first, as recursion would make them.
+            arms = []  # (branch block, end of the then arm, has an else)
+            end = None  # where the last arm's else ends
+            while True:
+                current.statements.append(stmt)
+                current.terminator = "branch"
+                current.branch_cond = stmt.cond
+                then_blk = self.new_block()
+                self.edge(current.id, then_blk.id, TRUE_BRANCH)
+                then_end = self.lower_stmts(stmt.then, then_blk, exit_blk)
+                arms.append((current, then_end, stmt.els is not None))
+                if stmt.els is None:
+                    break
                 else_blk = self.new_block()
                 self.edge(current.id, else_blk.id, FALSE_BRANCH)
-                else_end = self.lower_stmts(stmt.els, else_blk, exit_blk)
-            else:
-                else_blk = None
-                else_end = None
-            if then_end is None and stmt.els is not None and else_end is None:
-                return None
-            join = self.new_block()
-            if then_end is not None:
-                self.edge(then_end.id, join.id, FALLTHROUGH)
-            if stmt.els is None:
-                self.edge(current.id, join.id, FALSE_BRANCH)
-            elif else_end is not None:
-                self.edge(else_end.id, join.id, FALLTHROUGH)
-            return join
+                if len(stmt.els) == 1 and isinstance(stmt.els[0], If):
+                    stmt, current = stmt.els[0], else_blk
+                    continue
+                end = self.lower_stmts(stmt.els, else_blk, exit_blk)
+                break
+            for branch, then_end, has_else in reversed(arms):
+                if then_end is None and has_else and end is None:
+                    continue
+                join = self.new_block()
+                if then_end is not None:
+                    self.edge(then_end.id, join.id, FALLTHROUGH)
+                if not has_else:
+                    self.edge(branch.id, join.id, FALSE_BRANCH)
+                elif end is not None:
+                    self.edge(end.id, join.id, FALLTHROUGH)
+                end = join
+            return end
         if isinstance(stmt, While):
             cond_blk = self.new_block()
             self.edge(current.id, cond_blk.id, FALLTHROUGH)

@@ -9,17 +9,21 @@ access, address-of, dereference, pointer casts and comparisons against
 a crash.
 
 The lexer matches one regular expression at each offset, one alternative
-per token shape.  Source text is ASCII: outside a comment or a string
-literal, any other character is an illegal character.  The parser records
-on each ``FunctionDef`` the functions its body calls and the variables it
-takes the address of, so the analyzer needs no second walk of the tree.
+per token shape, and counts lines as it scans, so a token's line and column
+cost no lookup.  Source text is ASCII: outside a comment or a string
+literal, any other character is an illegal character.  The parser reads
+binary operators by precedence climbing over one table of levels
+(``BINARY_LEVELS``) and the ``else if`` arms of a chain in a loop.  It
+records on each ``FunctionDef`` the functions its body calls and the
+variables it takes the address of, so the analyzer needs no second walk of
+the tree.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 KEYWORDS = {
     "int", "void", "char", "struct", "typedef", "if", "else", "while",
@@ -33,9 +37,20 @@ BUILTIN_FUNCTIONS = {
 }
 
 # Statements, blocks, parentheses, call arguments, sizeof operands, casts and
-# prefix operators nest at most this deep.  The parser recurses at most eight
-# frames per level, so this stays inside Python's default limit of 1000.
+# prefix operators nest at most this deep.  The parser recurses at most seven
+# frames per level (a parenthesis on the right of a comparison, a `+` and a
+# `*`: `nested`, `parse_expr` three times, `parse_unary`, `parse_postfix`,
+# `parse_primary`), so this stays inside Python's default limit of 1000.
 MAX_NESTING = 100
+
+# Binary operators by binding level, loosest first; every level is
+# left-associative.
+BINARY_LEVELS = {
+    "==": 1, "!=": 1, "<": 1, ">": 1, "<=": 1, ">=": 1,
+    "+": 2, "-": 2,
+    "*": 3, "/": 3,
+}
+_TIGHTEST_LEVEL = max(BINARY_LEVELS.values())
 
 # One alternative per token shape, tried in order at each offset.  Two-
 # character punctuators come before their one-character prefixes, and `/`
@@ -73,16 +88,14 @@ class UnsupportedConstruct(ParseError):
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """A source file plus an offset -> (line, column) index (1-based)."""
+    """A source file; ``line_col`` maps an offset to (line, column), 1-based."""
 
     path: str
     text: str
-    _line_starts: tuple[int, ...] = field(default=(), compare=False)
 
     @classmethod
     def from_text(cls, path: str, text: str) -> "SourceUnit":
-        starts = [0] + [m.end() for m in re.finditer("\n", text)]
-        return cls(path=path, text=text, _line_starts=tuple(starts))
+        return cls(path=path, text=text)
 
     @classmethod
     def from_file(cls, path) -> "SourceUnit":
@@ -92,12 +105,11 @@ class SourceUnit:
     def line_col(self, offset: int) -> tuple[int, int]:
         if offset < 0 or offset > len(self.text):
             raise ValueError(f"offset {offset} outside source of length {len(self.text)}")
-        lineno = bisect.bisect_right(self._line_starts, offset)
-        return lineno, offset - self._line_starts[lineno - 1] + 1
+        text = self.text
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # KW | IDENT | INT | STRING | PREPROC | PUNCT
     lexeme: str
     line: int
@@ -113,24 +125,34 @@ def tokenize(unit: SourceUnit) -> list[Token]:
     """
     text = unit.text
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
+    end = len(text)
     pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            line, col = unit.line_col(pos)
+    # Only whitespace, comments and string literals can hold a newline.
+    line, line_start = 1, 0
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            col = pos - line_start + 1
             if text.startswith("/*", pos):
                 raise LexError("unterminated block comment", line, col)
             if text[pos] == '"':
                 raise LexError("unterminated string literal", line, col)
             raise LexError(f"illegal character {text[pos]!r}", line, col)
-        kind = match.lastgroup
+        kind = m.lastgroup
+        nxt = m.end()
         if kind != "SKIP":
-            lexeme = match.group()
+            lexeme = m.group()
             if kind == "IDENT" and lexeme in KEYWORDS:
                 kind = "KW"
-            line, col = unit.line_col(pos)
-            tokens.append(Token(kind, lexeme, line, col, pos))
-        pos = match.end()
+            append(Token(kind, lexeme, line, pos - line_start + 1, pos))
+        if kind == "SKIP" or kind == "STRING":
+            newlines = text.count("\n", pos, nxt)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, nxt) + 1
+        pos = nxt
     return tokens
 
 
@@ -343,8 +365,10 @@ class _Parser:
     # -- token helpers --
 
     def peek(self, ahead: int = 0) -> Token | None:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:
+            return None
 
     def at_end(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -359,13 +383,17 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def check(self, lexeme: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.lexeme == lexeme
+    def check(self, lexeme: str, ahead: int = 0) -> bool:
+        try:
+            return self.tokens[self.pos + ahead].lexeme == lexeme
+        except IndexError:
+            return False
 
     def accept(self, lexeme: str) -> Token | None:
-        if self.check(lexeme):
-            return self.advance()
+        tok = self.peek()
+        if tok is not None and tok.lexeme == lexeme:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, lexeme: str) -> Token:
@@ -375,7 +403,8 @@ class _Parser:
             line = tok.line if tok else (self.tokens[-1].line if self.tokens else 1)
             col = tok.column if tok else 1
             raise ParseError(f"expected {lexeme!r}, got {got!r}", line, col)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def error(self, message: str, unsupported: bool = False) -> ParseError:
         tok = self.peek() or (self.tokens[-1] if self.tokens else None)
@@ -432,7 +461,7 @@ class _Parser:
             if self.check("typedef"):
                 structs.append(self.parse_typedef_struct())
                 continue
-            if self.check("struct") and self.peek(2) is not None and self.peek(2).lexeme == "{":
+            if self.check("struct") and self.check("{", 2):
                 structs.append(self.parse_plain_struct())
                 continue
             if not self.at_type():
@@ -467,11 +496,9 @@ class _Parser:
     def parse_typedef_struct(self) -> StructDef:
         start = self.expect("typedef")
         self.expect("struct")
-        tag = None
-        if self.peek() is not None and self.peek().kind == "IDENT":
-            tag = self.advance().lexeme
-            if tag is not None:
-                self.struct_names.add(tag)
+        tok = self.peek()
+        if tok is not None and tok.kind == "IDENT":
+            self.struct_names.add(self.advance().lexeme)
         fields = self.parse_struct_fields()
         alias_tok = self.advance()
         if alias_tok.kind != "IDENT":
@@ -504,7 +531,7 @@ class _Parser:
         self.expect("(")
         params: list[tuple[str, CType]] = []
         if not self.check(")"):
-            if self.check("void") and self.peek(1) is not None and self.peek(1).lexeme == ")":
+            if self.check("void") and self.check(")", 1):
                 self.advance()
             else:
                 while True:
@@ -584,18 +611,26 @@ class _Parser:
         return False
 
     def parse_if(self) -> If:
-        start = self.expect("if")
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        then = self.parse_stmt_or_block()
+        # The `else if` arms of a chain are read in this loop, so an arm is
+        # no nesting level; each `else` holding the next arm's `If` is built
+        # afterwards, last arm first.
+        arms = []
         els = None
-        if self.accept("else"):
-            if self.check("if"):
-                els = [self.nested(self.parse_if)]
-            else:
+        while True:
+            start = self.expect("if")
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            arms.append((start, cond, self.parse_stmt_or_block()))
+            if not self.accept("else"):
+                break
+            if not self.check("if"):
                 els = self.parse_stmt_or_block()
-        return If(self.loc(start), cond, then, els)
+                break
+        for start, cond, then in reversed(arms):
+            node = If(self.loc(start), cond, then, els)
+            els = [node]
+        return node
 
     def parse_while(self) -> While:
         start = self.expect("while")
@@ -607,32 +642,21 @@ class _Parser:
 
     # -- expressions (precedence climbing) --
 
-    def parse_expr(self) -> Expr:
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        while self.peek() is not None and self.peek().lexeme in ("==", "!=", "<", ">", "<=", ">="):
-            op = self.advance()
-            right = self.parse_additive()
-            left = BinOp(Loc(op.line, op.column), op.lexeme, left, right)
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek() is not None and self.peek().lexeme in ("+", "-"):
-            op = self.advance()
-            right = self.parse_multiplicative()
-            left = BinOp(Loc(op.line, op.column), op.lexeme, left, right)
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_expr(self, min_level: int = 1) -> Expr:
+        """An expression whose binary operators bind at least `min_level`
+        tightly (see `BINARY_LEVELS`), each level left-associative."""
         left = self.parse_unary()
-        while self.peek() is not None and self.peek().lexeme in ("*", "/"):
-            op = self.advance()
-            right = self.parse_unary()
+        while True:
+            op = self.peek()
+            if op is None:
+                return left
+            level = BINARY_LEVELS.get(op.lexeme)
+            if level is None or level < min_level:
+                return left
+            self.pos += 1
+            right = (self.parse_unary() if level == _TIGHTEST_LEVEL
+                     else self.parse_expr(level + 1))
             left = BinOp(Loc(op.line, op.column), op.lexeme, left, right)
-        return left
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
@@ -675,7 +699,7 @@ class _Parser:
         if tok.lexeme in ("int", "void", "char", "struct"):
             return True
         return tok.kind == "IDENT" and tok.lexeme in self.struct_names \
-            and self.peek(2) is not None and self.peek(2).lexeme == "*"
+            and self.check("*", 2)
 
     def parse_sizeof(self) -> Expr:
         start = self.expect("sizeof")

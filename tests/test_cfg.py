@@ -1,6 +1,9 @@
 """Control-flow graph construction tests."""
 
 import glob
+import random
+
+import pytest
 
 from memlab.cfg import (
     Cfg,
@@ -8,9 +11,11 @@ from memlab.cfg import (
     FALSE_BRANCH,
     LOOP_BACK,
     TRUE_BRANCH,
+    _Builder,
     build_cfg,
 )
-from memlab.frontend import parse_source
+from memlab.frontend import If, parse_source
+from test_exploration import random_program
 
 
 def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
@@ -38,6 +43,132 @@ def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
 
     walk(cfg.entry, [], frozenset())
     return paths
+
+
+class ReferenceBuilder(_Builder):
+    """`_Builder` lowering every `if` by recursion, as it did before
+    else-if chains were lowered in a loop."""
+
+    def lower_stmt(self, stmt, current, exit_blk):
+        if not isinstance(stmt, If):
+            return super().lower_stmt(stmt, current, exit_blk)
+        current.statements.append(stmt)
+        current.terminator = "branch"
+        current.branch_cond = stmt.cond
+        then_blk = self.new_block()
+        self.edge(current.id, then_blk.id, TRUE_BRANCH)
+        then_end = self.lower_stmts(stmt.then, then_blk, exit_blk)
+        else_end = None
+        if stmt.els is not None:
+            else_blk = self.new_block()
+            self.edge(current.id, else_blk.id, FALSE_BRANCH)
+            else_end = self.lower_stmts(stmt.els, else_blk, exit_blk)
+        if then_end is None and stmt.els is not None and else_end is None:
+            return None
+        join = self.new_block()
+        if then_end is not None:
+            self.edge(then_end.id, join.id, FALLTHROUGH)
+        if stmt.els is None:
+            self.edge(current.id, join.id, FALSE_BRANCH)
+        elif else_end is not None:
+            self.edge(else_end.id, join.id, FALLTHROUGH)
+        return join
+
+
+def _shape(cfg):
+    """Everything lowering decides: edges in insertion order and each
+    block's statements, terminator and condition, by block number."""
+    blocks = [(b.id, [id(stmt) for stmt in b.statements], b.terminator,
+               id(b.branch_cond)) for b in cfg.blocks]
+    return (cfg.dump_edges(), blocks, cfg.entry, cfg.exit, cfg.has_dead_code)
+
+
+def assert_lowered_as_the_reference_does(tu):
+    for fn in tu.functions:
+        want = ReferenceBuilder(fn.name).build(fn)
+        assert _shape(build_cfg(fn)) == _shape(want), fn.name
+
+
+def _arm_body(rng, depth):
+    choices = ["x = %d;", "return %d;", "", "x = %d; return x;"]
+    if depth < 2:
+        choices += ["chain", "while"]
+    pick = rng.choice(choices)
+    k = rng.randrange(100)
+    if pick == "chain":
+        return _else_if_chain(rng, depth + 1)
+    if pick == "while":
+        return "while (c > %d) { c = c - 1; %s }" % (k, _arm_body(rng, depth + 1))
+    return pick % k if "%" in pick else pick
+
+
+def _else_if_chain(rng, depth=0):
+    """An if with 0-6 else-if arms: braced or bare, returning or not,
+    with or without a final else, arms holding chains and loops."""
+    arms = []
+    for i in range(rng.randint(1, 7)):
+        body = _arm_body(rng, depth)
+        if body and rng.random() < 0.3 and body.count(";") == 1 \
+                and not body.startswith(("if", "while")):
+            arm = body  # a bare statement
+        else:
+            arm = "{ %s }" % body
+        arms.append("if (c == %d) %s" % (i, arm))
+    text = " else ".join(arms)
+    if rng.random() < 0.5:
+        text += " else { %s }" % _arm_body(rng, depth)
+    if rng.random() < 0.2:
+        text = "if (c) { x = 1; } else { %s }" % text
+    return text
+
+
+def else_if_program(rng):
+    chains = " ".join(_else_if_chain(rng) for _ in range(rng.randint(1, 3)))
+    return "int f(int c) { int x = 0; %s return x; }" % chains
+
+
+class TestElseIfChains:
+    def test_corpus_is_lowered_as_the_reference_does(self):
+        for path in sorted(glob.glob("corpus/*.c")):
+            assert_lowered_as_the_reference_does(
+                parse_source(path, open(path, encoding="utf-8").read()))
+
+    def test_random_programs_are_lowered_as_the_reference_does(self):
+        for seed in range(200):
+            assert_lowered_as_the_reference_does(
+                parse_source("r.c", random_program(random.Random(seed))))
+
+    def test_random_chains_are_lowered_as_the_reference_does(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            source = else_if_program(rng)
+            assert_lowered_as_the_reference_does(parse_source("e.c", source))
+
+    @pytest.mark.parametrize("arms", [1, 2, 50])
+    @pytest.mark.parametrize("last", ["", " else { x = 9; }",
+                                      " else { return 9; }"])
+    @pytest.mark.parametrize("arm", ["{ x = %d; }", "return %d;"])
+    def test_long_chains_are_lowered_as_the_reference_does(self, arms, last,
+                                                           arm):
+        chain = " else ".join(f"if (c == {i}) {arm % i}"
+                              for i in range(arms))
+        assert_lowered_as_the_reference_does(parse_source(
+            "e.c", "int f(int c) { int x = 0; %s%s return x; }"
+            % (chain, last)))
+
+    def test_chain_of_two_thousand_arms(self):
+        chain = " else ".join(f"if (c == {i}) {{ x = {i}; }}"
+                              for i in range(2000))
+        tu = parse_source("e.c", "int f(int c) { int x = 0; %s return x; }"
+                          % chain)
+        cfg = build_cfg(tu.function("f"))
+        # Entry, exit and first block, then per arm a then block, a join
+        # and, but for the last arm, an else block.
+        assert len(cfg.blocks) == 3 + 3 * 2000 - 1
+        # Per arm its two branch edges, its then block into its join and,
+        # but for the first arm, its join into the join of the arm above.
+        assert len(cfg.edges) == 1 + 4 * 2000 - 1 + 1
+        assert cfg.edges[-1] == (cfg.blocks[-1].id, cfg.exit, FALLTHROUGH)
 
 
 def _cfg(body, name="main"):

@@ -237,6 +237,28 @@ class TestTruncationAndCrashes:
         code, out, err = run_cli(capsys, "analyze", str(src))
         assert (code, out, err) == (0, "Found 0 issues\n", "")
 
+    @pytest.mark.parametrize("terms", [500, 5000])
+    def test_long_operator_chain_is_analysed(self, capsys, tmp_path, terms):
+        # The parser reads an operator chain in a loop and the analyzer
+        # folds it in one, so its length meets no recursion limit.
+        src = tmp_path / "sum.c"
+        src.write_text("int f(int c) {\nint x = %s;\nreturn x;\n}\n"
+                       % " + ".join(["c"] * terms))
+        code, out, err = run_cli(capsys, "analyze", str(src))
+        assert (code, out, err) == (0, "Found 0 issues\n", "")
+
+    @pytest.mark.parametrize("arms", [120, 2000])
+    def test_long_else_if_chain_is_analysed(self, capsys, tmp_path, arms):
+        # An `else if` arm is no nesting level, and the chain is parsed and
+        # lowered in loops.
+        src = tmp_path / "elif.c"
+        chain = " else ".join(f"if (c == {i}) {{ x = {i}; }}"
+                              for i in range(arms))
+        src.write_text("int f(int c) {\nint x = 0;\n%s\nreturn x;\n}\n"
+                       % chain)
+        code, out, err = run_cli(capsys, "analyze", str(src))
+        assert (code, out, err) == (0, "Found 0 issues\n", "")
+
     @pytest.mark.parametrize("body,where", [
         ("int x = " + "(" * 2000 + "1" + ")" * 2000 + ";\nreturn x;",
          ":2:110: "),

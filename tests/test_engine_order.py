@@ -9,6 +9,9 @@ dropped.  So every exploration must count the same paths, record the same
 merge entries and end with the same ``incomplete`` flag, and the unit must
 give the same findings and summaries, under every profile and under budgets
 small enough that the order shows.
+
+``recursive_eval_binop`` does the same for the evaluation of a chain of
+binary operators, which forks paths in the order the engine then explores.
 """
 
 import random
@@ -193,3 +196,65 @@ def test_branching_loops(seed, monkeypatch):
 def test_families(source, monkeypatch):
     assert assert_same_order(source, ALL_PROFILES, monkeypatch) > 0
 
+
+
+# ---------------------------------------------------------------------------
+# Operator chains: the loop in `_eval_binop` against the recursion it replaced
+# ---------------------------------------------------------------------------
+
+
+def recursive_eval_binop(self, expr, state: AbstractHeap) -> list:
+    results = []
+    for s1, left in self.eval(expr.left, state):
+        for s2, right in self.eval(expr.right, s1):
+            results.append((s2, self._binop_value(expr.op, left, right, expr)))
+    return results
+
+
+# Operands that fork (allocations, a callee that may return null), report
+# (null dereference, uninitialized read) or do neither.
+CHAIN_OPERANDS = ["c", "x", "2", "p", "*p", "y", "(p == NULL)",
+                  "(g(c) == NULL)", "(malloc(4) != NULL)", "g(x)", "-c"]
+CHAIN_OPS = ["==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/"]
+
+
+def chain_program(rng):
+    """A caller whose assignments and conditions are chains of two to six
+    operands, most of which fork or report, round `if`s and a `while`."""
+    def chain():
+        text = rng.choice(CHAIN_OPERANDS)
+        for _ in range(rng.randint(1, 5)):
+            text += f" {rng.choice(CHAIN_OPS)} {rng.choice(CHAIN_OPERANDS)}"
+        return text
+
+    lines = ["int *g(int c) {", "if (c) { return NULL; }",
+             "return malloc(4);", "}",
+             "int f(int c) {", "int *p = g(c);", "int x = 0;", "int y;"]
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(("assign", "if", "while", "free"))
+        if kind == "assign":
+            lines.append(f"x = {chain()};")
+        elif kind == "if":
+            lines.append(f"if ({chain()}) {{ x = {chain()}; }}")
+        elif kind == "while":
+            lines.append(f"while (x < c) {{ x = x + {chain()}; }}")
+        else:
+            lines += ["free(p);", "p = g(x);"]
+    lines += ["return x;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_operator_chains_fold_in_the_recursive_order(seed, monkeypatch):
+    source = chain_program(random.Random(seed))
+    for profile in ALL_PROFILES:
+        for budget in (None, 1, 2, 3, 4, 5, 6):
+            config = PROFILES[profile]
+            if budget is not None:
+                config = replace(config, path_budget=budget)
+            got = explore(source, config, monkeypatch, recursive=False)
+            with monkeypatch.context() as m:
+                m.setattr(_FunctionAnalysis, "_eval_binop",
+                          recursive_eval_binop)
+                want = explore(source, config, monkeypatch, recursive=False)
+            assert got == want, (profile, budget, source)

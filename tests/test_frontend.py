@@ -3,9 +3,11 @@
 import glob
 import random
 import re
+import sys
 
 import pytest
 
+from memlab import frontend
 from memlab.frontend import (
     KEYWORDS,
     MAX_NESTING,
@@ -24,6 +26,7 @@ from memlab.frontend import (
     Token,
     UnsupportedConstruct,
     VarDecl,
+    _Parser,
     parse_source,
     tokenize,
 )
@@ -149,6 +152,94 @@ def _random_text(rng):
                    for _ in range(rng.randint(0, 40)))
 
 
+# ---------------------------------------------------------------------------
+# The three-method expression parser that `parse_expr` replaced, kept as a
+# test oracle
+# ---------------------------------------------------------------------------
+
+
+class ReferenceExprParser(_Parser):
+    """`_Parser` with one method per binary precedence level."""
+
+    def parse_expr(self):
+        return self.parse_comparison()
+
+    def parse_comparison(self):
+        left = self.parse_additive()
+        while self.peek() is not None and self.peek().lexeme in (
+                "==", "!=", "<", ">", "<=", ">="):
+            op = self.advance()
+            right = self.parse_additive()
+            left = BinOp(self.loc(op), op.lexeme, left, right)
+        return left
+
+    def parse_additive(self):
+        left = self.parse_multiplicative()
+        while self.peek() is not None and self.peek().lexeme in ("+", "-"):
+            op = self.advance()
+            right = self.parse_multiplicative()
+            left = BinOp(self.loc(op), op.lexeme, left, right)
+        return left
+
+    def parse_multiplicative(self):
+        left = self.parse_unary()
+        while self.peek() is not None and self.peek().lexeme in ("*", "/"):
+            op = self.advance()
+            right = self.parse_unary()
+            left = BinOp(self.loc(op), op.lexeme, left, right)
+        return left
+
+
+def reference_parse_expr(text):
+    return _expr_outcome(ReferenceExprParser, text)
+
+
+def _expr_outcome(parser_cls, text):
+    """The expression parsed from the start of `text`, with how far the
+    parser got and what it recorded, or the error."""
+    unit = SourceUnit.from_text("<e>", text)
+    parser = parser_cls(tokenize(unit), unit)
+    parser.struct_names.add("st")
+    try:
+        expr = parser.parse_expr()
+    except ParseError as exc:
+        return (type(exc).__name__, str(exc))
+    return (repr(expr), parser.pos, sorted(parser.calls),
+            sorted(parser.addr_taken))
+
+
+BINARY_OPS = ["==", "!=", "<", ">", "<=", ">=", "+", "-", "*", "/"]
+CAST_TYPES = ["int *", "char **", "void *", "st *", "struct st *"]
+
+
+def _random_expr(rng, depth=0):
+    def sub():
+        return _random_expr(rng, depth + 1)
+
+    if depth >= 4 or rng.random() < 0.25:
+        return rng.choice(["a", "b", "p", "0", "7", "NULL", '"s"'])
+    shape = rng.randrange(9)
+    if shape < 3:  # a chain of one to four binary operators
+        text = sub()
+        for _ in range(rng.randint(1, 4)):
+            text += f" {rng.choice(BINARY_OPS)} {sub()}"
+        return text
+    if shape == 3:
+        return rng.choice("*&!-") + " " + sub()
+    if shape == 4:
+        return f"({rng.choice(CAST_TYPES)}) {sub()}"
+    if shape == 5:
+        return rng.choice([f"sizeof({rng.choice(CAST_TYPES)})",
+                           "sizeof(int)", "sizeof(st)", f"sizeof({sub()})"])
+    if shape == 6:
+        args = ", ".join(sub() for _ in range(rng.randint(0, 3)))
+        return f"{rng.choice(['f', 'g'])}({args})"
+    if shape == 7:
+        base = rng.choice(["a", "p", f"({sub()})", "f(a)"])
+        return f"{base}{rng.choice(['.', '->'])}fld"
+    return f"({sub()})"
+
+
 class TestTokenize:
     def test_dead_store_fixture_token_count(self):
         text = open(f"{CORPUS}/dead_store_tp.c", encoding="utf-8").read()
@@ -264,6 +355,10 @@ class TestParser:
         init = tu.function("main").body[0].init
         assert isinstance(init, BinOp) and init.op == "+"
         assert isinstance(init.right, BinOp) and init.right.op == "*"
+        tu = parse_source("<t>", "int f(int a) { return a - a - a * a / a; }")
+        expr = tu.function("f").body[0].expr  # each level left-associative
+        assert expr.op == "-" and expr.left.op == "-"
+        assert expr.right.op == "/" and expr.right.left.op == "*"
 
     def test_unary_minus_folds_literal(self):
         tu = parse_source("<t>", "int main() { return -1; }")
@@ -333,6 +428,80 @@ class TestParser:
         with pytest.raises(UnsupportedConstruct) as err:
             parse_source("<t>", source % nest(MAX_NESTING + 1))
         assert err.value.line == 2
+
+    def test_random_expressions_parse_as_the_reference_does(self):
+        rng = random.Random(8)
+        outcomes = {"ast": 0, "error": 0}
+        ops = set()
+        for _ in range(3000):
+            text = _random_expr(rng)
+            ops |= {tok.lexeme for tok in _tokens(text)
+                    if tok.lexeme in BINARY_OPS}
+            # The whole expression, and a prefix cut at a random token,
+            # which mostly ends where the parser expects more.
+            cut = rng.choice(_tokens(text)).offset
+            for variant in (text, text[:cut]):
+                want = reference_parse_expr(variant)
+                assert _expr_outcome(_Parser, variant) == want, variant
+                outcomes["ast" if len(want) == 4 else "error"] += 1
+        assert ops == set(BINARY_OPS)
+        assert min(outcomes.values()) > 500
+
+    @staticmethod
+    def _peak_parser_frames(source):
+        """The deepest the parser's own frames stack while parsing."""
+        depth = peak = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, peak
+            if frame.f_code.co_filename != frontend.__file__:
+                return
+            if event == "call":
+                depth += 1
+                peak = max(peak, depth)
+            elif event == "return":
+                depth -= 1
+
+        sys.setprofile(profile)
+        try:
+            parse_source("<t>", source)
+        finally:
+            sys.setprofile(None)
+        return peak
+
+    @pytest.mark.parametrize("nest,frames", [
+        (lambda n: "c == c + c * (" * n + "1" + ")" * n, 7),
+        (lambda n: "(" * n + "1" + ")" * n, 5),
+        (lambda n: "c == c + c * g(" * n + "1" + ")" * n, 6),
+        (lambda n: "sizeof(" * n + "c" + ")" * n, 4),
+        (lambda n: "(int *) " * n + "c", 2),
+        (lambda n: "1; " + "if (c) {" * n + "c = 1;" + "}" * n + " c = 1", 5),
+        (lambda n: "1; " + "while (c) " * n + "c = 1", 4),
+    ], ids=["right-of-every-level", "parens", "call-args", "sizeofs",
+            "casts", "blocks", "bodies"])
+    def test_frames_per_nesting_level(self, nest, frames):
+        # At most seven parser frames a level, so MAX_NESTING levels stay
+        # inside Python's default recursion limit of 1000.
+        source = "int f(int c) { int x = %s; return x; }"
+        per_level = (self._peak_parser_frames(source % nest(40))
+                     - self._peak_parser_frames(source % nest(20))) / 20
+        assert per_level == frames
+
+    def test_else_if_arms_are_no_nesting_level(self):
+        source = "int f(int c) {\nint x = 0;\n%s\nreturn x;\n}"
+        chain = " else ".join(f"if (c == {i}) {{ x = {i}; }}"
+                              for i in range(2 * MAX_NESTING))
+        stmt = parse_source("<t>", source % chain).function("f").body[1]
+        for i in range(2 * MAX_NESTING):
+            assert stmt.cond.right.value == i
+            assert stmt.then[0].value.value == i
+            stmt = stmt.els[0] if stmt.els else None
+        assert stmt is None
+        # The blocks inside an arm still count.
+        deep = "if (c) {" * (MAX_NESTING - 1) + "c = 1;" + "}" * (MAX_NESTING - 1)
+        parse_source("<t>", source % (chain + f" else if (c) {{ {deep} }}"))
+        with pytest.raises(UnsupportedConstruct):
+            parse_source("<t>", source % (chain + f" else if (c) {{ if (c) {{ {deep} }} }}"))
 
     def test_whole_corpus_parses(self):
         for path in sorted(glob.glob(f"{CORPUS}/*.c")):
