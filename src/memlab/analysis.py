@@ -25,11 +25,17 @@ so it would only repeat what was found.  The state names the variables
 that hold a store but not the lines of the stores, since only the
 dead-store checker asks which store a read reads: the first entry puts an
 alias in place of each current store, a dropped path adds its own stores to
-those aliases, and a read of an alias reads every store it stands for.  The
-path budget counts finished paths, and a dropped path as one when the
-exploration it repeats counted any.  A dropped path stands for at least
-one path of the full walk, so a function with no more paths than the budget
-is always explored completely.
+those aliases, and a read of an alias reads every store it stands for.  It
+leaves out what no path from the block can read (`Cfg.live`): the value and
+store of a dead variable, one that every path writes before reading, and
+the trip counts of loops that no path from there can take again.  A dead
+variable that points to a live site keeps its value, since it keeps the
+site reachable and the statement that overwrites it is the line of a leak;
+one whose address is taken, or a global, is never dead.  The path budget
+counts finished paths, and a dropped path as one when the exploration it
+repeats counted any.  A dropped path stands for at least one path of the
+full walk, so a function with no more paths than the budget is always
+explored completely.
 
 Exploration is depth first over an explicit stack of entries into blocks,
 in the order of a recursive walk: the states leaving a block in turn, each
@@ -381,8 +387,13 @@ def _scalar_state(value):
     return value.state if type(value) is ScalarValue else value
 
 
+# What a dead variable's value is in a key: no read is left to tell values
+# apart.  No scalar state or pointer value is equal to it.
+_DEAD = "dead"
+
+
 def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
-               interned: dict) -> tuple:
+               interned: dict, keep: frozenset) -> tuple:
     """The entry into a block, with the state in canonical form, as tuples.
 
     Freed and leaked sites that nothing refers to are dropped; live sites
@@ -394,13 +405,34 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
     Of the current stores only the variables count: which store is current
     decides only which store a read reads, and the aliases of
     `_alias_stores` carry that.  The variable names repeat across many
-    keys; `interned` keeps one copy of each tuple of them.
+    keys; `interned` keeps one copy of each tuple of them, and where in
+    such a tuple the dead variables are for each `keep`.
+
+    `keep` (see `_FunctionAnalysis._merge_key`) holds what the
+    continuation may read.  A variable outside it is dead: every path
+    writes it before any read, so its value becomes `_DEAD` and its store
+    leaves the key.  Its value stays when it points to a live site, because
+    it still keeps the site reachable, and the statement that drops the
+    last reference is the line a leak is reported at.
     """
-    names, values = zip(*sorted(state.env.items())) if state.env else ((), ())
+    env = state.env
+    names, values = zip(*sorted(env.items())) if env else ((), ())
     names = interned.setdefault(names, names)
-    stores = tuple(sorted(state.cur_store))
-    stores = interned.setdefault(stores, stores)
     sites = state.sites
+    if env.keys() <= keep:
+        stores = tuple(sorted(state.cur_store))
+    else:
+        dead = interned.get((names, keep))
+        if dead is None:
+            dead = interned[names, keep] = [
+                i for i, name in enumerate(names) if name not in keep]
+        values = list(values)
+        for i in dead:
+            v = values[i]
+            if not (_is_block(v) and sites[v.site].status == "live"):
+                values[i] = _DEAD
+        stores = tuple(sorted(keep.intersection(state.cur_store)))
+    stores = interned.setdefault(stores, stores)
     if not sites:
         return (block_id, names, tuple(map(_scalar_state, values)), stores,
                 state.ret_line, back_counts, ())
@@ -490,6 +522,9 @@ class _FunctionAnalysis:
         # alias -> the stores and aliases it stands for
         self.alias_sources: list = []
         self.interned: dict = {}
+        # merge block -> (what its key keeps, whether that is every back
+        # edge); see _merge_key
+        self.keeps: dict = {}
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
 
@@ -561,7 +596,7 @@ class _FunctionAnalysis:
                 continue
             key = None
             if block_id in self.cfg.merges:
-                key = _state_key(block_id, state, back_counts, self.interned)
+                key, keep = self._merge_key(block_id, state, back_counts)
                 explored = self.seen.get(key)
                 if explored is not None:
                     # Explored from here already: the paths it found stand
@@ -577,7 +612,7 @@ class _FunctionAnalysis:
                 continue
             if key is not None:
                 # weight 0 until the paths from here are explored
-                self.seen[key] = (0, self._alias_stores(state))
+                self.seen[key] = (0, self._alias_stores(state, keep))
                 stack.append((None, key, self.paths_counted))
             blk = self.cfg.block(block_id)
             states = [state]
@@ -619,17 +654,42 @@ class _FunctionAnalysis:
                     edge_counts = tuple(sorted(counts.items()))
                 stack.append((dst, s, edge_counts))
 
-    def _alias_stores(self, state: AbstractHeap) -> list:
-        """Replace each current store with a fresh alias: [(var, alias)].
+    def _merge_key(self, block_id: int, state: AbstractHeap,
+                   back_counts: tuple) -> tuple:
+        """(the `_state_key` of an entry into a merge block, what it keeps).
+
+        It keeps what some path from the block may read (`Cfg.live`), and
+        the variables read through pointers or after the function returns:
+        those whose address is taken and the globals.  Of the loop trip
+        counts, only those of the back edges it may still take stay; the
+        path keeps them all.
+        """
+        kept = self.keeps.get(block_id)
+        if kept is None:
+            keep = self.cfg.live(block_id) | self.fn.addr_taken \
+                | self.global_names
+            kept = self.keeps[block_id] = (keep, self.cfg.back_edges <= keep)
+        keep, every_loop = kept
+        if back_counts and not every_loop:
+            back_counts = tuple([c for c in back_counts if c[0] in keep])
+        return _state_key(block_id, state, back_counts, self.interned,
+                          keep), keep
+
+    def _alias_stores(self, state: AbstractHeap, keep: frozenset) -> list:
+        """Replace each current store of a variable in `keep` with a fresh
+        alias: [(var, alias)].
 
         The continuation from a merge entry reads a variable's entry store
         exactly when it reads the variable before writing it, whichever
         store that is; so a read of the alias is a read of every store it
         stands for, this entry's and those of the arrivals dropped here.
+        The store of a variable outside `keep` is never read, and needs none.
         """
         sources = self.alias_sources
         aliases = []
         for var, store in state.cur_store.items():
+            if var not in keep:
+                continue
             alias = len(sources)
             sources.append([store])
             state.cur_store[var] = alias
@@ -801,13 +861,7 @@ class _FunctionAnalysis:
                 results.append((s, self._read_through(s, base, "", expr.loc)))
             return results
         if isinstance(expr, ast.FieldAccess):
-            results = []
-            for s, base in self.eval(expr.expr, state):
-                if expr.via_pointer:
-                    base = self.check_null_deref(s, base, expr.expr, expr.loc)
-                results.append(
-                    (s, self._read_through(s, base, expr.fieldname, expr.loc)))
-            return results
+            return self._eval_field_chain(expr, state)
         if isinstance(expr, ast.UnaryNot):
             results = []
             for s, v in self.eval(expr.expr, state):
@@ -859,6 +913,28 @@ class _FunctionAnalysis:
                 info.fields[fieldname] = value
             return value
         return UNKNOWN
+
+    def _eval_field_chain(self, expr: ast.FieldAccess,
+                          state: AbstractHeap) -> list:
+        # Fold a chain of `.` and `->` in a loop: evaluate the innermost
+        # base, then apply each access in turn, so a chain of any length
+        # costs no stack.  The outcomes come out in the order that
+        # recursing into `expr.expr` would give.
+        chain = []
+        while isinstance(expr, ast.FieldAccess):
+            chain.append(expr)
+            expr = expr.expr
+        results = self.eval(expr, state)
+        for access in reversed(chain):
+            folded = []
+            for s, base in results:
+                if access.via_pointer:
+                    base = self.check_null_deref(s, base, access.expr,
+                                                 access.loc)
+                folded.append((s, self._read_through(
+                    s, base, access.fieldname, access.loc)))
+            results = folded
+        return results
 
     def _eval_binop(self, expr: ast.BinOp, state: AbstractHeap) -> list:
         # Fold the left spine of an operator chain in a loop: evaluate its
@@ -1068,7 +1144,16 @@ class _FunctionAnalysis:
 
     def check_memory_leak_at(self, state: AbstractHeap, line: int) -> None:
         """Report blocks that just became unreachable on this path."""
+        if not state.sites:
+            return
+        # The escaped flags must be current even when nothing can leak:
+        # _assign and the state key read them.
         state.propagate_escapes()
+        for info in state.sites.values():
+            if info.status == "live" and not info.escaped:
+                break
+        else:
+            return  # nothing can leak
         reachable = state.reachable_sites()
         for sid, info in state.sites.items():
             if info.status != "live" or info.escaped or sid in reachable:

@@ -6,13 +6,19 @@ with labeled true/false edges, and ``while`` adds a loop-back edge.  Early
 ``return`` statements get an edge straight to the single exit block.  Code
 after a ``return`` is kept in an unreachable block and flagged, never
 reported.
+
+Each graph also answers, per block, what a path from the block's entry may
+still read (``Cfg.live``), so that the engine can leave the rest out of the
+states it compares where paths meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .frontend import FunctionDef, If, Return, Stmt, While
+from .frontend import (AddressOf, Assign, BinOp, Call, Cast, Deref,
+                       ExprStmt, FieldAccess, FunctionDef, Ident, If, Return,
+                       Stmt, UnaryNot, VarDecl, While)
 
 FALLTHROUGH = "fallthrough"
 TRUE_BRANCH = "true-branch"
@@ -44,18 +50,31 @@ class Cfg:
     # paths meet, and so where the engine looks for a state it has already
     # explored.  The exit is left out: no block follows it.
     merges: set = field(init=False, repr=False, compare=False)
+    # The LOOP_BACK edges, as (src, dst).
+    back_edges: frozenset = field(init=False, repr=False, compare=False)
+    # Per block, a frozenset of what some path from its entry may read
+    # before writing it: the variables, and the back edges (src, dst) that
+    # it may still take, since the unrolling bound reads an edge's trip
+    # count where the edge leaves and nothing resets it.  Only the engine
+    # asks, and only at merges, so the fixpoint runs on first use.
+    _live: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._live = None
         succs = self._succs = [[] for _ in self.blocks]
         entered = set()
         merges = self.merges = set()
+        back_edges = []
         for src, dst, kind in self.edges:
             succs[src].append((dst, kind))
+            if kind == LOOP_BACK:
+                back_edges.append((src, dst))
             if dst in entered:
                 merges.add(dst)
             else:
                 entered.add(dst)
         merges.discard(self.exit)
+        self.back_edges = frozenset(back_edges)
 
     def successors(self, block_id: int) -> list[tuple[int, str]]:
         return self._succs[block_id]
@@ -63,9 +82,93 @@ class Cfg:
     def block(self, block_id: int) -> BasicBlock:
         return self.blocks[block_id]
 
+    def live(self, block_id: int) -> frozenset:
+        """What some path from the block's entry may read before writing
+        it: variable names and back edges, as in ``_live``."""
+        if self._live is None:
+            self._live = self._liveness()
+        return self._live[block_id]
+
+    def _liveness(self) -> list:
+        # A block's entry reads what the block reads before writing it,
+        # plus what its successors' entries read that it does not write:
+        # one backward fixpoint over the successors.
+        live, writes = [], []
+        for blk in self.blocks:
+            read: set = set()
+            written: set = set()
+            # The condition is read after the statements.
+            if blk.branch_cond is not None:
+                _expr_reads(blk.branch_cond, read)
+            for stmt in reversed(blk.statements):
+                cls = type(stmt)
+                if cls is Assign:
+                    if type(stmt.target) is Ident:
+                        read.discard(stmt.target.name)
+                        written.add(stmt.target.name)
+                    else:  # `*p = v` and `p->f = v` read `p`
+                        _expr_reads(stmt.target, read)
+                    _expr_reads(stmt.value, read)
+                elif cls is VarDecl:
+                    # A declaration without an initializer leaves the
+                    # variable's last store current, to be read again.
+                    if stmt.init is not None:
+                        read.discard(stmt.name)
+                        written.add(stmt.name)
+                        _expr_reads(stmt.init, read)
+                elif cls is ExprStmt:
+                    _expr_reads(stmt.expr, read)
+                elif cls is Return and stmt.expr is not None:
+                    _expr_reads(stmt.expr, read)
+            live.append(read)
+            writes.append(written)
+        for edge in self.back_edges:  # read where it leaves, never written
+            live[edge[0]].add(edge)
+        preds: list = [[] for _ in self.blocks]
+        for src, dst, _ in self.edges:
+            preds[dst].append(src)
+        succs = self._succs
+        # Highest ids first: blocks are numbered roughly in source order.
+        work = list(range(len(self.blocks)))
+        queued = [True] * len(work)
+        while work:
+            bid = work.pop()
+            queued[bid] = False
+            entry = live[bid]
+            size = len(entry)
+            written = writes[bid]
+            for dst, _ in succs[bid]:
+                entry.update(live[dst] - written if written else live[dst])
+            if len(entry) != size:
+                for src in preds[bid]:
+                    if not queued[src]:
+                        queued[src] = True
+                        work.append(src)
+        return [frozenset(entry) for entry in live]
+
     def dump_edges(self) -> str:
         """One line per edge, ``from -> to [kind]``, in edge insertion order."""
         return "".join(f"{src} -> {dst} [{kind}]\n" for src, dst, kind in self.edges)
+
+
+_UNARY = (Deref, AddressOf, FieldAccess, UnaryNot, Cast)
+
+
+def _expr_reads(expr, out: set) -> None:
+    """Add the variables that evaluating `expr` reads to `out`.  The
+    operand of `sizeof` is not evaluated."""
+    work = [expr]
+    while work:
+        expr = work.pop()
+        kind = type(expr)
+        if kind is Ident:
+            out.add(expr.name)
+        elif kind is BinOp:
+            work += (expr.left, expr.right)
+        elif kind is Call:
+            work += expr.args
+        elif kind in _UNARY:
+            work.append(expr.expr)
 
 
 class _Builder:

@@ -259,6 +259,20 @@ class TestTruncationAndCrashes:
         code, out, err = run_cli(capsys, "analyze", str(src))
         assert (code, out, err) == (0, "Found 0 issues\n", "")
 
+    @pytest.mark.parametrize("links", [1000, 5000])
+    def test_long_field_chain_is_analysed(self, capsys, tmp_path, links):
+        # The analyzer folds a chain of `->` in a loop.  The chain follows
+        # a join, so the liveness of the function's variables is computed
+        # over it too.
+        src = tmp_path / "links.c"
+        src.write_text("typedef struct n { struct n *f; } n;\n"
+                       "int f(int c, n *p) {\nint x = 0;\n"
+                       "if (c) { x = 1; }\n"
+                       "n *q = p%s;\nreturn x;\n}\n" % ("->f" * links))
+        code, out, err = run_cli(capsys, "analyze", str(src))
+        assert code in (0, 1) and err == ""
+        assert out.startswith("Found ")
+
     @pytest.mark.parametrize("body,where", [
         ("int x = " + "(" * 2000 + "1" + ")" * 2000 + ";\nreturn x;",
          ":2:110: "),

@@ -6,6 +6,10 @@ repeats, nothing is dropped, which is how paths were explored before.  Both
 must give the same findings, ``incomplete`` flags and summaries on every
 input that both finish within the budget, and the deduplicated walk must
 finish within every budget the full walk finishes within.
+
+The key leaves out what the continuation cannot read: dead variables and
+the trip counts of loops that cannot be reached again.  ``unpruned_merge_key``
+keeps all of it, as the key did before, and is the reference for that.
 """
 
 import random
@@ -14,8 +18,8 @@ from dataclasses import replace
 import pytest
 
 from memlab import analysis
-from memlab.analysis import PROFILES, _FunctionAnalysis, analyze_unit, \
-    compute_summaries
+from memlab.analysis import PROFILES, _FunctionAnalysis, _state_key, \
+    analyze_unit, compute_summaries
 from memlab.cfg import build_cfg
 from memlab.frontend import parse_source
 from test_cli import _own_var_ifs
@@ -31,11 +35,18 @@ def p_chain(n):
             + "    if (c) { x = i; }\n" * n + "    return x;\n}\n")
 
 
-def a_chain(k):
+def a_chain(k, ret="0"):
     """`k` allocating ifs in a row: 3**k paths."""
     return ("int f(int c) {\n    int *p;\n"
             + "    if (c) { p = malloc(8); if (p) { free(p); } }\n" * k
-            + "    return 0;\n}\n")
+            + f"    return {ret};\n}}\n")
+
+
+def loops_in_a_row(n):
+    """`n` loops in a row, each round one plain if."""
+    return ("int f(int c, int m) {\n    int x = 0;\n"
+            + "    while (x < m) { if (c) { x = x + 1; } }\n" * n
+            + "    return x;\n}\n")
 
 
 def loop_nest(ifs, leak):
@@ -119,6 +130,54 @@ def store_program(rng):
     return "\n".join(lines) + "\n"
 
 
+# Statements of `dying_program`: `n` is a struct with a pointer field `f`
+# and a scalar `v`, `g` a global, `s` points to `x`.
+DYING_STMTS = (
+    "q = p; p = NULL;", "p = malloc(sizeof(n));", "r = malloc(sizeof(n));",
+    "free(p);", "free(q);", "if (p) { free(p); }", "r = q;", "p = r;",
+    "q = p;", "p = NULL;", "q = NULL;", "*s = 0;", "x = 1;", "s = &x;",
+    "x = *s;", "p->f = q;", "q->v = x;", "x = p->v;", "r = p->f;",
+    "p->f = NULL;", "g = p;", "p = g;",
+)
+DYING_CONDS = ("c", "d", "p", "!q", "r == NULL", "x", "*s", "p->f")
+DYING_TAIL = ("p = NULL;", "q = NULL;", "r = NULL;", "p = q;", "r = p;",
+              "q = malloc(sizeof(n));", "x = 2;", "*s = 1;", "g = NULL;",
+              "free(r);")
+
+
+def dying_program(rng):
+    """Pointer variables that die at joins.  Arms move a block from one
+    variable to another, free, store through pointers and fields and go
+    round loops; after the last join, variables are overwritten on lines of
+    their own, so which overwrite drops the last reference to a block
+    decides the line of its leak."""
+    def arm():
+        return " ".join(rng.choice(DYING_STMTS)
+                        for _ in range(rng.randint(1, 2)))
+
+    lines = ["typedef struct n { struct n *f; int v; } n;", "n *g;",
+             "int f(int c, int d) {", "int x = 0;", "int *s = &x;",
+             "n *p = malloc(sizeof(n));", "n *q = NULL;", "n *r = NULL;"]
+    for _ in range(rng.randint(2, 3)):
+        shape = rng.choice(("move", "if", "if-else", "while"))
+        cond = rng.choice(DYING_CONDS)
+        if shape == "move":
+            lines.append(f"if ({cond}) {{ q = p; p = NULL; }}")
+        elif shape == "while":
+            lines += ["while (d > 0) {", f"if ({cond}) {{ {arm()} }}",
+                      "d = d - 1;", "}"]
+        else:
+            lines.append(f"if ({cond}) {{ {arm()} }}")
+            if shape == "if-else":
+                lines.append(f"else {{ {arm()} }}")
+        if rng.random() < 0.5:
+            lines.append(rng.choice(DYING_STMTS))
+    lines += rng.sample(DYING_TAIL, rng.randint(1, 4))
+    lines += [rng.choice(("return 0;", "return x;", "return q == NULL;",
+                          "return p->v;")), "}"]
+    return "\n".join(lines) + "\n"
+
+
 SIX_IF_LOOP = ("int f(int c, int i) {\n    int x = 0;\n    while (c > 0) {\n"
                + "        if (i) { x = i; }\n" * 6
                + "        c = c - 1;\n    }\n    return x;\n}\n")
@@ -192,15 +251,115 @@ def test_dead_stores_of_dropped_paths(seed, monkeypatch):
         assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
 
 
+@pytest.mark.parametrize("seed", range(320))
+def test_variables_that_die_at_joins(seed, monkeypatch):
+    source = dying_program(random.Random(seed))
+    for profile in sorted(PROFILES):
+        assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
+
+
 @pytest.mark.parametrize("source", [
     pytest.param(p_chain(n), id=f"p{n}") for n in (1, 3, 8)] + [
     pytest.param(a_chain(k), id=f"a{k}") for k in (1, 3, 5)] + [
     pytest.param(loop_nest(ifs, leak), id=f"loops{ifs}{'-leak' * leak}")
     for ifs, leak in ((1, False), (2, False), (3, False), (1, True),
-                      (2, True))])
+                      (2, True))] + [
+    pytest.param(loops_in_a_row(n), id=f"row{n}") for n in (1, 2, 3)])
 def test_families_under_every_profile(source, monkeypatch):
     for profile in sorted(PROFILES):
         assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The pruned key against the key that keeps everything
+# ---------------------------------------------------------------------------
+
+
+def unpruned_merge_key(self, block_id, state, back_counts):
+    """The key as it was before pruning: every variable and every loop trip
+    count, all stores aliased."""
+    keep = frozenset(state.env) | self.cfg.back_edges
+    return _state_key(block_id, state, back_counts, self.interned,
+                      keep), keep
+
+
+def assert_same_as_unpruned(source, config, monkeypatch):
+    """Same results as the unpruned key, and no exploration counts more
+    paths than it does, so every budget the unpruned key fits in is one
+    the pruned key fits in."""
+    config = replace(config, path_budget=NO_LIMIT)
+    pruned, counts = counted_outcome(source, config, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(_FunctionAnalysis, "_merge_key", unpruned_merge_key)
+        unpruned, unpruned_counts = counted_outcome(source, config,
+                                                    monkeypatch)
+    assert pruned == unpruned, source
+    assert [name for name, _ in counts] == \
+        [name for name, _ in unpruned_counts]
+    assert all(n <= ref for (_, n), (_, ref) in zip(counts, unpruned_counts))
+
+
+@pytest.mark.parametrize("make,seeds", [
+    (dying_program, range(150)), (random_program, range(60)),
+    (branching_loop, range(60)), (store_program, range(60))],
+    ids=["dying", "random", "branching-loop", "store"])
+def test_pruned_key_against_the_unpruned_one(make, seeds, monkeypatch):
+    for seed in seeds:
+        source = make(random.Random(seed))
+        for profile in sorted(PROFILES):
+            assert_same_as_unpruned(source, PROFILES[profile], monkeypatch)
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(a_chain(k), id=f"a{k}") for k in (3, 46)] + [
+    pytest.param(a_chain(12, "p == NULL"), id="a12-live")] + [
+    pytest.param(loops_in_a_row(n), id=f"row{n}") for n in (4, 6)] + [
+    pytest.param(loop_nest(2, True), id="loops2-leak")])
+def test_families_against_the_unpruned_key(source, monkeypatch):
+    for profile in sorted(PROFILES):
+        assert_same_as_unpruned(source, PROFILES[profile], monkeypatch)
+
+
+# The block moves from p to q in one arm, and both die at the join.  Each
+# overwrite after it drops the last reference on one of the two paths, so
+# the leak is reported at line 5 on one and at line 6 on the other; a dead
+# variable that still points to a live site must keep the paths apart.
+MOVED_BLOCK = """int f(int c) {
+    int *p = malloc(4);
+    int *q = NULL;
+    if (c) { q = p; p = NULL; }
+    p = NULL;
+    q = NULL;
+    return 0;
+}
+"""
+
+# Nothing reads x by name after the first join, only through s: a variable
+# whose address is taken is never dead.  Merging x zero with x one would
+# lose the null dereference and make `p = NULL` look dead.
+READ_THROUGH_POINTER = """int f(int c) {
+    int x = 1;
+    int *s = &x;
+    int *p = NULL;
+    if (c) { x = 0; }
+    if (*s) { *p = 1; }
+    return 0;
+}
+"""
+
+
+class TestDeadAtTheJoin:
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_a_moved_block_leaks_at_both_overwrites(self, profile):
+        result = analyze_unit(parse_source("t.c", MOVED_BLOCK),
+                              config=PROFILES[profile])
+        assert sorted(f.line for f in result
+                      if f.kind == "MEMORY_LEAK") == [5, 6]
+
+    def test_a_variable_read_through_a_pointer_stays(self):
+        result = analyze_unit(parse_source("t.c", READ_THROUGH_POINTER))
+        assert [(f.line, f.kind) for f in result] == \
+            [(6, "NULL_DEREFERENCE")]
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +392,23 @@ class TestPathsCounted:
         analyze_unit(parse_source("t.c", p_chain(n)))
         assert paths["f"] == (2 * n if n else 1, False)
 
-    @pytest.mark.parametrize("k", [1, 3, 8, 10])
-    def test_a_chain_is_quadratic(self, paths, k):
+    @pytest.mark.parametrize("k", [1, 3, 8, 10, 46, 60])
+    def test_a_chain_is_linear(self, paths, k):
+        # p is dead at every join: the next if writes it before reading
+        # it, and its block is freed or was never allocated.  So one state
+        # leaves each join, it reaches the next join three times (c false,
+        # p allocated and freed, p null) and two of those are dropped:
+        # 2 * k dropped paths and the one finished path.
         analyze_unit(parse_source("t.c", a_chain(k)))
-        assert paths["f"] == (2 * k * k + 1, False)
+        assert paths["f"] == (2 * k + 1, False)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 20])
+    def test_loops_in_a_row_are_linear(self, paths, n):
+        # The trip counts of a loop leave the key once no path can take
+        # its back edge again, so each loop starts from the one state that
+        # leaves the previous one, whatever its trip counts.
+        analyze_unit(parse_source("t.c", loops_in_a_row(n)))
+        assert paths["f"] == (8 * n - 1, False)
 
     def test_six_ifs_in_a_loop_finish(self, paths):
         # Trips 0, 1 and 2 round the loop (the unrolling bound is 2) hold
@@ -259,11 +431,13 @@ class TestPathsCounted:
         assert not result.incomplete
 
     def test_budget_still_cuts_what_it_cannot_fit(self, paths):
-        # a46 counts 2 * 46 ** 2 + 1 = 4233 paths; _own_var_ifs(13) 8192.
-        # Nothing new is explored once the budget is counted, but an arrival
-        # dropped after that still counts its path: a46 has one such.
+        # a46 returning `p == NULL` keeps p live at every join, and counts
+        # 2 * 46 ** 2 + 1 = 4233 paths; _own_var_ifs(13) 8192.  Nothing new
+        # is explored once the budget is counted, but an arrival dropped
+        # after that still counts its path: the a46 chain has one such.
         budget = PROFILES["union"].path_budget
-        for source, extra in ((a_chain(46), 1), (_own_var_ifs(13), 0)):
+        for source, extra in ((a_chain(46, "p == NULL"), 1),
+                              (_own_var_ifs(13), 0)):
             result = analyze_unit(parse_source("t.c", source))
             assert paths["f"] == (budget + extra, True)
             assert result.incomplete

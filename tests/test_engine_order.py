@@ -11,7 +11,8 @@ give the same findings and summaries, under every profile and under budgets
 small enough that the order shows.
 
 ``recursive_eval_binop`` does the same for the evaluation of a chain of
-binary operators, which forks paths in the order the engine then explores.
+binary operators, which forks paths in the order the engine then explores,
+and ``recursive_eval_field_chain`` for a chain of ``.`` and ``->``.
 """
 
 import random
@@ -25,7 +26,6 @@ from memlab.analysis import (
     PROFILES,
     AbstractHeap,
     _FunctionAnalysis,
-    _state_key,
     truthiness,
 )
 from memlab.cfg import LOOP_BACK, build_cfg
@@ -44,7 +44,7 @@ def _exec(self, block_id: int, state: AbstractHeap,
           back_counts: tuple) -> None:
     key = None
     if block_id in self.cfg.merges:
-        key = _state_key(block_id, state, back_counts, self.interned)
+        key, keep = self._merge_key(block_id, state, back_counts)
         explored = self.seen.get(key)
         if explored is not None:
             weight, aliases = explored
@@ -56,7 +56,7 @@ def _exec(self, block_id: int, state: AbstractHeap,
         self.incomplete = True
         return
     if key is not None:
-        aliases = self._alias_stores(state)
+        aliases = self._alias_stores(state, keep)
         self.seen[key] = (0, aliases)
         before = self.paths_counted
     blk = self.cfg.block(block_id)
@@ -190,11 +190,21 @@ def test_branching_loops(seed, monkeypatch):
 
 @pytest.mark.parametrize("source", [
     pytest.param(p_chain(n), id=f"p{n}") for n in (1, 2, 3, 5, 8, 20)] + [
-    pytest.param(a_chain(k), id=f"a{k}") for k in (1, 2, 3, 4, 6)] + [
+    # p stays live to the end: with p dead at every join, every path after
+    # the first is dropped and no budget cuts anything.
+    pytest.param(a_chain(k, "p == NULL"), id=f"a{k}")
+    for k in (1, 2, 3, 4, 6)] + [
     pytest.param(loop_nest(ifs, leak), id=f"loops{ifs}{'-leak' * leak}")
     for ifs, leak in ((1, False), (2, True))])
 def test_families(source, monkeypatch):
     assert assert_same_order(source, ALL_PROFILES, monkeypatch) > 0
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_chains_of_dead_pointers_are_never_cut(k, monkeypatch):
+    # Every path after the first reaches a join in a state explored there,
+    # so nothing is left for a budget to cut, even a budget of one path.
+    assert assert_same_order(a_chain(k), ALL_PROFILES, monkeypatch) == 0
 
 
 
@@ -256,5 +266,71 @@ def test_operator_chains_fold_in_the_recursive_order(seed, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(_FunctionAnalysis, "_eval_binop",
                           recursive_eval_binop)
+                want = explore(source, config, monkeypatch, recursive=False)
+            assert got == want, (profile, budget, source)
+
+
+# ---------------------------------------------------------------------------
+# Field-access chains: the loop in `_eval_field_chain` against the recursion
+# ---------------------------------------------------------------------------
+
+
+def recursive_eval_field_chain(self, expr, state: AbstractHeap) -> list:
+    results = []
+    for s, base in self.eval(expr.expr, state):
+        if expr.via_pointer:
+            base = self.check_null_deref(s, base, expr.expr, expr.loc)
+        results.append(
+            (s, self._read_through(s, base, expr.fieldname, expr.loc)))
+    return results
+
+
+# Bases that fork (an allocation, a callee that may return null), may be
+# null or are no pointer at all.
+FIELD_BASES = ["p", "q", "g(c)", "(*p)", "s", "malloc(sizeof(n))"]
+
+
+def field_chain_program(rng):
+    """A caller that reads, writes, tests and frees chains of one to five
+    `->f`, `->h`, `.f` and `->v`, round an `if` and a `while`."""
+    def chain(last=None):
+        text = rng.choice(FIELD_BASES)
+        for _ in range(rng.randint(0, 4)):
+            text += rng.choice(("->f", "->h", ".f"))
+        return text + (last or rng.choice(("->f", "->v", ".f", "->h")))
+
+    lines = ["typedef struct n { struct n *f; struct n *h; int v; } n;",
+             "n *g(int c) {", "if (c) { return NULL; }",
+             "n *m = malloc(sizeof(n));", "m->f = NULL;", "return m;", "}",
+             "int f(int c) {", "n *p = g(c);", "n *q = NULL;", "n s;",
+             "int x = 0;", "if (p) { p->f = malloc(sizeof(n)); }"]
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(("read", "write", "if", "while", "free"))
+        if kind == "read":
+            lines.append(f"{rng.choice(('q', 'x'))} = {chain()};")
+        elif kind == "write":
+            lines.append(f"{chain('->f')} = {rng.choice(('q', 'p', 'NULL'))};")
+        elif kind == "if":
+            lines.append(f"if ({chain()}) {{ x = {chain('->v')}; }}")
+        elif kind == "while":
+            lines.append(f"while (x < c) {{ q = {chain()}; x = x + 1; }}")
+        else:
+            lines.append(f"free({chain('->f')});")
+    lines += ["return x;", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_field_chains_fold_in_the_recursive_order(seed, monkeypatch):
+    source = field_chain_program(random.Random(seed))
+    for profile in ALL_PROFILES:
+        for budget in (None, 1, 2, 3, 4, 5, 6):
+            config = PROFILES[profile]
+            if budget is not None:
+                config = replace(config, path_budget=budget)
+            got = explore(source, config, monkeypatch, recursive=False)
+            with monkeypatch.context() as m:
+                m.setattr(_FunctionAnalysis, "_eval_field_chain",
+                          recursive_eval_field_chain)
                 want = explore(source, config, monkeypatch, recursive=False)
             assert got == want, (profile, budget, source)
