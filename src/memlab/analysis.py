@@ -851,8 +851,15 @@ class _FunctionAnalysis:
         if isinstance(expr, ast.Ident):
             return [(state, self._read_var(state, expr))]
         if isinstance(expr, ast.AddressOf):
-            if isinstance(expr.expr, ast.Ident):
-                return [(state, PtrValue.stack(expr.expr.name))]
+            target = expr.expr
+            if isinstance(target, ast.Ident):
+                return [(state, PtrValue.stack(target.name))]
+            # `&s.f` is an address inside s, read from nothing; `&p->f` and
+            # `&*p` read the pointer p but do not dereference it.
+            while isinstance(target, ast.FieldAccess) and not target.via_pointer:
+                target = target.expr
+            if isinstance(target, (ast.Deref, ast.FieldAccess)):
+                return [(s, UNKNOWN) for s, _ in self.eval(target.expr, state)]
             return [(state, UNKNOWN)]
         if isinstance(expr, ast.Deref):
             results = []

@@ -15,6 +15,7 @@ are true negatives.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -82,11 +83,66 @@ class AggregateFalsePositives:
     note: str = ""
 
 
+class TruthEntries(tuple):
+    """Ground-truth entries as a read-only sequence, indexed for matching.
+
+    The index is built once, here: each (file, kind)'s entries sorted by
+    line (entries on one line keep their order) beside their line numbers,
+    and the counts of real and known-false entries.  `classify` and
+    `match_finding` read it instead of scanning the entries.
+    """
+
+    def __new__(cls, entries=()):
+        self = super().__new__(cls, entries)
+        groups: dict = {}
+        real = 0
+        for e in self:
+            groups.setdefault((e.file, e.kind), []).append(e)
+            if e.is_real:
+                real += 1
+        self._groups = {}
+        for key, group in groups.items():
+            group.sort(key=lambda e: e.line)
+            self._groups[key] = ([e.line for e in group], group)
+        self.real = real
+        self.known_false = len(self) - real
+        return self
+
+    def match(self, finding: Finding, tolerance: int):
+        """(entry, occurrences) of the nearest same-file same-kind entry
+        within the line tolerance, or None; occurrences counts how many
+        times that one entry object stands in the sequence."""
+        lines, group = self._groups.get((finding.file, finding.kind),
+                                        ((), ()))
+        line = finding.line
+        below = bisect_right(lines, line)      # lines[:below] are <= line
+        best = None
+        if below and line - lines[below - 1] <= tolerance:
+            best = lines[below - 1]
+        if below < len(lines) and lines[below] - line <= tolerance and (
+                best is None or lines[below] - line < line - best):
+            best = lines[below]
+        if best is None:
+            return None
+        first, end = bisect_left(lines, best), bisect_right(lines, best)
+        entry = group[first]
+        others = sum(1 for e in group[first + 1:end] if e is not entry)
+        if others:
+            raise AmbiguousMatch(
+                f"{finding.file}:{finding.line} {finding.kind} matches "
+                f"{1 + others} truth entries at line {best}")
+        return entry, end - first
+
+
+def _indexed(truth) -> TruthEntries:
+    return truth if isinstance(truth, TruthEntries) else TruthEntries(truth)
+
+
 @dataclass
 class TruthManifest:
     program: str
     versions: list
-    entries: list
+    entries: TruthEntries
     aggregates: list = field(default_factory=list)
 
 
@@ -155,6 +211,7 @@ def load_truth_manifest(path) -> TruthManifest:
         if e.fixed_version is not None and e.fixed_version not in manifest.versions:
             raise ManifestError(
                 f"{path}: undeclared version {e.fixed_version!r}")
+    manifest.entries = TruthEntries(manifest.entries)
     return manifest
 
 
@@ -201,25 +258,8 @@ def match_finding(finding: Finding, truth, tolerance: int = 0):
     Ties on distance break toward the lower line; an exact tie (two entries
     at the same line) raises AmbiguousMatch.
     """
-    return _nearest(finding, [e for e in truth if e.file == finding.file
-                              and e.kind == finding.kind], tolerance)
-
-
-def _nearest(finding: Finding, same_file_kind, tolerance: int):
-    """match_finding over the entries of the finding's file and kind."""
-    candidates = [e for e in same_file_kind
-                  if abs(e.line - finding.line) <= tolerance]
-    if not candidates:
-        return None
-    best = min(candidates, key=lambda e: (abs(e.line - finding.line), e.line))
-    exact_ties = [e for e in candidates
-                  if abs(e.line - finding.line) == abs(best.line - finding.line)
-                  and e.line == best.line and e is not best]
-    if exact_ties:
-        raise AmbiguousMatch(
-            f"{finding.file}:{finding.line} {finding.kind} matches "
-            f"{1 + len(exact_ties)} truth entries at line {best.line}")
-    return best
+    match = _indexed(truth).match(finding, tolerance)
+    return None if match is None else match[0]
 
 
 def classify(findings, truth, tolerance: int = 0):
@@ -227,32 +267,36 @@ def classify(findings, truth, tolerance: int = 0):
 
     UNMAPPED findings are counted in the labels but not classified.
     Returns (ConfusionMatrix, labels) where labels is a list of
-    (finding, label) pairs.
+    (finding, label) pairs.  Against `TruthEntries` the cost follows the
+    findings alone; any other sequence is indexed first, in one pass.
     """
+    truth = _indexed(truth)
     labels = []
-    matched_entries = set()
-    tp = fp = 0
-    by_file_kind: dict = {}
-    for e in truth:
-        by_file_kind.setdefault((e.file, e.kind), []).append(e)
+    matched: set = set()
+    tp = fp = matched_real = matched_false = 0
     for f in findings:
         if f.kind == KIND_UNMAPPED:
             labels.append((f, "UNMAPPED"))
             continue
-        entry = _nearest(f, by_file_kind.get((f.file, f.kind), ()), tolerance)
-        if entry is None:
+        match = truth.match(f, tolerance)
+        if match is None:
             fp += 1
             labels.append((f, "FP"))
-        elif entry.is_real:
+            continue
+        entry, occurrences = match
+        if id(entry) in matched:
+            occurrences = 0
+        matched.add(id(entry))
+        if entry.is_real:
             tp += 1
-            matched_entries.add(id(entry))
+            matched_real += occurrences
             labels.append((f, "TP"))
         else:
             fp += 1
-            matched_entries.add(id(entry))
+            matched_false += occurrences
             labels.append((f, "FP"))
-    fn = sum(1 for e in truth if e.is_real and id(e) not in matched_entries)
-    tn = sum(1 for e in truth if not e.is_real and id(e) not in matched_entries)
+    fn = truth.real - matched_real
+    tn = truth.known_false - matched_false
     return ConfusionMatrix(tp, fp, fn, tn), labels
 
 
@@ -272,8 +316,9 @@ def reproduce_tool_table(manifest: TruthManifest) -> dict:
     """Per-(tool, kind) FP/TP cells derived through the classifier.
 
     For each tool, the entries attributed to it become that tool's synthetic
-    findings, which are then classified against the full manifest; aggregate
-    false-positive records are added to the FP cells afterwards.
+    findings, which are then classified against the full manifest (only
+    same-kind entries can match, so each kind's TP and FP are its own);
+    aggregate false-positive records are added to the FP cells afterwards.
     """
     tools = sorted({t for e in manifest.entries for t in e.tools}
                    | {a.tool for a in manifest.aggregates})
@@ -285,9 +330,8 @@ def reproduce_tool_table(manifest: TruthManifest) -> dict:
         kinds = sorted({f.kind for f in findings}
                        | {a.kind for a in manifest.aggregates if a.tool == tool})
         for kind in kinds:
-            kind_findings = [f for f in findings if f.kind == kind]
-            kind_truth = [e for e in manifest.entries if e.kind == kind]
-            matrix, _ = classify(kind_findings, kind_truth)
+            matrix, _ = classify([f for f in findings if f.kind == kind],
+                                 manifest.entries)
             fp = matrix.fp + sum(a.count for a in manifest.aggregates
                                  if a.tool == tool and a.kind == kind)
             table[(tool, kind)] = {"fp": fp, "tp": matrix.tp}

@@ -301,6 +301,39 @@ class TestDeadStore:
             return y;
         }""") == []
 
+    def test_address_of_a_field_reads_its_base_pointer(self):
+        # `&p->v` reads p, so the malloc store is used; it does not
+        # dereference p, so the unchecked result is not reported either.
+        src = """typedef struct n { struct n *f; int v; } n;
+        int main() {
+            n *p = malloc(sizeof(n));
+            int *q = &p->v;
+            *q = 1;
+            return 0;
+        }"""
+        for name, config in PROFILES.items():
+            assert run(src, config) == [(6, CHECKER_MEMORY_LEAK)], name
+        # Only the last `->` is not a dereference: `p->f` is read.
+        assert run("""typedef struct n { struct n *f; int v; } n;
+        int main() {
+            n *p;
+            int *q = &p->f->v;
+            *q = 1;
+            return 0;
+        }""") == [(4, CHECKER_UNINIT_USE)]
+        # `.` accesses after it, and `&s.v` on a local, read nothing.
+        assert run("""typedef struct m { int v; } m;
+        typedef struct n { struct n *f; m a; } n;
+        int main() {
+            n *p = malloc(sizeof(n));
+            m s;
+            int *q = &p->a.v;
+            int *r = &s.v;
+            *q = 1;
+            *r = 1;
+            return 0;
+        }""") == [(10, CHECKER_MEMORY_LEAK)]
+
     def test_address_taken_variables_exempt(self):
         assert run("""int f(int *out) {
             int x = 1;

@@ -13,6 +13,7 @@ from memlab.benchlab import (
     GroundTruthEntry,
     ManifestError,
     NegativeInterval,
+    TruthEntries,
     UnknownVersion,
     classify,
     classify_program_size,
@@ -133,31 +134,67 @@ class TestMatching:
             match_finding(finding(line=10), truth)
 
 
+def _scan_match(f, truth, tolerance):
+    """match_finding as it was before its truth index: scan every entry."""
+    candidates = [e for e in truth
+                  if e.file == f.file and e.kind == f.kind
+                  and abs(e.line - f.line) <= tolerance]
+    best = min(candidates, default=None,
+               key=lambda e: (abs(e.line - f.line), e.line))
+    if best is None:
+        return None
+    others = [e for e in candidates if e.line == best.line and e is not best]
+    if others:
+        raise AmbiguousMatch(f"{f.file}:{f.line} {f.kind} matches "
+                             f"{1 + len(others)} truth entries at line "
+                             f"{best.line}")
+    return best
+
+
 def _scan_classify(findings, truth, tolerance):
     """classify as it was before its truth index: every finding scans every
-    entry."""
+    entry, and FN and TN are counted over the whole truth."""
     labels, matched, tp, fp = [], set(), 0, 0
     for f in findings:
         if f.kind == "UNMAPPED":
             labels.append((f, "UNMAPPED"))
             continue
-        candidates = [e for e in truth
-                      if e.file == f.file and e.kind == f.kind
-                      and abs(e.line - f.line) <= tolerance]
-        best = min(candidates, default=None,
-                   key=lambda e: (abs(e.line - f.line), e.line))
+        best = _scan_match(f, truth, tolerance)
         if best is None:
             fp += 1
             labels.append((f, "FP"))
             continue
-        if any(e.line == best.line and e is not best for e in candidates):
-            raise AmbiguousMatch(f"{f.file}:{f.line}")
         matched.add(id(best))
         tp, fp = (tp + 1, fp) if best.is_real else (tp, fp + 1)
         labels.append((f, "TP" if best.is_real else "FP"))
     fn = sum(1 for e in truth if e.is_real and id(e) not in matched)
     tn = sum(1 for e in truth if not e.is_real and id(e) not in matched)
     return ConfusionMatrix(tp, fp, fn, tn), labels
+
+
+FILES = ("a.c", "b.c", "c.c")
+KINDS = ("MEMORY_LEAK", "DEAD_STORE")
+
+
+def _random_truth(rng):
+    """Up to 30 entries over 3 files, 2 kinds and 40 lines; sometimes one
+    entry object stands in the list twice."""
+    truth = [entry(file=rng.choice(FILES), line=rng.randint(1, 40),
+                   kind=rng.choice(KINDS), is_real=rng.random() < 0.7)
+             for _ in range(rng.randint(0, 30))]
+    if truth and rng.random() < 0.3:
+        truth.insert(rng.randint(0, len(truth)), rng.choice(truth))
+    return truth
+
+
+def _random_finding(rng, truth):
+    """A finding near a truth entry half the time, anywhere otherwise."""
+    if truth and rng.random() < 0.5:
+        e = rng.choice(truth)
+        return finding(file=e.file, line=e.line + rng.randint(-5, 5),
+                       kind=e.kind)
+    return finding(file=rng.choice(FILES), line=rng.randint(1, 40),
+                   kind=rng.choice(KINDS + ("UNMAPPED",)))
 
 
 class TestClassify:
@@ -183,23 +220,44 @@ class TestClassify:
 
     @pytest.mark.parametrize("seed", range(200))
     def test_index_agrees_with_a_full_scan(self, seed):
+        # Several finding lists against one truth, passed both as a plain
+        # list (indexed per call) and indexed once.
         rng = random.Random(seed)
-        files, kinds = ("a.c", "b.c", "c.c"), ("MEMORY_LEAK", "DEAD_STORE",
-                                               "UNMAPPED")
-        truth = [entry(file=rng.choice(files), line=rng.randint(1, 40),
-                       kind=rng.choice(kinds[:2]), is_real=rng.random() < 0.7)
-                 for _ in range(rng.randint(0, 30))]
-        findings = [finding(file=rng.choice(files), line=rng.randint(1, 40),
-                            kind=rng.choice(kinds))
-                    for _ in range(rng.randint(0, 30))]
-        tolerance = rng.randint(0, 3)
-        try:
-            want = _scan_classify(findings, truth, tolerance)
-        except AmbiguousMatch:
-            with pytest.raises(AmbiguousMatch):
-                classify(findings, truth, tolerance)
-            return
-        assert classify(findings, truth, tolerance) == want
+        truth = _random_truth(rng)
+        indexed = TruthEntries(truth)
+        for _ in range(4):
+            findings = [_random_finding(rng, truth)
+                        for _ in range(rng.randint(0, 30))]
+            tolerance = rng.randint(0, 5)
+            try:
+                want = _scan_classify(findings, truth, tolerance)
+            except AmbiguousMatch as exc:
+                for against in (truth, indexed):
+                    with pytest.raises(AmbiguousMatch) as got:
+                        classify(findings, against, tolerance)
+                    assert str(got.value) == str(exc)
+                continue
+            assert classify(findings, truth, tolerance) == want
+            assert classify(findings, indexed, tolerance) == want
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_match_finding_agrees_with_a_scan(self, seed):
+        rng = random.Random(seed)
+        truth = _random_truth(rng)
+        indexed = TruthEntries(truth)
+        for _ in range(20):
+            f = _random_finding(rng, truth)
+            tolerance = rng.randint(0, 5)
+            try:
+                want = _scan_match(f, truth, tolerance)
+            except AmbiguousMatch as exc:
+                for against in (truth, indexed):
+                    with pytest.raises(AmbiguousMatch) as got:
+                        match_finding(f, against, tolerance)
+                    assert str(got.value) == str(exc)
+                continue
+            assert match_finding(f, truth, tolerance) is want
+            assert match_finding(f, indexed, tolerance) is want
 
     def test_rates_partition_to_one(self):
         matrix = ConfusionMatrix(tp=3, fp=1, fn=4, tn=2)
@@ -214,6 +272,40 @@ class TestClassify:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ConfusionMatrix(tp=-1)
+
+
+class TestTruthIndex:
+    def test_loaded_entries_are_read_only(self):
+        entries = load_truth_manifest(TRUTH_SDS).entries
+        assert isinstance(entries, TruthEntries)
+        with pytest.raises(AttributeError):
+            entries.append(entries[0])
+        with pytest.raises(TypeError):
+            entries[0] = entries[1]
+
+    @pytest.mark.parametrize("path", [TRUTH_SDS, TRUTH_BEANSTALKD])
+    def test_classify_neither_reindexes_nor_rescans(self, path, monkeypatch):
+        entries = load_truth_manifest(path).entries
+        plain = list(entries)
+        findings = [finding(file=e.file, line=e.line + i % 3, kind=e.kind)
+                    for i, e in enumerate(plain) if i % 2 == 0]
+        findings.append(finding(file="elsewhere.c"))
+        want = {tolerance: classify(findings, plain, tolerance)
+                for tolerance in (0, 2)}
+        assert want[0] != want[2]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the truth was indexed or scanned again")
+
+        monkeypatch.setattr(TruthEntries, "__new__", refuse)
+        monkeypatch.setattr(TruthEntries, "__iter__", refuse)
+        with pytest.raises(AssertionError):
+            classify(findings, plain)
+        for tolerance, got in want.items():
+            assert classify(findings, entries, tolerance) == got
+        assert match_finding(finding(file=plain[0].file, line=plain[0].line,
+                                     kind=plain[0].kind),
+                             entries) is plain[0]
 
 
 class TestToolTable:

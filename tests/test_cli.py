@@ -1,9 +1,11 @@
 """Command-line interface tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from memlab.benchlab import load_truth_manifest
 from memlab.cli import main
 
 
@@ -318,6 +320,35 @@ class TestBench:
                                "memlab")
         assert code == 0
         assert "tp=1 fp=0" in out
+
+    @pytest.mark.parametrize("truth,tolerance,expected", [
+        ("truth/sds.jsonl", 0, "tp=1 fp=23 fn=11 tn=12"),
+        ("truth/sds.jsonl", 2, "tp=5 fp=19 fn=7 tn=8"),
+        ("truth/beanstalkd.jsonl", 0, "tp=6 fp=29 fn=28 tn=14"),
+        ("truth/beanstalkd.jsonl", 2, "tp=17 fp=18 fn=17 tn=9"),
+    ])
+    def test_truth_output_is_pinned(self, capsys, tmp_path, truth,
+                                    tolerance, expected):
+        # The corpus's own findings (in files no manifest names), then one
+        # finding 0-2 lines below every other truth entry, the first of
+        # them UNMAPPED, so every cell of the matrix is nonzero.
+        corpus = sorted(str(p) for p in Path("corpus").glob("*.c"))
+        _, report, _ = run_cli(capsys, "analyze", "--format", "structured",
+                               *corpus)
+        entries = load_truth_manifest(truth).entries
+        report += "".join(json.dumps({
+            "file": e.file, "line": e.line + i % 3,
+            "kind": "UNMAPPED" if i == 0 else e.kind,
+            "checker": "ingest:memlab", "message": "", "function": "",
+        }) + "\n" for i, e in enumerate(entries) if i % 2 == 0)
+        path = tmp_path / "report.jsonl"
+        path.write_text(report)
+        out = run_cli(capsys, "bench", "--truth", truth, "--ingested",
+                      str(path), "--format", "memlab", "--tolerance",
+                      str(tolerance))
+        program = Path(truth).stem
+        assert out == (0, f"program: {program}\n{expected}\nunmapped=1\n",
+                       "")
 
     def test_corpus_fixture_outside_the_subset_names_its_file(
             self, capsys, tmp_path):
