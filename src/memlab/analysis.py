@@ -8,6 +8,11 @@ non-null block) and a failure branch (a null result), so null checks in the
 program prune the failure path naturally instead of requiring dominator
 bookkeeping.
 
+A block reachable through the fields of an escaped block has escaped too.
+`AbstractHeap.escape_value` is the one place that marks a block escaped,
+and it marks every block the fields lead to, so the leak checks read the
+flags as they stand and sweep the heap once.
+
 Each function is explored once, callees first, and that one exploration
 yields both its findings and its FunctionSummary, the depth-1 shape that
 callers read at call sites.  Emitting a finding never changes the abstract
@@ -138,9 +143,6 @@ class CheckerConfig:
         if CHECKER_DEAD_STORE_NULL_INIT in self.enabled \
                 and CHECKER_DEAD_STORE not in self.enabled:
             raise ValueError("DEAD_STORE_NULL_INIT requires DEAD_STORE")
-
-    def on(self, checker: str) -> bool:
-        return checker in self.enabled
 
     def with_checkers(self, enable=(), disable=()) -> "CheckerConfig":
         enabled = (self.enabled | frozenset(enable)) - frozenset(disable)
@@ -338,8 +340,7 @@ class AbstractHeap:
         """Sites reachable from env values (or the given root values)."""
         if roots is None:
             roots = self.env.values()
-        work = [v.site for v in roots
-                if isinstance(v, PtrValue) and v.kind == "block"]
+        work = [v.site for v in roots if _is_block(v)]
         seen = set()
         while work:
             sid = work.pop()
@@ -350,31 +351,24 @@ class AbstractHeap:
                 # A freed or leaked block's fields keep nothing alive.
                 continue
             for v in self.sites[sid].fields.values():
-                if isinstance(v, PtrValue) and v.kind == "block":
+                if _is_block(v):
                     work.append(v.site)
         return seen
 
-    def propagate_escapes(self) -> None:
-        """Anything reachable from an escaped site has escaped too."""
-        changed = True
-        while changed:
-            changed = False
-            for s in self.sites.values():
-                if not s.escaped:
-                    continue
-                for v in s.fields.values():
-                    if isinstance(v, PtrValue) and v.kind == "block":
-                        target = self.sites.get(v.site)
-                        if target is not None and not target.escaped:
-                            target.escaped = True
-                            changed = True
-
     def escape_value(self, value) -> None:
-        if isinstance(value, PtrValue) and value.kind == "block":
-            info = self.sites.get(value.site)
-            if info is not None:
-                info.escaped = True
-                self.propagate_escapes()
+        """Mark the value's block escaped, and every block its fields lead
+        to, whatever their status: a block reachable through the fields of
+        an escaped block has escaped too."""
+        work = [value]
+        while work:
+            v = work.pop()
+            if not _is_block(v):
+                continue
+            info = self.sites.get(v.site)
+            if info is None or info.escaped:
+                continue
+            info.escaped = True
+            work.extend(info.fields.values())
 
 
 def _is_block(value) -> bool:
@@ -750,8 +744,7 @@ class _FunctionAnalysis:
                 out.append(state)
             else:
                 for s, v in self.eval(stmt.expr, state):
-                    fresh = isinstance(v, PtrValue) and v.kind == "block" \
-                        and s.sites.get(v.site) is not None \
+                    fresh = _is_block(v) and s.sites.get(v.site) is not None \
                         and s.sites[v.site].status == "live"
                     self.returns.append((v, fresh))
                     s.escape_value(v)
@@ -772,7 +765,7 @@ class _FunctionAnalysis:
             self.stores[key] = cls
         state.cur_store[name] = key
         state.env[name] = value
-        if isinstance(value, PtrValue) and value.kind == "block":
+        if _is_block(value):
             info = state.sites.get(value.site)
             if info is not None and not info.hint:
                 info.hint = name
@@ -804,11 +797,11 @@ class _FunctionAnalysis:
             for s, base in self.eval(target.expr, state, reading=True):
                 if target.via_pointer:
                     base = self.check_null_deref(s, base, target.expr, target.loc)
-                if isinstance(base, PtrValue) and base.kind == "block":
+                if _is_block(base):
                     info = s.sites.get(base.site)
                     if info is not None:
                         info.fields[target.fieldname] = value
-                        if isinstance(value, PtrValue) and value.kind == "block":
+                        if _is_block(value):
                             vinfo = s.sites.get(value.site)
                             if vinfo is not None and not vinfo.hint:
                                 vinfo.hint = f"{info.hint}.{target.fieldname}" \
@@ -973,7 +966,7 @@ class _FunctionAnalysis:
         # Pointer arithmetic: keep the block, adjust the offset when the
         # other operand is a literal (interior pointers stay representable).
         for ptr, other, sign in ((left, right, 1), (right, left, 1)):
-            if isinstance(ptr, PtrValue) and ptr.kind == "block" and op in ("+", "-"):
+            if _is_block(ptr) and op in ("+", "-"):
                 delta = _literal_of(expr.right if ptr is left else expr.left)
                 if delta is None:
                     return PtrValue.block(ptr.site, offset=1)  # nonzero, unknown
@@ -1029,7 +1022,7 @@ class _FunctionAnalysis:
             old = vals[0] if vals else UNKNOWN
             fail = s.clone()
             # Success: the old block is consumed by realloc itself.
-            if isinstance(old, PtrValue) and old.kind == "block":
+            if _is_block(old):
                 info = s.sites.get(old.site)
                 if info is not None:
                     info.status = "freed"
@@ -1038,7 +1031,7 @@ class _FunctionAnalysis:
             # Failure: the old block stays allocated.  The dedicated
             # realloc-overwrite checker owns this pattern, so the block is
             # marked escaped rather than double-reported as a generic leak.
-            if isinstance(old, PtrValue) and old.kind == "block":
+            if _is_block(old):
                 fail.escape_value(old)
             results.append((fail, PtrValue.null("alloc_failure", call.loc.line)))
         return results
@@ -1064,7 +1057,7 @@ class _FunctionAnalysis:
             for idx in summary.frees_params:
                 if idx < len(vals):
                     v = vals[idx]
-                    if isinstance(v, PtrValue) and v.kind == "block":
+                    if _is_block(v):
                         info = s.sites.get(v.site)
                         if info is not None and info.status == "live":
                             info.status = "freed"
@@ -1130,16 +1123,16 @@ class _FunctionAnalysis:
     def _check_field_leaks(self, state: AbstractHeap, freed: SiteInfo,
                            struct_name: str, line: int) -> None:
         """A struct was freed; handle heap blocks hanging off its fields."""
-        field_blocks = [(fname, v.site) for fname, v in freed.fields.items()
-                        if isinstance(v, PtrValue) and v.kind == "block"]
+        field_blocks = [(fname, v) for fname, v in freed.fields.items()
+                        if _is_block(v)]
         if not field_blocks:
             return
         reachable = state.reachable_sites()
-        for fname, sid in field_blocks:
-            info = state.sites.get(sid)
+        for fname, v in field_blocks:
+            info = state.sites.get(v.site)
             if info is None or info.status != "live" or info.escaped:
                 continue
-            if sid in reachable:
+            if v.site in reachable:
                 continue
             if self.config.struct_field_leak:
                 self.emit(CHECKER_MEMORY_LEAK, line,
@@ -1147,21 +1140,18 @@ class _FunctionAnalysis:
                           f"(allocated at line {info.line})")
                 info.status = "leaked"
             else:
-                info.escaped = True
+                state.escape_value(v)
 
-    def check_memory_leak_at(self, state: AbstractHeap, line: int) -> None:
-        """Report blocks that just became unreachable on this path."""
-        if not state.sites:
-            return
-        # The escaped flags must be current even when nothing can leak:
-        # _assign and the state key read them.
-        state.propagate_escapes()
+    def check_memory_leak_at(self, state: AbstractHeap, line: int,
+                             roots=None) -> None:
+        """Report blocks that just became unreachable on this path: those
+        no value in env (or in `roots`) reaches."""
         for info in state.sites.values():
             if info.status == "live" and not info.escaped:
                 break
         else:
             return  # nothing can leak
-        reachable = state.reachable_sites()
+        reachable = state.reachable_sites(roots)
         for sid, info in state.sites.items():
             if info.status != "live" or info.escaped or sid in reachable:
                 continue
@@ -1172,18 +1162,10 @@ class _FunctionAnalysis:
 
     def finish_path(self, state: AbstractHeap) -> None:
         self.paths_counted += 1
-        line = state.ret_line or self.fn.loc.line
-        state.propagate_escapes()
         # Only globals survive the function; locals go out of scope.
-        roots = [state.env[g] for g in self.global_names if g in state.env]
-        reachable = state.reachable_sites(roots)
-        for sid, info in state.sites.items():
-            if info.status != "live" or info.escaped or sid in reachable:
-                continue
-            self.emit(CHECKER_MEMORY_LEAK, line,
-                      f"memory dynamically allocated at line {info.line} "
-                      f"is not reachable after line {line}")
-            info.status = "leaked"
+        self.check_memory_leak_at(
+            state, state.ret_line or self.fn.loc.line,
+            [state.env[g] for g in self.global_names if g in state.env])
 
     def check_uninit_use(self, name: str, loc) -> None:
         self.emit(CHECKER_UNINIT_USE, loc.line,

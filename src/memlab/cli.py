@@ -164,6 +164,9 @@ def cmd_bench(args) -> int:
         return 0 if report.all_passed else 1
     if not args.ingested:
         raise UsageError("--truth requires --ingested")
+    if args.tolerance < 0:
+        raise UsageError(
+            f"tolerance must be at least 0, got {args.tolerance}")
     truth = benchlab.load_truth_manifest(args.truth)
     text = _read_input_file(args.ingested)
     findings = parse_report(text, args.report_format)

@@ -25,8 +25,6 @@ from .analysis import (
     KIND_UNINITIALIZED_VALUE,
 )
 
-TOOLS = ("infer", "cppcheck", "predator", "memlab")
-
 # Bucket for kind strings that have no normalized kind in scope (for
 # example Predator's byte-precise out-of-bounds diagnostics).  UNMAPPED
 # findings are counted but never classified against ground truth.
@@ -247,7 +245,7 @@ def parse_predator_report(text: str) -> list:
     pending: tuple[str, int, list, int] | None = None
     pending_is_note = False
 
-    def flush(line_no: int) -> None:
+    def flush() -> None:
         nonlocal pending
         if pending is None:
             return
@@ -269,29 +267,29 @@ def parse_predator_report(text: str) -> list:
             continue
         m = _PREDATOR_WARNING.match(line.strip())
         if m:
-            flush(idx)
+            flush()
             pending = (m.group("path"), int(m.group("line")), [m.group("msg")], idx)
             pending_is_note = False
             if _PLUGIN_TAG in m.group("msg"):
-                flush(idx)
+                flush()
             continue
         n = _PREDATOR_NOTE.match(line.strip())
         if n:
-            flush(idx)
+            flush()
             pending = (n.group("path"), int(n.group("line")), [n.group("msg")], idx)
             pending_is_note = True
             if _PLUGIN_TAG in n.group("msg"):
-                flush(idx)
+                flush()
             continue
         if pending is not None:
             pending[2].append(line)
             if _PLUGIN_TAG in line:
-                flush(idx)
+                flush()
             continue
         if "warning:" in line:
             raise FormatError(f"warning line without path:line:col: {line!r}", idx)
         raise FormatError(f"unrecognized report line: {line!r}", idx)
-    flush(0)
+    flush()
     return findings
 
 

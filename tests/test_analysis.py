@@ -197,6 +197,39 @@ class TestMemoryLeak:
         no_flag = replace(UNION, struct_field_leak=False)
         assert run(src, no_flag) == []
 
+    def test_nested_struct_field_leak_flag_differential(self):
+        # s->next holds t, t->next a third block; freeing s drops both.
+        # Without struct-field leaks the child escapes, and so does the
+        # grandchild hanging off it.
+        src = """typedef struct node { struct node *next; } node;
+        int main() {
+            node *s = malloc(sizeof(node));
+            if (s == NULL) {
+                return -1;
+            }
+            node *t = malloc(sizeof(node));
+            if (t == NULL) {
+                free(s);
+                return -1;
+            }
+            t->next = malloc(sizeof(node));
+            s->next = t;
+            t = NULL;
+            free(s);
+            return 0;
+        }"""
+
+        def leaks(config):
+            return [(f.line, f.message) for f in run_full(src, config)
+                    if f.checker == CHECKER_MEMORY_LEAK]
+
+        assert leaks(UNION) == [
+            (15, "Memory leak: s.next (allocated at line 7)"),
+            (15, "memory dynamically allocated at line 12 is not "
+                 "reachable after line 15")]
+        assert leaks(PROFILES["clang-like"]) == []
+        assert leaks(replace(UNION, struct_field_leak=False)) == []
+
 
 class TestReallocLeak:
     SRC = """int main() {

@@ -321,6 +321,20 @@ class TestBench:
         assert code == 0
         assert "tp=1 fp=0" in out
 
+    def test_negative_tolerance_is_a_usage_error(self, capsys, tmp_path):
+        # A negative tolerance would match nothing, not even a finding on
+        # the very line of a real entry.
+        report = tmp_path / "tool.jsonl"
+        report.write_text(json.dumps({
+            "file": "sds.c", "line": 159, "kind": "MEMORY_LEAK",
+            "checker": "ingest:memlab", "message": "", "function": "",
+        }) + "\n")
+        code, out, err = run_cli(capsys, "bench", "--truth",
+                                 "truth/sds.jsonl", "--ingested", str(report),
+                                 "--format", "memlab", "--tolerance", "-1")
+        assert (code, out) == (2, "")
+        assert err == "memlab: error: tolerance must be at least 0, got -1\n"
+
     @pytest.mark.parametrize("truth,tolerance,expected", [
         ("truth/sds.jsonl", 0, "tp=1 fp=23 fn=11 tn=12"),
         ("truth/sds.jsonl", 2, "tp=5 fp=19 fn=7 tn=8"),

@@ -363,6 +363,89 @@ class TestDeadAtTheJoin:
 
 
 # ---------------------------------------------------------------------------
+# The escape rule
+# ---------------------------------------------------------------------------
+
+
+ESCAPE_CONFIGS = [PROFILES[profile] for profile in sorted(PROFILES)] + [
+    replace(PROFILES["union"], struct_field_leak=False)]
+
+# Statements of `escaping_program`: blocks linked through the field `f`,
+# some moved into it, passed to `sink`, which has no body, and read back
+# through `f`.  Its tail frees or sinks what the arms linked.
+ESCAPING_STMTS = (
+    "p = malloc(sizeof(n));", "q = malloc(sizeof(n));",
+    "r = malloc(sizeof(n));", "q->f = malloc(sizeof(n));", "p->f = q;",
+    "q->f = r;", "r->f = p;", "p->f->f = r;", "p->f = q; q = NULL;",
+    "q->f = r; r = NULL;", "sink(p);", "sink(q);", "free(p);", "free(q);",
+    "q = p->f;", "r = q->f;", "p = r;", "p = NULL;", "r = NULL;",
+    "r = realloc(p, 8);",
+)
+ESCAPING_TAIL = ("free(p);", "free(q);", "free(r);", "sink(p);", "sink(q);",
+                 "q->f = r;", "p = NULL;")
+
+
+def escaping_program(rng):
+    """Blocks that escape, through a call, a return or a struct free, while
+    they hold other blocks in their fields or are given some later."""
+    def arm():
+        return " ".join(rng.choice(ESCAPING_STMTS)
+                        for _ in range(rng.randint(1, 3)))
+
+    lines = ["typedef struct n { struct n *f; int v; } n;",
+             "n *f(int c) {", "n *p = malloc(sizeof(n));",
+             "n *q = malloc(sizeof(n));", "n *r = malloc(sizeof(n));"]
+    for _ in range(rng.randint(2, 4)):
+        shape = rng.choice(("straight", "if", "if-else", "while"))
+        if shape == "straight":
+            lines.append(arm())
+        elif shape == "while":
+            lines += ["while (c > 0) {", arm(), "c = c - 1;", "}"]
+        else:
+            lines.append(f"if ({rng.choice(('c', 'p', 'q', 'r'))}) "
+                         f"{{ {arm()} }}")
+            if shape == "if-else":
+                lines.append(f"else {{ {arm()} }}")
+    lines += rng.sample(ESCAPING_TAIL, rng.randint(1, 3))
+    lines += [f"return {rng.choice(('p', 'q', 'r', 'NULL'))};", "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("make,seeds", [
+    (dying_program, range(150)), (random_program, range(60)),
+    (escaping_program, range(100))],
+    ids=["dying", "random", "escaping"])
+def test_escaped_blocks_reach_only_escaped_blocks(make, seeds, monkeypatch):
+    """After every statement, every block a field of an escaped block
+    points to has escaped too: the leak checks read the flag as it is."""
+    transfer = _FunctionAnalysis.transfer
+    edges = 0
+
+    def checking_transfer(self, stmt, state):
+        nonlocal edges
+        out = transfer(self, stmt, state)
+        for s in out:
+            for info in s.sites.values():
+                if not info.escaped:
+                    continue
+                for v in info.fields.values():
+                    if analysis._is_block(v) and v.site in s.sites:
+                        assert s.sites[v.site].escaped, (stmt.loc.line, source)
+                        edges += 1
+        return out
+
+    monkeypatch.setattr(_FunctionAnalysis, "transfer", checking_transfer)
+    for seed in seeds:
+        source = make(random.Random(seed))
+        for config in ESCAPE_CONFIGS:
+            outcome(source, config)
+    # Only escaping_program links blocks that escape; the others check that
+    # nothing else breaks the rule.
+    assert edges or make is not escaping_program, \
+        "no escaped block pointed to another block"
+
+
+# ---------------------------------------------------------------------------
 # Paths counted under the default budget
 # ---------------------------------------------------------------------------
 
