@@ -2,15 +2,18 @@
 
 Supported formats: Infer console output, Cppcheck console output, the
 Predator GCC-plugin warnings, and this package's own structured (JSONL)
-format.  The printed reports wrap long lines, so each parser reassembles
-logical lines before matching.  Parsers are strict: a line that fits none of
-the format's shapes raises FormatError, which is what lets the CLI reject a
-report fed to the wrong parser.
+format.  A console report is read in one pass: one pattern per format
+matches whole records (blank lines, a banner, the Infer summary, or an entry
+with every line it wraps onto and its context lines) back to back from the
+start.  Where they stop tiling the text, the first non-blank line fits none
+of the format's shapes; the FormatError names it, which is what lets the CLI
+reject a report fed to the wrong parser.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 
 from .analysis import (
@@ -58,83 +61,117 @@ def normalize_kind(raw: str) -> str:
     return _PHRASE_KINDS.get(token.lower(), KIND_UNMAPPED)
 
 
+# In a `_normalized` report, in-line whitespace, what str.strip removes, is
+# `[^\S\n]`.
+_W = r"[^\S\n]"
+_EOL = r"(?=\n|\Z)"
+_BLANK_LINES = re.compile(rf"(?:{_W}*\n)*")
+
+
+def _normalized(text: str) -> str:
+    """`text` with `\\n` for every line break `str.splitlines` knows, so that
+    line numbers count its lines.  Where that would only drop a final `\\n`,
+    which every pattern reads as the end of the text, `text` itself."""
+    if text.isascii() and not any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
+        return text
+    return "\n".join(text.splitlines())
+
+
+def _first_line(text: str, pos: int) -> tuple:
+    """The first non-blank line from `pos`, a line start, and its number."""
+    start = _BLANK_LINES.match(text, pos).end()
+    return text[start:].partition("\n")[0], text.count("\n", 0, start) + 1
+
+
+def _tile(pattern: re.Pattern, text: str, pos: int, error):
+    """Yield the records `pattern` matches back to back from `pos` to the
+    end of `text`; where none matches, raise a FormatError with the message
+    `error` gives for the first non-blank line from there."""
+    match = pattern.match
+    end = len(text)
+    while pos < end:
+        m = match(text, pos)
+        if m is None:
+            line, line_no = _first_line(text, pos)
+            raise FormatError(error(line), line_no)
+        yield m
+        pos = m.end()
+
+
+def _unwrap(block: str) -> str:
+    """The non-blank lines of `block`, stripped and joined with one space."""
+    return " ".join(filter(None, map(str.strip, block.split("\n"))))
+
+
 # ---------------------------------------------------------------------------
 # Infer console format
 # ---------------------------------------------------------------------------
 
-_INFER_HEADER = re.compile(r"^Found (\d+) issues?$")
-_INFER_ISSUE = re.compile(
-    r"^(?P<path>\S+?):(?P<line>\d+):\s*error:\s*(?P<kind>[A-Z_]+)\b\s*(?P<msg>.*)$",
-    re.S)
-_INFER_SUMMARY_LINE = re.compile(r"^\s+([A-Z_]+):\s*(\d+)$")
+_TITLE = "Summary of the reports"
+_NOT_TITLE = rf"(?!{_TITLE}{_W}*{_EOL})"
+# An indented line inside an issue block: code context, never message text.
+_INFER_CONTEXT = rf"{_W}++{_NOT_TITLE}\S[^\n]*+"
+# Where the block's lines, joined, read as whitespace: in-line whitespace,
+# or a line break (and context lines) before the next unindented line.
+_INFER_GAP = rf"{_W}*+(?:\n(?:{_INFER_CONTEXT}\n)*+(?={_NOT_TITLE}\S))?"
+
+_INFER_HEADER = re.compile(
+    rf"\s*+(?:Found (\d+) issues?{_W}*+(?:\n(?:{_W}*\n)*|\Z)|\Z)")
+# An issue block runs to a blank line and takes the blank and context lines
+# after it in; `msg` holds its message lines up to the first context line,
+# `more` any lines after that run of context.  The summary runs to the end.
+_INFER = re.compile(
+    rf"(?P<path>\S+?):(?P<line>\d++):{_INFER_GAP}error:{_INFER_GAP}"
+    rf"(?P<kind>[A-Z_]++)\b{_INFER_GAP}"
+    rf"(?P<msg>[^\n]*+(?:\n{_NOT_TITLE}\S[^\n]*+)*+)(?:\n{_INFER_CONTEXT})*+"
+    rf"(?P<more>(?:\n{_W}*+{_NOT_TITLE}\S[^\n]*+)*+)"
+    rf"(?:\n(?:{_W}*+{_EOL}|{_INFER_CONTEXT}))*+(?:\n|\Z)"
+    rf"|(?P<summary>{_W}*{_TITLE}{_W}*{_EOL}(?s:.*))"
+    rf"|{_W}*\Z")
+_INFER_SUMMARY_LINE = re.compile(
+    rf"{_W}*(?:{_TITLE}{_W}*)?|{_W}+[A-Z_]+:{_W}*(\d+)")
+
+
+def _infer_error(line: str) -> str:
+    if line[:1].isspace():  # issue blocks take the context after them in
+        return f"context line outside an issue block: {line!r}"
+    return f"unrecognized report line: {line!r}"
 
 
 def parse_infer_report(text: str) -> list:
     """`Found N issue(s)`, issue blocks, then `Summary of the reports`."""
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines):
+    text = _normalized(text)
+    header = _INFER_HEADER.match(text)
+    if header is None:
+        raise FormatError("expected `Found N issue(s)` header",
+                          _first_line(text, 0)[1])
+    if header.group(1) is None:
         return []
-    m = _INFER_HEADER.match(lines[idx].strip())
-    if not m:
-        raise FormatError("expected `Found N issue(s)` header", idx + 1)
-    declared = int(m.group(1))
-    idx += 1
+    declared = int(header.group(1))
 
     findings: list[Finding] = []
-    summary_counts: dict[str, int] = {}
-    in_summary = False
-    logical: list[str] = []
-    logical_start = 0
-
-    def flush_logical() -> None:
-        if not logical:
-            return
-        joined = " ".join(part.strip() for part in logical)
-        m2 = _INFER_ISSUE.match(joined)
-        if not m2:
-            raise FormatError(f"unrecognized report line: {logical[0]!r}",
-                              logical_start)
-        findings.append(Finding(
-            file=m2.group("path"), line=int(m2.group("line")),
-            kind=normalize_kind(m2.group("kind")), checker="ingest:infer",
-            message=m2.group("msg").strip(), function=""))
-        logical.clear()
-
-    while idx < len(lines):
-        raw = lines[idx]
-        idx += 1
-        if not raw.strip():
-            flush_logical()
-            continue
-        if raw.strip() == "Summary of the reports":
-            flush_logical()
-            in_summary = True
-            continue
-        if in_summary:
-            m3 = _INFER_SUMMARY_LINE.match(raw)
-            if not m3:
-                raise FormatError(f"malformed summary line: {raw!r}", idx)
-            kind = normalize_kind(m3.group(1))
-            summary_counts[kind] = summary_counts.get(kind, 0) + int(m3.group(2))
-            continue
-        if raw[:1].isspace():
-            # Indented message/context line; belongs to the current block.
-            if not findings and not logical:
-                raise FormatError(f"context line outside an issue block: {raw!r}",
-                                  idx)
-            continue
-        if not logical:
-            logical_start = idx
-        logical.append(raw)
-    flush_logical()
+    counts: list[int] = []
+    for m in _tile(_INFER, text, header.end(), _infer_error):
+        path, line, kind, msg, more, summary = m.groups()
+        if kind is not None:
+            msg = " ".join([part.rstrip() for part in (msg + more).split("\n")
+                            if not part[:1].isspace()])
+            findings.append(Finding(path, int(line), normalize_kind(kind),
+                                    "ingest:infer", msg, ""))
+        elif summary is not None:
+            first = text.count("\n", 0, m.start()) + 1
+            for line_no, raw in enumerate(summary.split("\n"), first):
+                count = _INFER_SUMMARY_LINE.fullmatch(raw)
+                if count is None:
+                    raise FormatError(f"malformed summary line: {raw!r}",
+                                      line_no)
+                if count.group(1):
+                    counts.append(int(count.group(1)))
 
     if len(findings) != declared:
         raise FormatError(
             f"header declares {declared} issue(s), parsed {len(findings)}")
-    if summary_counts and sum(summary_counts.values()) != declared:
+    if counts and sum(counts) != declared:
         raise FormatError("summary counts do not add up to the header count")
     return findings
 
@@ -143,9 +180,17 @@ def parse_infer_report(text: str) -> list:
 # Cppcheck console format
 # ---------------------------------------------------------------------------
 
-_CPPCHECK_BANNER = re.compile(r"^Checking .* \.\.\.$")
-_CPPCHECK_ENTRY = re.compile(r"^\[(?P<path>[^\[\]:]+):(?P<line>\d+)\]:\s*(?P<rest>.*)$")
-_CPPCHECK_SEVERITY = re.compile(r"^\((?P<sev>\w+)\)\s*(?P<msg>.*)$", re.S)
+_CPPCHECK_BANNER = rf"Checking [^\n]* \.\.\.{_W}*{_EOL}"
+# A line break inside an entry: blank lines are skipped, and a line whose
+# text starts with `[`, or a banner, ends the entry.
+_CPPCHECK_BREAK = rf"\n(?=\s*+(?!{_CPPCHECK_BANNER})[^\s\[])"
+_CPPCHECK_GAP = rf"{_W}*+(?:{_CPPCHECK_BREAK}\s*+)?"
+_CPPCHECK = re.compile(
+    rf"\s*+(?:{_CPPCHECK_BANNER}"
+    rf"|\[(?P<path>[^\[\]:\n]++):(?P<line>\d++)\]:{_CPPCHECK_GAP}"
+    rf"(?:\((?P<sev>\w++)\){_CPPCHECK_GAP})?"
+    rf"(?P<msg>[^\n]*+(?:{_CPPCHECK_BREAK}[^\n]*+)*+)"
+    rf"|\Z)(?:\n|\Z)")
 
 _CPPCHECK_MESSAGE_KINDS = (
     ("Memory leak", KIND_MEMORY_LEAK),
@@ -164,48 +209,34 @@ def _cppcheck_kind(message: str) -> str:
     return KIND_UNMAPPED
 
 
+def _cppcheck_error(line: str) -> str:
+    line = line.rstrip()
+    if line.lstrip().startswith("["):
+        return f"malformed bracket line: {line!r}"
+    return f"unrecognized report line: {line!r}"
+
+
 def parse_cppcheck_report(text: str) -> list:
     """`Checking file ...` banner plus `[path:line]: (severity) message`."""
+    text = _normalized(text)
     findings: list[Finding] = []
-    pending: tuple[str, int, list, int] | None = None  # path, line, msg parts
-
-    def flush() -> None:
-        nonlocal pending
-        if pending is None:
-            return
-        path, line, parts, line_no = pending
-        pending = None
-        message = " ".join(p.strip() for p in parts if p.strip())
-        m = _CPPCHECK_SEVERITY.match(message)
-        if not m:
-            raise FormatError(f"missing severity in message: {message!r}", line_no)
-        if m.group("sev") != "error":
-            return
-        msg = m.group("msg").strip()
-        findings.append(Finding(
-            file=path, line=line, kind=_cppcheck_kind(msg),
-            checker="ingest:cppcheck", message=msg, function=""))
-
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip():
-            continue
-        if _CPPCHECK_BANNER.match(line.strip()):
-            flush()
-            continue
-        m = _CPPCHECK_ENTRY.match(line.strip())
-        if m:
-            flush()
-            pending = (m.group("path"), int(m.group("line")),
-                       [m.group("rest")], idx)
-            continue
-        if line.strip().startswith("["):
-            raise FormatError(f"malformed bracket line: {line!r}", idx)
-        if pending is not None:
-            pending[2].append(line)
-            continue
-        raise FormatError(f"unrecognized report line: {line!r}", idx)
-    flush()
+    # An entry with no severity fails once the next record parses: a
+    # malformed bracket line right after it is reported first.
+    missing = None
+    for m in _tile(_CPPCHECK, text, 0, _cppcheck_error):
+        if missing is not None:
+            raise missing
+        path, line, sev, msg = m.groups()
+        if sev == "error":
+            msg = _unwrap(msg)
+            findings.append(Finding(path, int(line), _cppcheck_kind(msg),
+                                    "ingest:cppcheck", msg, ""))
+        elif sev is None and path is not None:
+            missing = FormatError(
+                f"missing severity in message: {_unwrap(msg)!r}",
+                text.count("\n", 0, m.start("path")) + 1)
+    if missing is not None:
+        raise missing
     return findings
 
 
@@ -213,10 +244,21 @@ def parse_cppcheck_report(text: str) -> list:
 # Predator plugin format
 # ---------------------------------------------------------------------------
 
-_PREDATOR_WARNING = re.compile(
-    r"^(?P<path>\S+?):(?P<line>\d+):(?P<col>\d+):\s*warning:\s*(?P<msg>.*)$")
-_PREDATOR_NOTE = re.compile(r"^(?P<path>\S+?):(?P<line>\d+):\s*note:\s*(?P<msg>.*)$")
 _PLUGIN_TAG = "[-fplugin=libsl.so]"
+_TAG = re.escape(_PLUGIN_TAG)
+_PREDATOR_HEAD = rf"\S+?:\d+:(?:\d+:{_W}*warning|{_W}*note):"
+# The rest of a warning or note: up to the first line holding the tag, over
+# blank lines and lines that start no other warning or note.
+_PREDATOR_BODY = (
+    rf"(?:[^\n]*{_TAG}[^\n]*+|[^\n]*+"
+    rf"(?:\n\s*+(?!{_PREDATOR_HEAD})\S[^\n]*+)*?"
+    rf"\n\s*+(?!{_PREDATOR_HEAD})[^\n]*{_TAG}[^\n]*+)")
+_PREDATOR = re.compile(
+    rf"\s*+(?:(?P<path>\S+?):(?P<line>\d+):\d+:{_W}*warning:{_W}*+"
+    rf"(?P<msg>{_PREDATOR_BODY})"
+    rf"|(?!\S+?:\d+:\d+:{_W}*warning:)\S+?:\d+:{_W}*note:{_PREDATOR_BODY}"
+    rf"|\Z)(?:\n|\Z)")
+_PREDATOR_HEAD_LINE = re.compile(rf"{_W}*{_PREDATOR_HEAD}")
 
 _PREDATOR_MESSAGE_KINDS = (
     ("memory leak detected", KIND_MEMORY_LEAK),
@@ -236,60 +278,25 @@ def _predator_kind(message: str) -> str:
     return KIND_UNMAPPED
 
 
+def _predator_error(line: str) -> str:
+    line = line.rstrip()
+    if _PREDATOR_HEAD_LINE.match(line):
+        return "warning not terminated by the plugin tag"
+    if "warning:" in line:
+        return f"warning line without path:line:col: {line!r}"
+    return f"unrecognized report line: {line!r}"
+
+
 def parse_predator_report(text: str) -> list:
-    """`path:line:col: warning: message [-fplugin=libsl.so]`; notes ignored.
-
-    Messages wrap across lines and end at the plugin tag.
-    """
+    """`path:line:col: warning: message [-fplugin=libsl.so]`, wrapped up to
+    the tag; notes ignored."""
     findings: list[Finding] = []
-    pending: tuple[str, int, list, int] | None = None
-    pending_is_note = False
-
-    def flush() -> None:
-        nonlocal pending
-        if pending is None:
-            return
-        path, line, parts, start = pending
-        pending = None
-        message = " ".join(p.strip() for p in parts if p.strip())
-        if _PLUGIN_TAG not in message:
-            raise FormatError("warning not terminated by the plugin tag", start)
-        message = message.replace(_PLUGIN_TAG, "").strip()
-        if pending_is_note:
-            return
-        findings.append(Finding(
-            file=path, line=line, kind=_predator_kind(message),
-            checker="ingest:predator", message=message, function=""))
-
-    for idx, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip():
-            continue
-        m = _PREDATOR_WARNING.match(line.strip())
-        if m:
-            flush()
-            pending = (m.group("path"), int(m.group("line")), [m.group("msg")], idx)
-            pending_is_note = False
-            if _PLUGIN_TAG in m.group("msg"):
-                flush()
-            continue
-        n = _PREDATOR_NOTE.match(line.strip())
-        if n:
-            flush()
-            pending = (n.group("path"), int(n.group("line")), [n.group("msg")], idx)
-            pending_is_note = True
-            if _PLUGIN_TAG in n.group("msg"):
-                flush()
-            continue
-        if pending is not None:
-            pending[2].append(line)
-            if _PLUGIN_TAG in line:
-                flush()
-            continue
-        if "warning:" in line:
-            raise FormatError(f"warning line without path:line:col: {line!r}", idx)
-        raise FormatError(f"unrecognized report line: {line!r}", idx)
-    flush()
+    for m in _tile(_PREDATOR, _normalized(text), 0, _predator_error):
+        path, line, msg = m.groups()
+        if path is not None:
+            msg = _unwrap(msg).replace(_PLUGIN_TAG, "").strip()
+            findings.append(Finding(path, int(line), _predator_kind(msg),
+                                    "ingest:predator", msg, ""))
     return findings
 
 
@@ -297,25 +304,39 @@ def parse_predator_report(text: str) -> list:
 # This package's structured format
 # ---------------------------------------------------------------------------
 
-_MEMLAB_FIELDS = ("file", "line", "kind", "checker", "message", "function")
+_MEMLAB_FIELDS = {"file": str, "line": int, "kind": str, "checker": str,
+                  "message": str, "function": str}
+_memlab_values = operator.itemgetter(*_MEMLAB_FIELDS)
 
 
 def parse_memlab_report(text: str) -> list:
+    """A JSON object a line: an integer `line` and five string fields."""
     findings: list[Finding] = []
     for idx, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
         try:
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
+            if not raw or raw.isspace():
+                continue
             raise FormatError(f"invalid record: {exc}", idx) from exc
-        if not isinstance(record, dict) or \
-                set(_MEMLAB_FIELDS) - set(record):
-            raise FormatError("record missing required fields", idx)
-        findings.append(Finding(
-            file=record["file"], line=int(record["line"]),
-            kind=record["kind"], checker=record["checker"],
-            message=record["message"], function=record["function"]))
+        try:
+            values = _memlab_values(record)
+        except (KeyError, TypeError):
+            raise FormatError("record missing required fields", idx) from None
+        file, line, kind, checker, message, function = values
+        if type(line) is not int or not (
+                type(file) is type(kind) is type(checker) is type(message)
+                is type(function) is str):
+            name = next(name for name, value in zip(_MEMLAB_FIELDS, values)
+                        if type(value) is not _MEMLAB_FIELDS[name])
+            want = "an integer" if name == "line" else "a string"
+            raise FormatError(
+                f"field `{name}` is not {want}: {record[name]!r}", idx)
+        try:
+            findings.append(Finding(file, line, kind, checker, message,
+                                    function))
+        except ValueError as exc:
+            raise FormatError(str(exc), idx) from None
     return findings
 
 

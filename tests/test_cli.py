@@ -433,6 +433,32 @@ class TestIngest:
         assert code == 0
         assert out == ""
 
+    def test_malformed_report_names_its_line(self, capsys, tmp_path):
+        report = tmp_path / "cppcheck.txt"
+        report.write_text("Checking a.c ...\n[a.c:4]: (error) Memory leak: p\n"
+                          "[a.c 5]: (error) x\n")
+        code, out, err = run_cli(capsys, "ingest", str(report),
+                                 "--format", "cppcheck")
+        assert (code, out) == (2, "")
+        assert err == ("memlab: error: line 3: malformed bracket line: "
+                       "'[a.c 5]: (error) x'\n")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("line", None, "field `line` is not an integer: None"),
+        ("kind", ["x"], "field `kind` is not a string: ['x']"),
+    ])
+    def test_ill_typed_memlab_record_names_its_line(self, capsys, tmp_path,
+                                                    field, value, message):
+        report = tmp_path / "tool.jsonl"
+        report.write_text(json.dumps({
+            "file": "sds.c", "line": 159, "kind": "MEMORY_LEAK",
+            "checker": "ingest:memlab", "message": "", "function": "",
+            field: value}) + "\n")
+        code, out, err = run_cli(capsys, "ingest", str(report),
+                                 "--format", "memlab")
+        assert (code, out) == (2, "")
+        assert err == f"memlab: error: line 1: {message}\n"
+
     def test_format_mismatch_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "ingest",
                                "reports/infer_null_deref.txt",

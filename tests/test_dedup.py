@@ -178,6 +178,47 @@ def dying_program(rng):
     return "\n".join(lines) + "\n"
 
 
+# Statements of `escaping_program`: blocks linked through the field `f`,
+# some moved into it, passed to `sink`, which has no body, and read back
+# through `f`.  Its tail frees or sinks what the arms linked.
+ESCAPING_STMTS = (
+    "p = malloc(sizeof(n));", "q = malloc(sizeof(n));",
+    "r = malloc(sizeof(n));", "q->f = malloc(sizeof(n));", "p->f = q;",
+    "q->f = r;", "r->f = p;", "p->f->f = r;", "p->f = q; q = NULL;",
+    "q->f = r; r = NULL;", "sink(p);", "sink(q);", "free(p);", "free(q);",
+    "q = p->f;", "r = q->f;", "p = r;", "p = NULL;", "r = NULL;",
+    "r = realloc(p, 8);",
+)
+ESCAPING_TAIL = ("free(p);", "free(q);", "free(r);", "sink(p);", "sink(q);",
+                 "q->f = r;", "p = NULL;")
+
+
+def escaping_program(rng):
+    """Blocks that escape, through a call, a return or a struct free, while
+    they hold other blocks in their fields or are given some later."""
+    def arm():
+        return " ".join(rng.choice(ESCAPING_STMTS)
+                        for _ in range(rng.randint(1, 3)))
+
+    lines = ["typedef struct n { struct n *f; int v; } n;",
+             "n *f(int c) {", "n *p = malloc(sizeof(n));",
+             "n *q = malloc(sizeof(n));", "n *r = malloc(sizeof(n));"]
+    for _ in range(rng.randint(2, 4)):
+        shape = rng.choice(("straight", "if", "if-else", "while"))
+        if shape == "straight":
+            lines.append(arm())
+        elif shape == "while":
+            lines += ["while (c > 0) {", arm(), "c = c - 1;", "}"]
+        else:
+            lines.append(f"if ({rng.choice(('c', 'p', 'q', 'r'))}) "
+                         f"{{ {arm()} }}")
+            if shape == "if-else":
+                lines.append(f"else {{ {arm()} }}")
+    lines += rng.sample(ESCAPING_TAIL, rng.randint(1, 3))
+    lines += [f"return {rng.choice(('p', 'q', 'r', 'NULL'))};", "}"]
+    return "\n".join(lines) + "\n"
+
+
 SIX_IF_LOOP = ("int f(int c, int i) {\n    int x = 0;\n    while (c > 0) {\n"
                + "        if (i) { x = i; }\n" * 6
                + "        c = c - 1;\n    }\n    return x;\n}\n")
@@ -258,6 +299,13 @@ def test_variables_that_die_at_joins(seed, monkeypatch):
         assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
 
 
+@pytest.mark.parametrize("seed", range(60))
+def test_blocks_that_escape_through_fields(seed, monkeypatch):
+    source = escaping_program(random.Random(seed))
+    for profile in sorted(PROFILES):
+        assert_same_without_dedup(source, PROFILES[profile], monkeypatch)
+
+
 @pytest.mark.parametrize("source", [
     pytest.param(p_chain(n), id=f"p{n}") for n in (1, 3, 8)] + [
     pytest.param(a_chain(k), id=f"a{k}") for k in (1, 3, 5)] + [
@@ -301,8 +349,9 @@ def assert_same_as_unpruned(source, config, monkeypatch):
 
 @pytest.mark.parametrize("make,seeds", [
     (dying_program, range(150)), (random_program, range(60)),
-    (branching_loop, range(60)), (store_program, range(60))],
-    ids=["dying", "random", "branching-loop", "store"])
+    (branching_loop, range(60)), (store_program, range(60)),
+    (escaping_program, range(60))],
+    ids=["dying", "random", "branching-loop", "store", "escaping"])
 def test_pruned_key_against_the_unpruned_one(make, seeds, monkeypatch):
     for seed in seeds:
         source = make(random.Random(seed))
@@ -369,47 +418,6 @@ class TestDeadAtTheJoin:
 
 ESCAPE_CONFIGS = [PROFILES[profile] for profile in sorted(PROFILES)] + [
     replace(PROFILES["union"], struct_field_leak=False)]
-
-# Statements of `escaping_program`: blocks linked through the field `f`,
-# some moved into it, passed to `sink`, which has no body, and read back
-# through `f`.  Its tail frees or sinks what the arms linked.
-ESCAPING_STMTS = (
-    "p = malloc(sizeof(n));", "q = malloc(sizeof(n));",
-    "r = malloc(sizeof(n));", "q->f = malloc(sizeof(n));", "p->f = q;",
-    "q->f = r;", "r->f = p;", "p->f->f = r;", "p->f = q; q = NULL;",
-    "q->f = r; r = NULL;", "sink(p);", "sink(q);", "free(p);", "free(q);",
-    "q = p->f;", "r = q->f;", "p = r;", "p = NULL;", "r = NULL;",
-    "r = realloc(p, 8);",
-)
-ESCAPING_TAIL = ("free(p);", "free(q);", "free(r);", "sink(p);", "sink(q);",
-                 "q->f = r;", "p = NULL;")
-
-
-def escaping_program(rng):
-    """Blocks that escape, through a call, a return or a struct free, while
-    they hold other blocks in their fields or are given some later."""
-    def arm():
-        return " ".join(rng.choice(ESCAPING_STMTS)
-                        for _ in range(rng.randint(1, 3)))
-
-    lines = ["typedef struct n { struct n *f; int v; } n;",
-             "n *f(int c) {", "n *p = malloc(sizeof(n));",
-             "n *q = malloc(sizeof(n));", "n *r = malloc(sizeof(n));"]
-    for _ in range(rng.randint(2, 4)):
-        shape = rng.choice(("straight", "if", "if-else", "while"))
-        if shape == "straight":
-            lines.append(arm())
-        elif shape == "while":
-            lines += ["while (c > 0) {", arm(), "c = c - 1;", "}"]
-        else:
-            lines.append(f"if ({rng.choice(('c', 'p', 'q', 'r'))}) "
-                         f"{{ {arm()} }}")
-            if shape == "if-else":
-                lines.append(f"else {{ {arm()} }}")
-    lines += rng.sample(ESCAPING_TAIL, rng.randint(1, 3))
-    lines += [f"return {rng.choice(('p', 'q', 'r', 'NULL'))};", "}"]
-    return "\n".join(lines) + "\n"
-
 
 @pytest.mark.parametrize("make,seeds", [
     (dying_program, range(150)), (random_program, range(60)),

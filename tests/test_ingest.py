@@ -5,6 +5,7 @@ output from the compared analyzers, including their line wrapping; the
 expectations here pin count, file, line, and normalized kind.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,118 @@ class TestMemlabFormat:
     def test_invalid_json_rejected(self):
         with pytest.raises(FormatError):
             parse_memlab_report("not json\n")
+
+
+class TestLocatedErrors:
+    """Malformed reports name the first line that fits none of the format's
+    shapes, and errors that concern the whole report name no line."""
+
+    CASES = [
+        # infer
+        ("infer", "a.c:1: error: DEAD_STORE msg\n",
+         "line 1: expected `Found N issue(s)` header", 1),
+        ("infer", "\n  \nFound one issue\n",
+         "line 3: expected `Found N issue(s)` header", 3),
+        ("infer", "Found 1 issue\n  5. ctx\na.c:1: error: DEAD_STORE msg\n",
+         "line 2: context line outside an issue block: '  5. ctx'", 2),
+        ("infer", "Found 1 issue\r\n\r\n\t5. ctx\r\n",
+         "line 3: context line outside an issue block: '\\t5. ctx'", 3),
+        ("infer", "Found 1 issue\n\na.c:1: error: DEAD_STORE msg\n\n"
+                  "Summary of the reports\n\n  DEAD_STORE: 1\nDEAD_STORE: 1\n",
+         "line 8: malformed summary line: 'DEAD_STORE: 1'", 8),
+        ("infer", "Found 1 issue\n\na.c:1: error: DEAD_STORE msg\n\n"
+                  "Summary of the reports\n  DEAD_STORE: 1 \n",
+         "line 6: malformed summary line: '  DEAD_STORE: 1 '", 6),
+        ("infer", "Found 1 issue\n\nSummary of the reports\n"
+                  "a.c:1: error: DEAD_STORE msg\n",
+         "line 4: malformed summary line: 'a.c:1: error: DEAD_STORE msg'", 4),
+        ("infer", "Found 1 issue\n\na.c:1: error: dead store\n  ctx\n",
+         "line 3: unrecognized report line: 'a.c:1: error: dead store'", 3),
+        ("infer", "Found 2 issues\n\na.c:1: warning: X\n\n"
+                  "b.c:2: error: DEAD_STORE y\n",
+         "line 3: unrecognized report line: 'a.c:1: warning: X'", 3),
+        ("infer", "Found 2 issues\n\na.c:1: error: DEAD_STORE msg\n",
+         "header declares 2 issue(s), parsed 1", 0),
+        ("infer", "Found 1 issue\n\na.c:1: error: DEAD_STORE msg\n"
+                  "\nb.c:2: error: DEAD_STORE msg\n",
+         "header declares 1 issue(s), parsed 2", 0),
+        ("infer", "Found 1 issue\n\na.c:1: error: DEAD_STORE msg\n\n"
+                  "Summary of the reports\n\n  DEAD_STORE: 2\n",
+         "summary counts do not add up to the header count", 0),
+        # cppcheck
+        ("cppcheck", "Checking a.c ...\n[a.c:4]: Memory leak: p\n",
+         "line 2: missing severity in message: 'Memory leak: p'", 2),
+        ("cppcheck", "[a.c:4]: Memory\n\n  leak: p\nChecking b.c ...\n",
+         "line 1: missing severity in message: 'Memory leak: p'", 1),
+        ("cppcheck", "[a.c:4]: Memory leak:\np\n\n[a.c:5: (error) x\n",
+         "line 4: malformed bracket line: '[a.c:5: (error) x'", 4),
+        ("cppcheck", "Checking a.c ...\n[a.c:4]: (error) Memory leak: p\n"
+                     "[a.c 5]: (error) x\n",
+         "line 3: malformed bracket line: '[a.c 5]: (error) x'", 3),
+        ("cppcheck", "a.c:4: error: something\n",
+         "line 1: unrecognized report line: 'a.c:4: error: something'", 1),
+        ("cppcheck", "Checking a.c ...\fstray line  \n",
+         "line 2: unrecognized report line: 'stray line'", 2),
+        # predator
+        ("predator", "a.c:4:2: warning: memory leak detected\n",
+         "line 1: warning not terminated by the plugin tag", 1),
+        ("predator", "\na.c:4:2: warning: memory leak\n\ndetected\n"
+                     "b.c:5:3: warning: double free [-fplugin=libsl.so]\n",
+         "line 2: warning not terminated by the plugin tag", 2),
+        ("predator", "a.c:7: note: x [-fplugin=\nlibsl.so]\n",
+         "line 1: warning not terminated by the plugin tag", 1),
+        ("predator", "a:1:note:[-fplugin=libsl.so]:2:3:warning: x\n",
+         "line 1: warning not terminated by the plugin tag", 1),
+        ("predator", "a.c: warning: memory leak [-fplugin=libsl.so]\n",
+         "line 1: warning line without path:line:col: "
+         "'a.c: warning: memory leak [-fplugin=libsl.so]'", 1),
+        ("predator", "a.c:7:3: warning: invalid free() [-fplugin=libsl.so]"
+                     "\r\n  something else \r\n",
+         "line 2: unrecognized report line: '  something else'", 2),
+        # memlab
+        ("memlab", '{"file": "a.c", "line": 1, "kind": "MEMORY_LEAK", '
+                   '"checker": "MEMORY_LEAK", "message": "m", "function": "f"}'
+                   '\n{"file": "a.c"\n',
+         "line 2: invalid record: Expecting ',' delimiter: line 1 column 15 "
+         "(char 14)", 2),
+        ("memlab", '\n{"file": "a.c", "line": 1}\n',
+         "line 2: record missing required fields", 2),
+        ("memlab", "[1, 2]\n", "line 1: record missing required fields", 1),
+    ]
+
+    @pytest.mark.parametrize("fmt,text,message,line_no", CASES)
+    def test_error_names_its_line(self, fmt, text, message, line_no):
+        with pytest.raises(FormatError) as exc:
+            parse_report(text, fmt)
+        assert (str(exc.value), exc.value.line_no) == (message, line_no)
+
+
+class TestTypedMemlabRecords:
+    """A memlab record has an integer `line` and five string fields; any
+    other record is a FormatError at its line."""
+
+    GOOD = {"file": "a.c", "line": 3, "kind": "MEMORY_LEAK",
+            "checker": "MEMORY_LEAK", "message": "m", "function": "f"}
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("line", None, "field `line` is not an integer: None"),
+        ("line", "abc", "field `line` is not an integer: 'abc'"),
+        ("line", "7", "field `line` is not an integer: '7'"),
+        ("line", 2.7, "field `line` is not an integer: 2.7"),
+        ("line", True, "field `line` is not an integer: True"),
+        ("kind", ["x"], "field `kind` is not a string: ['x']"),
+        ("file", 5, "field `file` is not a string: 5"),
+        ("function", None, "field `function` is not a string: None"),
+        ("kind", "NULL_DEREFERENCE",
+         "kind NULL_DEREFERENCE inconsistent with checker MEMORY_LEAK"),
+    ])
+    def test_bad_field_is_located(self, field, value, message):
+        text = json.dumps(self.GOOD) + "\n\n" + \
+            json.dumps({**self.GOOD, field: value}) + "\n"
+        with pytest.raises(FormatError) as exc:
+            parse_memlab_report(text)
+        assert (str(exc.value), exc.value.line_no) == \
+            (f"line 3: {message}", 3)
 
 
 class TestNormalizeKind:
