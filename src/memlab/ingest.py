@@ -61,20 +61,12 @@ def normalize_kind(raw: str) -> str:
     return _PHRASE_KINDS.get(token.lower(), KIND_UNMAPPED)
 
 
-# In a `_normalized` report, in-line whitespace, what str.strip removes, is
-# `[^\S\n]`.
+# Each parser first writes every line break `str.splitlines` knows as `\n`,
+# so that line numbers count its lines.  In-line whitespace, what str.strip
+# removes, is then `[^\S\n]`.
 _W = r"[^\S\n]"
 _EOL = r"(?=\n|\Z)"
-_BLANK_LINES = re.compile(rf"(?:{_W}*\n)*")
-
-
-def _normalized(text: str) -> str:
-    """`text` with `\\n` for every line break `str.splitlines` knows, so that
-    line numbers count its lines.  Where that would only drop a final `\\n`,
-    which every pattern reads as the end of the text, `text` itself."""
-    if text.isascii() and not any(c in text for c in "\r\v\f\x1c\x1d\x1e"):
-        return text
-    return "\n".join(text.splitlines())
+_BLANK_LINES = re.compile(rf"(?:{_W}*+\n)*+")
 
 
 def _first_line(text: str, pos: int) -> tuple:
@@ -87,10 +79,8 @@ def _tile(pattern: re.Pattern, text: str, pos: int, error):
     """Yield the records `pattern` matches back to back from `pos` to the
     end of `text`; where none matches, raise a FormatError with the message
     `error` gives for the first non-blank line from there."""
-    match = pattern.match
-    end = len(text)
-    while pos < end:
-        m = match(text, pos)
+    while pos < len(text):
+        m = pattern.match(text, pos)
         if m is None:
             line, line_no = _first_line(text, pos)
             raise FormatError(error(line), line_no)
@@ -116,7 +106,7 @@ _INFER_CONTEXT = rf"{_W}++{_NOT_TITLE}\S[^\n]*+"
 _INFER_GAP = rf"{_W}*+(?:\n(?:{_INFER_CONTEXT}\n)*+(?={_NOT_TITLE}\S))?"
 
 _INFER_HEADER = re.compile(
-    rf"\s*+(?:Found (\d+) issues?{_W}*+(?:\n(?:{_W}*\n)*|\Z)|\Z)")
+    rf"\s*+(?:Found (\d+) issues?{_W}*+(?:\n(?:{_W}*+\n)*+|\Z)|\Z)")
 # An issue block runs to a blank line and takes the blank and context lines
 # after it in; `msg` holds its message lines up to the first context line,
 # `more` any lines after that run of context.  The summary runs to the end.
@@ -140,7 +130,7 @@ def _infer_error(line: str) -> str:
 
 def parse_infer_report(text: str) -> list:
     """`Found N issue(s)`, issue blocks, then `Summary of the reports`."""
-    text = _normalized(text)
+    text = "\n".join(text.splitlines())
     header = _INFER_HEADER.match(text)
     if header is None:
         raise FormatError("expected `Found N issue(s)` header",
@@ -181,15 +171,13 @@ def parse_infer_report(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 _CPPCHECK_BANNER = rf"Checking [^\n]* \.\.\.{_W}*{_EOL}"
-# A line break inside an entry: blank lines are skipped, and a line whose
-# text starts with `[`, or a banner, ends the entry.
-_CPPCHECK_BREAK = rf"\n(?=\s*+(?!{_CPPCHECK_BANNER})[^\s\[])"
-_CPPCHECK_GAP = rf"{_W}*+(?:{_CPPCHECK_BREAK}\s*+)?"
+# A line break inside an entry, with the blank lines and indentation after
+# it; a line whose text starts with `[`, or a banner, ends the entry.
+_CPPCHECK_BREAK = rf"\n\s*+(?=[^\s\[])(?!{_CPPCHECK_BANNER})"
 _CPPCHECK = re.compile(
     rf"\s*+(?:{_CPPCHECK_BANNER}"
-    rf"|\[(?P<path>[^\[\]:\n]++):(?P<line>\d++)\]:{_CPPCHECK_GAP}"
-    rf"(?:\((?P<sev>\w++)\){_CPPCHECK_GAP})?"
-    rf"(?P<msg>[^\n]*+(?:{_CPPCHECK_BREAK}[^\n]*+)*+)"
+    rf"|\[(?P<path>[^\[\]:\n]++):(?P<line>\d++)\]:{_W}*+(?:{_CPPCHECK_BREAK})?"
+    rf"(?:\((?P<sev>\w++)\))?(?P<msg>[^\n]*+(?:{_CPPCHECK_BREAK}[^\n]*+)*+)"
     rf"|\Z)(?:\n|\Z)")
 
 _CPPCHECK_MESSAGE_KINDS = (
@@ -218,25 +206,20 @@ def _cppcheck_error(line: str) -> str:
 
 def parse_cppcheck_report(text: str) -> list:
     """`Checking file ...` banner plus `[path:line]: (severity) message`."""
-    text = _normalized(text)
+    text = "\n".join(text.splitlines())
     findings: list[Finding] = []
-    # An entry with no severity fails once the next record parses: a
-    # malformed bracket line right after it is reported first.
-    missing = None
     for m in _tile(_CPPCHECK, text, 0, _cppcheck_error):
-        if missing is not None:
-            raise missing
         path, line, sev, msg = m.groups()
         if sev == "error":
             msg = _unwrap(msg)
             findings.append(Finding(path, int(line), _cppcheck_kind(msg),
                                     "ingest:cppcheck", msg, ""))
         elif sev is None and path is not None:
-            missing = FormatError(
-                f"missing severity in message: {_unwrap(msg)!r}",
-                text.count("\n", 0, m.start("path")) + 1)
-    if missing is not None:
-        raise missing
+            # If the next line fits no record, its error is reported first.
+            if _CPPCHECK.match(text, m.end()):
+                raise FormatError(
+                    f"missing severity in message: {_unwrap(msg)!r}",
+                    text.count("\n", 0, m.start("path")) + 1)
     return findings
 
 
@@ -250,11 +233,10 @@ _PREDATOR_HEAD = rf"\S+?:\d+:(?:\d+:{_W}*warning|{_W}*note):"
 # The rest of a warning or note: up to the first line holding the tag, over
 # blank lines and lines that start no other warning or note.
 _PREDATOR_BODY = (
-    rf"(?:[^\n]*{_TAG}[^\n]*+|[^\n]*+"
-    rf"(?:\n\s*+(?!{_PREDATOR_HEAD})\S[^\n]*+)*?"
-    rf"\n\s*+(?!{_PREDATOR_HEAD})[^\n]*{_TAG}[^\n]*+)")
+    rf"(?:(?![^\n]*{_TAG})[^\n]*+\n\s*+(?!{_PREDATOR_HEAD})(?=\S))*+"
+    rf"[^\n]*{_TAG}[^\n]*+")
 _PREDATOR = re.compile(
-    rf"\s*+(?:(?P<path>\S+?):(?P<line>\d+):\d+:{_W}*warning:{_W}*+"
+    rf"\s*+(?:(?P<path>\S+?):(?P<line>\d+):\d+:{_W}*warning:"
     rf"(?P<msg>{_PREDATOR_BODY})"
     rf"|(?!\S+?:\d+:\d+:{_W}*warning:)\S+?:\d+:{_W}*note:{_PREDATOR_BODY}"
     rf"|\Z)(?:\n|\Z)")
@@ -291,7 +273,8 @@ def parse_predator_report(text: str) -> list:
     """`path:line:col: warning: message [-fplugin=libsl.so]`, wrapped up to
     the tag; notes ignored."""
     findings: list[Finding] = []
-    for m in _tile(_PREDATOR, _normalized(text), 0, _predator_error):
+    text = "\n".join(text.splitlines())
+    for m in _tile(_PREDATOR, text, 0, _predator_error):
         path, line, msg = m.groups()
         if path is not None:
             msg = _unwrap(msg).replace(_PLUGIN_TAG, "").strip()
@@ -304,8 +287,8 @@ def parse_predator_report(text: str) -> list:
 # This package's structured format
 # ---------------------------------------------------------------------------
 
-_MEMLAB_FIELDS = {"file": str, "line": int, "kind": str, "checker": str,
-                  "message": str, "function": str}
+_MEMLAB_FIELDS = ("file", "line", "kind", "checker", "message", "function")
+_MEMLAB_TYPES = [str, int, str, str, str, str]
 _memlab_values = operator.itemgetter(*_MEMLAB_FIELDS)
 
 
@@ -323,18 +306,14 @@ def parse_memlab_report(text: str) -> list:
             values = _memlab_values(record)
         except (KeyError, TypeError):
             raise FormatError("record missing required fields", idx) from None
-        file, line, kind, checker, message, function = values
-        if type(line) is not int or not (
-                type(file) is type(kind) is type(checker) is type(message)
-                is type(function) is str):
-            name = next(name for name, value in zip(_MEMLAB_FIELDS, values)
-                        if type(value) is not _MEMLAB_FIELDS[name])
-            want = "an integer" if name == "line" else "a string"
-            raise FormatError(
-                f"field `{name}` is not {want}: {record[name]!r}", idx)
+        if [*map(type, values)] != _MEMLAB_TYPES:  # name the first bad field
+            for name, value, typ in zip(_MEMLAB_FIELDS, values, _MEMLAB_TYPES):
+                if type(value) is not typ:
+                    noun = "an integer" if typ is int else "a string"
+                    raise FormatError(
+                        f"field `{name}` is not {noun}: {value!r}", idx)
         try:
-            findings.append(Finding(file, line, kind, checker, message,
-                                    function))
+            findings.append(Finding(*values))
         except ValueError as exc:
             raise FormatError(str(exc), idx) from None
     return findings

@@ -116,6 +116,13 @@ class TestCppcheckFormat:
         with pytest.raises(FormatError):
             parse_cppcheck_report("a.c:4: error: something\n")
 
+    def test_entry_wrapped_over_many_blank_lines(self):
+        text = ("[a.c:9]: (error) Memory\n" + " \n\t\n" * 2000
+                + "   leak: p\n\n[a.c:10]: (error) Resource leak: f\n")
+        findings = parse_cppcheck_report(text)
+        assert [(f.line, f.message) for f in findings] == [
+            (9, "Memory leak: p"), (10, "Resource leak: f")]
+
 
 class TestPredatorFormat:
     def test_unterminated_warning_rejected(self):
@@ -193,6 +200,9 @@ class TestLocatedErrors:
         ("predator", "\na.c:4:2: warning: memory leak\n\ndetected\n"
                      "b.c:5:3: warning: double free [-fplugin=libsl.so]\n",
          "line 2: warning not terminated by the plugin tag", 2),
+        ("predator", "a.c:4:2: warning: memory leak\n\n \t b.c:5:3: warning: "
+                     "double free [-fplugin=libsl.so]\n",
+         "line 1: warning not terminated by the plugin tag", 1),
         ("predator", "a.c:7: note: x [-fplugin=\nlibsl.so]\n",
          "line 1: warning not terminated by the plugin tag", 1),
         ("predator", "a:1:note:[-fplugin=libsl.so]:2:3:warning: x\n",
