@@ -58,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import frontend as ast
-from .cfg import Cfg, FALSE_BRANCH, LOOP_BACK, TRUE_BRANCH, build_cfg
+from .cfg import Cfg, LOOP_BACK, build_cfg
 
 # ---------------------------------------------------------------------------
 # Checker ids, finding kinds, configuration
@@ -205,7 +205,7 @@ class Finding:
 class PtrValue:
     """Abstract pointer value.
 
-    kind: null | block | stack | unknown | freed | uninit.
+    kind: null | block | stack | unknown | uninit.
     For null values, origin records why the pointer may be null
     ("literal", "alloc_failure", "refined") and line where it was assigned.
     param_index marks values flowing in unchanged from a parameter, which
@@ -256,7 +256,7 @@ def truthiness(value) -> str:
     if isinstance(value, PtrValue):
         if value.kind == "null":
             return "false"
-        if value.kind in ("block", "stack", "freed"):
+        if value.kind in ("block", "stack"):
             return "true"
         return "unknown"
     if isinstance(value, ScalarValue):
@@ -455,8 +455,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
 
     def canon(v):
         if _is_block(v):
-            return ("block", renum[v.site], v.offset, v.origin, v.line,
-                    v.var, v.param_index)
+            return ("block", renum[v.site], v.offset)
         return _scalar_state(v)
 
     return (block_id, names, tuple(map(canon, values)), stores,
@@ -525,7 +524,6 @@ class _FunctionAnalysis:
         self.has_user_calls = any(
             name not in ast.BUILTIN_FUNCTIONS for name in fn.calls)
 
-        self.param_names = [name for name, _ in fn.params]
         self.global_names = {g.name for g in tu.globals}
 
         # Dead-store bookkeeping is global across paths: a store is dead
@@ -548,8 +546,7 @@ class _FunctionAnalysis:
 
     def run(self) -> None:
         state = AbstractHeap()
-        for name, ctype in self.fn.params:
-            idx = self.param_names.index(name)
+        for idx, (name, ctype) in enumerate(self.fn.params):
             if ctype.is_pointer:
                 state.env[name] = PtrValue("unknown", param_index=idx)
             else:
@@ -608,11 +605,9 @@ class _FunctionAnalysis:
                 # weight 0 until the paths from here are explored
                 self.seen[key] = (0, self._alias_stores(state, keep))
                 stack.append((None, key, self.paths_counted))
-            blk = self.cfg.block(block_id)
+            blk = self.cfg.blocks[block_id]
             states = [state]
             for stmt in blk.statements:
-                if isinstance(stmt, (ast.If, ast.While)):
-                    continue  # the condition is handled with the terminator
                 states = [t for s in states for t in self.transfer(stmt, s)]
                 if not states:
                     break
@@ -621,22 +616,22 @@ class _FunctionAnalysis:
                     self.finish_path(s)
                 continue
             succs = self.cfg.successors(block_id)
+            cond = blk.branch_cond
             nexts = []  # (dst, edge kind, state), in the order to enter them
             for s in states:
-                if blk.terminator != "branch":
+                if cond is None:
                     nexts += [(dst, kind, s) for dst, kind in succs]
                     continue
-                for cstate, value in self.eval(blk.branch_cond, s):
+                then_exit, else_exit = succs
+                for cstate, value in self.eval(cond, s):
                     truth = truthiness(value)
                     if truth != "false":
                         tstate = cstate if truth == "true" else cstate.clone()
-                        self._refine(tstate, blk.branch_cond, branch=True)
-                        nexts += [(d, k, tstate) for d, k in succs
-                                  if k == TRUE_BRANCH]
+                        self._refine(tstate, cond, branch=True)
+                        nexts.append((*then_exit, tstate))
                     if truth != "true":
-                        self._refine(cstate, blk.branch_cond, branch=False)
-                        nexts += [(d, k, cstate) for d, k in succs
-                                  if k == FALSE_BRANCH]
+                        self._refine(cstate, cond, branch=False)
+                        nexts.append((*else_exit, cstate))
             for dst, kind, s in reversed(nexts):
                 edge_counts = back_counts
                 if kind == LOOP_BACK:
@@ -842,7 +837,7 @@ class _FunctionAnalysis:
         if isinstance(expr, (ast.SizeofType, ast.SizeofExpr)):
             return [(state, NONZERO)]  # the operand is not evaluated
         if isinstance(expr, ast.Ident):
-            return [(state, self._read_var(state, expr))]
+            return [(state, self._read_var(state, expr.name, expr.loc))]
         if isinstance(expr, ast.AddressOf):
             target = expr.expr
             if isinstance(target, ast.Ident):
@@ -877,14 +872,13 @@ class _FunctionAnalysis:
             return self.eval_call(expr, state)
         return [(state, UNKNOWN)]
 
-    def _read_var(self, state: AbstractHeap, ident: ast.Ident):
-        name = ident.name
+    def _read_var(self, state: AbstractHeap, name: str, loc):
         key = state.cur_store.get(name)
         if key is not None:
             self.read_stores.add(key)
         value = state.env.get(name, UNKNOWN)
         if is_uninit(value):
-            self.check_uninit_use(name, ident.loc)
+            self.check_uninit_use(name, loc)
             value = UNKNOWN if isinstance(value, ScalarValue) else PTR_UNKNOWN
             state.env[name] = value
         return value
@@ -893,15 +887,7 @@ class _FunctionAnalysis:
         if not isinstance(base, PtrValue):
             return UNKNOWN
         if base.kind == "stack" and fieldname == "":
-            key = state.cur_store.get(base.var)
-            if key is not None:
-                self.read_stores.add(key)
-            value = state.env.get(base.var, UNKNOWN)
-            if is_uninit(value):
-                self.check_uninit_use(base.var, loc)
-                value = UNKNOWN
-                state.env[base.var] = value
-            return value
+            return self._read_var(state, base.var, loc)
         if base.kind == "block":
             info = state.sites.get(base.site)
             if info is None:
@@ -1278,7 +1264,9 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
 
 def compute_summaries(tu: ast.TranslationUnit, cfgs: dict,
                       config: CheckerConfig) -> dict:
-    """Summaries in call-graph dependency order; recursion breaks to None."""
+    """Summaries in call-graph dependency order.  A function on a call
+    cycle keeps the summary of its first exploration, in which a call into
+    the cycle's unfinished functions has no summary to read."""
     return _explore(tu, cfgs, config)[0]
 
 

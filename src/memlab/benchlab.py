@@ -152,6 +152,77 @@ def _parse_date(raw) -> date | None:
     return datetime.strptime(raw, "%Y-%m-%d").date()
 
 
+# Manifests are JSON Lines.  The readers below raise a ManifestError that
+# names the field; the loaders put the record's path:line in front of it.
+
+def _json_object(raw: str) -> dict:
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"invalid record: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ManifestError("a record must be a JSON object")
+    return record
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_str_or_null(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_str, value))
+
+
+_REQUIRED = object()
+
+
+def _field(record: dict, key: str, ok=_is_str, want: str = "a string",
+           default=_REQUIRED):
+    """`record[key]` if `ok` accepts it; `default` if the key is missing
+    and a default is given."""
+    if key not in record:
+        if default is _REQUIRED:
+            raise ManifestError(f"missing {key!r}")
+        return default
+    if not ok(record[key]):
+        raise ManifestError(f"{key!r} must be {want}")
+    return record[key]
+
+
+def _truth_entry(record: dict) -> GroundTruthEntry:
+    def day(key):
+        return _parse_date(_field(record, key, _is_str_or_null,
+                                  "a string or null", None))
+
+    return GroundTruthEntry(
+        file=_field(record, "file"),
+        line=_field(record, "line", _is_int, "an integer"),
+        kind=_field(record, "kind"),
+        is_real=_field(record, "is_real", lambda v: isinstance(v, bool),
+                       "a boolean"),
+        introduced_version=_field(record, "introduced_version"),
+        fixed_version=_field(record, "fixed_version", _is_str_or_null,
+                             "a string or null", None),
+        introduced_date=day("introduced_date"),
+        fixed_date=day("fixed_date"),
+        source=_field(record, "source", default="manual-review"),
+        tools=tuple(_field(record, "tools", _is_str_list,
+                           "a list of strings", ())),
+        note=_field(record, "note", default=""),
+        interval_months=_field(
+            record, "interval_months", lambda v: v is None or _is_int(v)
+            or isinstance(v, float), "a number or null", None),
+    )
+
+
 def load_truth_manifest(path) -> TruthManifest:
     path = Path(path)
     if not path.exists():
@@ -162,46 +233,30 @@ def load_truth_manifest(path) -> TruthManifest:
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}:{idx}: invalid record: {exc}") from exc
-        rtype = record.get("record")
-        if rtype == "header":
-            if manifest is not None:
-                raise ManifestError(f"{path}:{idx}: duplicate header")
-            manifest = TruthManifest(
-                program=record["program"],
-                versions=list(record["versions"]),
-                entries=[],
-            )
-            continue
-        if manifest is None:
-            raise ManifestError(f"{path}:{idx}: first record must be the header")
-        if rtype == "entry":
-            try:
-                manifest.entries.append(GroundTruthEntry(
-                    file=record["file"],
-                    line=int(record["line"]),
-                    kind=record["kind"],
-                    is_real=bool(record["is_real"]),
-                    introduced_version=record["introduced_version"],
-                    fixed_version=record.get("fixed_version"),
-                    introduced_date=_parse_date(record.get("introduced_date")),
-                    fixed_date=_parse_date(record.get("fixed_date")),
-                    source=record.get("source", "manual-review"),
-                    tools=tuple(record.get("tools", ())),
-                    note=record.get("note", ""),
-                    interval_months=record.get("interval_months"),
-                ))
-            except (KeyError, ValueError, ManifestError) as exc:
-                raise ManifestError(f"{path}:{idx}: {exc}") from exc
-            continue
-        if rtype == "aggregate_fp":
-            manifest.aggregates.append(AggregateFalsePositives(
-                tool=record["tool"], kind=record["kind"],
-                count=int(record["count"]), note=record.get("note", "")))
-            continue
-        raise ManifestError(f"{path}:{idx}: unknown record type {rtype!r}")
+            record = _json_object(raw)
+            rtype = record.get("record")
+            if rtype == "header":
+                if manifest is not None:
+                    raise ManifestError("duplicate header")
+                manifest = TruthManifest(
+                    program=_field(record, "program"),
+                    versions=list(_field(record, "versions", _is_str_list,
+                                         "a list of strings")),
+                    entries=[],
+                )
+            elif manifest is None:
+                raise ManifestError("first record must be the header")
+            elif rtype == "entry":
+                manifest.entries.append(_truth_entry(record))
+            elif rtype == "aggregate_fp":
+                manifest.aggregates.append(AggregateFalsePositives(
+                    tool=_field(record, "tool"), kind=_field(record, "kind"),
+                    count=_field(record, "count", _is_int, "an integer"),
+                    note=_field(record, "note", default="")))
+            else:
+                raise ManifestError(f"unknown record type {rtype!r}")
+        except (ValueError, ManifestError) as exc:
+            raise ManifestError(f"{path}:{idx}: {exc}") from exc
     if manifest is None:
         raise ManifestError(f"{path}: empty manifest")
     for e in manifest.entries:
@@ -409,34 +464,21 @@ class CorpusManifest:
     fixtures: list
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _corpus_fixture(record, where: str) -> CorpusFixture:
+def _corpus_fixture(record: dict) -> CorpusFixture:
     """The fixture one manifest record describes; a field that is missing
-    or of the wrong JSON type is a ManifestError located at `where`."""
-    if not isinstance(record, dict):
-        raise ManifestError(f"{where}: a record must be a JSON object")
-
-    def get(key, ok, want):
-        if key not in record:
-            raise ManifestError(f"{where}: missing {key!r}")
-        if not ok(record[key]):
-            raise ManifestError(f"{where}: {key!r} must be {want}")
-        return record[key]
-
-    fixture = get("fixture", lambda v: isinstance(v, str), "a string")
-    fixed = record.get("fixed")
-    if fixed is not None and not isinstance(fixed, str):
-        raise ManifestError(f"{where}: 'fixed' must be a string or null")
-    pattern = get("pattern", _is_int, "an integer")
-    expected = get("expected", lambda v: isinstance(v, list) and all(
-        isinstance(e, dict) and _is_int(e.get("line"))
-        and isinstance(e.get("kind"), str) for e in v),
+    or of the wrong JSON type is a ManifestError."""
+    fixture = _field(record, "fixture")
+    fixed = _field(record, "fixed", _is_str_or_null, "a string or null",
+                   None)
+    pattern = _field(record, "pattern", _is_int, "an integer")
+    expected = _field(
+        record, "expected", lambda v: isinstance(v, list) and all(
+            isinstance(e, dict) and _is_int(e.get("line"))
+            and isinstance(e.get("kind"), str) for e in v),
         'a list of {"line": integer, "kind": string}')
-    profiles = get("profiles", lambda v: isinstance(v, dict) and all(
-        isinstance(b, bool) for b in v.values()), "an object of booleans")
+    profiles = _field(
+        record, "profiles", lambda v: isinstance(v, dict) and all(
+            isinstance(b, bool) for b in v.values()), "an object of booleans")
     return CorpusFixture(
         path=fixture, fixed_path=fixed, pattern=pattern,
         expected=tuple((e["line"], e["kind"]) for e in expected),
@@ -453,10 +495,9 @@ def load_corpus_manifest(path) -> CorpusManifest:
         if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}:{idx}: invalid record: {exc}") from exc
-        fixtures.append(_corpus_fixture(record, f"{path}:{idx}"))
+            fixtures.append(_corpus_fixture(_json_object(raw)))
+        except ManifestError as exc:
+            raise ManifestError(f"{path}:{idx}: {exc}") from exc
     manifest = CorpusManifest(root=path.parent, fixtures=fixtures)
     for fx in fixtures:
         for p in (fx.path, fx.fixed_path):

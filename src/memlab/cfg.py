@@ -4,8 +4,7 @@ Each function body becomes a directed graph of basic blocks.  Straight-line
 statements stay inside one block; ``if``/``while`` introduce branch blocks
 with labeled true/false edges, and ``while`` adds a loop-back edge.  Early
 ``return`` statements get an edge straight to the single exit block.  Code
-after a ``return`` is kept in an unreachable block and flagged, never
-reported.
+after a ``return`` is kept in an unreachable block that is never explored.
 
 Each graph also answers, per block, what a path from the block's entry may
 still read (``Cfg.live``), so that the engine can leave the rest out of the
@@ -30,19 +29,18 @@ LOOP_BACK = "loop-back"
 class BasicBlock:
     id: int
     statements: list = field(default_factory=list)
-    # "branch" (terminated by If/While condition), "return", or "jump"
-    terminator: str = "jump"
+    # The condition of an `if` or `while`: the block ends in it, and its
+    # successors are [(then, TRUE_BRANCH), (else or after, FALSE_BRANCH)].
+    # Any other block has at most one successor.
     branch_cond: object | None = None
 
 
 @dataclass
 class Cfg:
-    function: str
     blocks: list[BasicBlock]
     entry: int
     exit: int
     edges: list[tuple[int, int, str]]
-    has_dead_code: bool = False
     # (dst, kind) per block, in edge insertion order; built once because the
     # engine asks for a block's successors on every step of every path.
     _succs: list = field(init=False, repr=False, compare=False)
@@ -78,9 +76,6 @@ class Cfg:
 
     def successors(self, block_id: int) -> list[tuple[int, str]]:
         return self._succs[block_id]
-
-    def block(self, block_id: int) -> BasicBlock:
-        return self.blocks[block_id]
 
     def live(self, block_id: int) -> frozenset:
         """What some path from the block's entry may read before writing
@@ -146,10 +141,6 @@ class Cfg:
                         work.append(src)
         return [frozenset(entry) for entry in live]
 
-    def dump_edges(self) -> str:
-        """One line per edge, ``from -> to [kind]``, in edge insertion order."""
-        return "".join(f"{src} -> {dst} [{kind}]\n" for src, dst, kind in self.edges)
-
 
 _UNARY = (Deref, AddressOf, FieldAccess, UnaryNot, Cast)
 
@@ -172,11 +163,9 @@ def _expr_reads(expr, out: set) -> None:
 
 
 class _Builder:
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.blocks: list[BasicBlock] = []
         self.edges: list[tuple[int, int, str]] = []
-        self.has_dead_code = False
 
     def new_block(self) -> BasicBlock:
         blk = BasicBlock(id=len(self.blocks))
@@ -187,25 +176,22 @@ class _Builder:
         self.edges.append((src, dst, kind))
 
     def build(self, fn: FunctionDef) -> Cfg:
+        # No edge enters the first block, since every loop head is a block
+        # of its own, so the first block is the entry.
         entry = self.new_block()
         exit_blk = self.new_block()
-        exit_blk.terminator = "return"
-        first = self.new_block()
-        self.edge(entry.id, first.id, FALLTHROUGH)
-        last = self.lower_stmts(fn.body, first, exit_blk)
+        last = self.lower_stmts(fn.body, entry, exit_blk)
         if last is not None:
             self.edge(last.id, exit_blk.id, FALLTHROUGH)
-        return Cfg(self.name, self.blocks, entry.id, exit_blk.id, self.edges,
-                   self.has_dead_code)
+        return Cfg(self.blocks, entry.id, exit_blk.id, self.edges)
 
     def lower_stmts(self, stmts: list, current: BasicBlock,
                     exit_blk: BasicBlock) -> BasicBlock | None:
         """Lower statements into `current`; return the open trailing block,
         or None if every path has already returned."""
-        for idx, stmt in enumerate(stmts):
+        for stmt in stmts:
             if current is None:
                 # Dead code after a return: park it in an unreachable block.
-                self.has_dead_code = True
                 current = self.new_block()
             current = self.lower_stmt(stmt, current, exit_blk)
         return current
@@ -214,7 +200,6 @@ class _Builder:
                    exit_blk: BasicBlock) -> BasicBlock | None:
         if isinstance(stmt, Return):
             current.statements.append(stmt)
-            current.terminator = "return"
             self.edge(current.id, exit_blk.id, FALLTHROUGH)
             return None
         if isinstance(stmt, If):
@@ -224,8 +209,6 @@ class _Builder:
             arms = []  # (branch block, end of the then arm, has an else)
             end = None  # where the last arm's else ends
             while True:
-                current.statements.append(stmt)
-                current.terminator = "branch"
                 current.branch_cond = stmt.cond
                 then_blk = self.new_block()
                 self.edge(current.id, then_blk.id, TRUE_BRANCH)
@@ -255,8 +238,6 @@ class _Builder:
         if isinstance(stmt, While):
             cond_blk = self.new_block()
             self.edge(current.id, cond_blk.id, FALLTHROUGH)
-            cond_blk.statements.append(stmt)
-            cond_blk.terminator = "branch"
             cond_blk.branch_cond = stmt.cond
             body_blk = self.new_block()
             self.edge(cond_blk.id, body_blk.id, TRUE_BRANCH)
@@ -271,5 +252,5 @@ class _Builder:
 
 
 def build_cfg(fn: FunctionDef) -> Cfg:
-    return _Builder(fn.name).build(fn)
+    return _Builder().build(fn)
 

@@ -106,12 +106,12 @@ _INFER_CONTEXT = rf"{_W}++{_NOT_TITLE}\S[^\n]*+"
 _INFER_GAP = rf"{_W}*+(?:\n(?:{_INFER_CONTEXT}\n)*+(?={_NOT_TITLE}\S))?"
 
 _INFER_HEADER = re.compile(
-    rf"\s*+(?:Found (\d+) issues?{_W}*+(?:\n(?:{_W}*+\n)*+|\Z)|\Z)")
+    rf"\s*+(?:Found ([0-9]+) issues?{_W}*+(?:\n(?:{_W}*+\n)*+|\Z)|\Z)")
 # An issue block runs to a blank line and takes the blank and context lines
 # after it in; `msg` holds its message lines up to the first context line,
 # `more` any lines after that run of context.  The summary runs to the end.
 _INFER = re.compile(
-    rf"(?P<path>\S+?):(?P<line>\d++):{_INFER_GAP}error:{_INFER_GAP}"
+    rf"(?P<path>\S+?):(?P<line>[0-9]++):{_INFER_GAP}error:{_INFER_GAP}"
     rf"(?P<kind>[A-Z_]++)\b{_INFER_GAP}"
     rf"(?P<msg>[^\n]*+(?:\n{_NOT_TITLE}\S[^\n]*+)*+)(?:\n{_INFER_CONTEXT})*+"
     rf"(?P<more>(?:\n{_W}*+{_NOT_TITLE}\S[^\n]*+)*+)"
@@ -119,7 +119,7 @@ _INFER = re.compile(
     rf"|(?P<summary>{_W}*{_TITLE}{_W}*{_EOL}(?s:.*))"
     rf"|{_W}*\Z")
 _INFER_SUMMARY_LINE = re.compile(
-    rf"{_W}*(?:{_TITLE}{_W}*)?|{_W}+[A-Z_]+:{_W}*(\d+)")
+    rf"{_W}*(?:{_TITLE}{_W}*)?|{_W}+[A-Z_]+:{_W}*([0-9]+)")
 
 
 def _infer_error(line: str) -> str:
@@ -176,7 +176,8 @@ _CPPCHECK_BANNER = rf"Checking [^\n]* \.\.\.{_W}*{_EOL}"
 _CPPCHECK_BREAK = rf"\n\s*+(?=[^\s\[])(?!{_CPPCHECK_BANNER})"
 _CPPCHECK = re.compile(
     rf"\s*+(?:{_CPPCHECK_BANNER}"
-    rf"|\[(?P<path>[^\[\]:\n]++):(?P<line>\d++)\]:{_W}*+(?:{_CPPCHECK_BREAK})?"
+    rf"|\[(?P<path>[^\[\]:\n]++):(?P<line>[0-9]++)\]:{_W}*+"
+    rf"(?:{_CPPCHECK_BREAK})?"
     rf"(?:\((?P<sev>\w++)\))?(?P<msg>[^\n]*+(?:{_CPPCHECK_BREAK}[^\n]*+)*+)"
     rf"|\Z)(?:\n|\Z)")
 
@@ -229,16 +230,17 @@ def parse_cppcheck_report(text: str) -> list:
 
 _PLUGIN_TAG = "[-fplugin=libsl.so]"
 _TAG = re.escape(_PLUGIN_TAG)
-_PREDATOR_HEAD = rf"\S+?:\d+:(?:\d+:{_W}*warning|{_W}*note):"
+_PREDATOR_HEAD = rf"\S+?:[0-9]+:(?:[0-9]+:{_W}*warning|{_W}*note):"
 # The rest of a warning or note: up to the first line holding the tag, over
 # blank lines and lines that start no other warning or note.
 _PREDATOR_BODY = (
     rf"(?:(?![^\n]*{_TAG})[^\n]*+\n\s*+(?!{_PREDATOR_HEAD})(?=\S))*+"
     rf"[^\n]*{_TAG}[^\n]*+")
 _PREDATOR = re.compile(
-    rf"\s*+(?:(?P<path>\S+?):(?P<line>\d+):\d+:{_W}*warning:"
+    rf"\s*+(?:(?P<path>\S+?):(?P<line>[0-9]+):[0-9]+:{_W}*warning:"
     rf"(?P<msg>{_PREDATOR_BODY})"
-    rf"|(?!\S+?:\d+:\d+:{_W}*warning:)\S+?:\d+:{_W}*note:{_PREDATOR_BODY}"
+    rf"|(?!\S+?:[0-9]+:[0-9]+:{_W}*warning:)\S+?:[0-9]+:{_W}*note:"
+    rf"{_PREDATOR_BODY}"
     rf"|\Z)(?:\n|\Z)")
 _PREDATOR_HEAD_LINE = re.compile(rf"{_W}*{_PREDATOR_HEAD}")
 

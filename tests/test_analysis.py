@@ -58,6 +58,23 @@ class TestNullDeref:
             return 0;
         }""") == [(3, CHECKER_NULL_DEREF)]
 
+    @pytest.mark.parametrize("read", ["*q", "p"])
+    def test_uninitialized_pointer_read_through_its_address_refines(
+            self, read):
+        # Reading `p` through `*q` is a read of `p`: it leaves an unknown
+        # pointer, which the null test then refines, as a direct read does.
+        found = run("""int main() {
+            int *p;
+            int **q = &p;
+            int *r = %s;
+            if (p == NULL) {
+                *p = 1;
+            }
+            return 0;
+        }""" % read)
+        assert (6, CHECKER_NULL_DEREF) in found
+        assert (4, CHECKER_UNINIT_USE) in found
+
     def test_recovery_reports_once(self):
         found = run("""int main() {
             int *p = NULL;

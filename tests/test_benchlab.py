@@ -87,6 +87,41 @@ class TestManifestLoading:
         with pytest.raises(ManifestError):
             load_truth_manifest("truth/nonexistent.jsonl")
 
+    HEADER = {"record": "header", "program": "x", "versions": ["v1"]}
+    ENTRY = {"record": "entry", "file": "a.c", "line": 1,
+             "kind": "MEMORY_LEAK", "is_real": True,
+             "introduced_version": "v1"}
+
+    @pytest.mark.parametrize("header,record,message", [
+        (HEADER, {**ENTRY, "is_real": "false"}, "'is_real' must be a boolean"),
+        (HEADER, {**ENTRY, "line": 3.7}, "'line' must be an integer"),
+        (HEADER, {**ENTRY, "line": True}, "'line' must be an integer"),
+        (HEADER, {**ENTRY, "tools": "infer"}, "'tools' must be a list of"),
+        (HEADER, {**ENTRY, "fixed_date": 2009}, "'fixed_date' must be a"),
+        (HEADER, {**ENTRY, "fixed_date": "2009-13-01"}, "time data"),
+        (HEADER, {"record": "aggregate_fp", "kind": "MEMORY_LEAK",
+                  "count": 1}, "missing 'tool'"),
+        (HEADER, {"record": "aggregate_fp", "tool": "infer",
+                  "kind": "MEMORY_LEAK", "count": "1"},
+         "'count' must be an integer"),
+        (HEADER, ["entry"], "a record must be a JSON object"),
+        ({**HEADER, "versions": "12"}, ENTRY,
+         "'versions' must be a list of strings"),
+        ({"record": "header", "versions": ["v1"]}, ENTRY,
+         "missing 'program'"),
+    ], ids=["str-is_real", "float-line", "bool-line", "str-tools",
+            "int-date", "bad-date", "no-tool", "str-count", "list-record",
+            "str-versions", "no-program"])
+    def test_malformed_record_is_a_located_error(self, tmp_path, header,
+                                                 record, message):
+        import json
+        p = tmp_path / "bad.jsonl"
+        p.write_text(f"{json.dumps(header)}\n\n{json.dumps(record)}\n")
+        with pytest.raises(ManifestError) as exc:
+            load_truth_manifest(p)
+        line = 1 if header is not self.HEADER else 3
+        assert str(exc.value).startswith(f"{p}:{line}: {message}")
+
 
 class TestExpectedPresent:
     VERSIONS = ["v1", "v2", "v3"]

@@ -14,7 +14,7 @@ from memlab.cfg import (
     _Builder,
     build_cfg,
 )
-from memlab.frontend import If, parse_source
+from memlab.frontend import If, While, parse_source
 from test_exploration import random_program
 
 
@@ -52,8 +52,6 @@ class ReferenceBuilder(_Builder):
     def lower_stmt(self, stmt, current, exit_blk):
         if not isinstance(stmt, If):
             return super().lower_stmt(stmt, current, exit_blk)
-        current.statements.append(stmt)
-        current.terminator = "branch"
         current.branch_cond = stmt.cond
         then_blk = self.new_block()
         self.edge(current.id, then_blk.id, TRUE_BRANCH)
@@ -77,16 +75,29 @@ class ReferenceBuilder(_Builder):
 
 def _shape(cfg):
     """Everything lowering decides: edges in insertion order and each
-    block's statements, terminator and condition, by block number."""
-    blocks = [(b.id, [id(stmt) for stmt in b.statements], b.terminator,
-               id(b.branch_cond)) for b in cfg.blocks]
-    return (cfg.dump_edges(), blocks, cfg.entry, cfg.exit, cfg.has_dead_code)
+    block's statements and condition, by block number."""
+    blocks = [(b.id, [id(stmt) for stmt in b.statements], id(b.branch_cond))
+              for b in cfg.blocks]
+    return (cfg.edges, blocks, cfg.entry, cfg.exit)
 
 
 def assert_lowered_as_the_reference_does(tu):
+    """Lowered as the reference does, and in the shape the engine relies
+    on: a block with a condition leaves by its true edge then its false
+    edge, any other block by at most one edge, no edge enters the entry,
+    and the statements hold no `if` or `while`."""
     for fn in tu.functions:
-        want = ReferenceBuilder(fn.name).build(fn)
-        assert _shape(build_cfg(fn)) == _shape(want), fn.name
+        cfg = build_cfg(fn)
+        assert _shape(cfg) == _shape(ReferenceBuilder().build(fn)), fn.name
+        for blk in cfg.blocks:
+            kinds = [kind for _, kind in cfg.successors(blk.id)]
+            if blk.branch_cond is not None:
+                assert kinds == [TRUE_BRANCH, FALSE_BRANCH], fn.name
+            else:
+                assert len(kinds) <= 1, fn.name
+            assert not any(isinstance(stmt, (If, While))
+                           for stmt in blk.statements), fn.name
+        assert all(dst != cfg.entry for _, dst, _ in cfg.edges), fn.name
 
 
 def _arm_body(rng, depth):
@@ -162,12 +173,13 @@ class TestElseIfChains:
         tu = parse_source("e.c", "int f(int c) { int x = 0; %s return x; }"
                           % chain)
         cfg = build_cfg(tu.function("f"))
-        # Entry, exit and first block, then per arm a then block, a join
-        # and, but for the last arm, an else block.
-        assert len(cfg.blocks) == 3 + 3 * 2000 - 1
+        # Entry and exit, then per arm a then block, a join and, but for
+        # the last arm, an else block.
+        assert len(cfg.blocks) == 2 + 3 * 2000 - 1
         # Per arm its two branch edges, its then block into its join and,
-        # but for the first arm, its join into the join of the arm above.
-        assert len(cfg.edges) == 1 + 4 * 2000 - 1 + 1
+        # but for the first arm, its join into the join of the arm above;
+        # then the last join into the exit.
+        assert len(cfg.edges) == 4 * 2000
         assert cfg.edges[-1] == (cfg.blocks[-1].id, cfg.exit, FALLTHROUGH)
 
 
@@ -179,8 +191,7 @@ def _cfg(body, name="main"):
 class TestShapes:
     def test_straight_line(self):
         cfg = _cfg("int x = 1; return x;")
-        assert cfg.dump_edges() == "0 -> 2 [fallthrough]\n2 -> 1 [fallthrough]\n"
-        assert not cfg.has_dead_code
+        assert cfg.edges == [(0, 1, FALLTHROUGH)]
 
     def test_if_without_else_has_false_edge_to_join(self):
         cfg = _cfg("int x = 1; if (x) { x = 2; } return x;")
@@ -197,9 +208,8 @@ class TestShapes:
         cfg = _cfg("int x = 3; while (x) { x = x - 1; } return x;")
         assert sum(1 for _, _, k in cfg.edges if k == LOOP_BACK) == 1
 
-    def test_dead_code_after_return_is_flagged_not_reached(self):
+    def test_dead_code_after_return_is_kept_not_reached(self):
         cfg = _cfg("return 0; int x = 1; return x;")
-        assert cfg.has_dead_code
         # No enumerated path visits the unreachable block.
         dead = {b.id for b in cfg.blocks} - {
             bid for path in enumerate_paths(cfg) for bid in path}
@@ -233,7 +243,8 @@ class TestPaths:
             tu = parse_source(path, open(path, encoding="utf-8").read())
             for fn in tu.functions:
                 cfg = build_cfg(fn)
-                branches = sum(1 for b in cfg.blocks if b.terminator == "branch")
+                branches = sum(1 for b in cfg.blocks
+                               if b.branch_cond is not None)
                 paths = enumerate_paths(cfg)
                 assert 1 <= len(paths) <= 2 ** max(branches, 1)
                 for p in paths:

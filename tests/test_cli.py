@@ -1,6 +1,8 @@
 """Command-line interface tests."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -500,3 +502,15 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+class TestBenchmark:
+    def test_self_test_passes(self):
+        # The benchmark imports memlab internals; this keeps a change to
+        # them from breaking it unnoticed.
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--self-test"], cwd=root,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            timeout=600)
+        assert proc.returncode == 0, proc.stdout

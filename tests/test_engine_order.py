@@ -21,7 +21,6 @@ from dataclasses import replace
 import pytest
 
 from memlab import analysis
-from memlab import frontend as ast
 from memlab.analysis import (
     PROFILES,
     AbstractHeap,
@@ -59,11 +58,9 @@ def _exec(self, block_id: int, state: AbstractHeap,
         aliases = self._alias_stores(state, keep)
         self.seen[key] = (0, aliases)
         before = self.paths_counted
-    blk = self.cfg.block(block_id)
+    blk = self.cfg.blocks[block_id]
     states = [state]
     for stmt in blk.statements:
-        if isinstance(stmt, (ast.If, ast.While)):
-            continue
         next_states = []
         for s in states:
             next_states.extend(self.transfer(stmt, s))
@@ -74,7 +71,7 @@ def _exec(self, block_id: int, state: AbstractHeap,
     if block_id == self.cfg.exit:
         for s in states:
             self.finish_path(s)
-    elif blk.terminator == "branch":
+    elif blk.branch_cond is not None:
         for s in states:
             self._branch(block_id, blk.branch_cond, s, back_counts, succs)
     else:

@@ -180,6 +180,20 @@ class TestLocatedErrors:
         ("infer", "Found 1 issue\n\na.c:1: error: DEAD_STORE msg\n\n"
                   "Summary of the reports\n\n  DEAD_STORE: 2\n",
          "summary counts do not add up to the header count", 0),
+        # A line number or count is ASCII digits, though int() reads the
+        # Arabic-Indic digits `\u0661\u0662` as 12.
+        ("infer", "Found \u0661 issue\n\na.c:1: error: DEAD_STORE x\n",
+         "line 1: expected `Found N issue(s)` header", 1),
+        ("infer", "Found 1 issue\n\na.c:\u0661\u0662: error: DEAD_STORE x\n",
+         "line 3: unrecognized report line: "
+         "'a.c:\u0661\u0662: error: DEAD_STORE x'", 3),
+        ("cppcheck", "[a.c:\u0661\u0662]: (error) Memory leak: p\n",
+         "line 1: malformed bracket line: "
+         "'[a.c:\u0661\u0662]: (error) Memory leak: p'", 1),
+        ("predator", "a.c:\u0661\u0662:3: warning: memory leak detected "
+                     "[-fplugin=libsl.so]\n",
+         "line 1: warning line without path:line:col: 'a.c:\u0661\u0662:3: "
+         "warning: memory leak detected [-fplugin=libsl.so]'", 1),
         # cppcheck
         ("cppcheck", "Checking a.c ...\n[a.c:4]: Memory leak: p\n",
          "line 2: missing severity in message: 'Memory leak: p'", 2),
