@@ -17,7 +17,6 @@ Layers:
 from .analysis import (
     ALL_CHECKERS,
     ALL_KINDS,
-    AnalysisResult,
     CheckerConfig,
     Finding,
     PROFILES,
@@ -44,8 +43,8 @@ from .ingest import parse_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CHECKERS", "ALL_KINDS", "AnalysisResult", "CheckerConfig",
-    "ConfusionMatrix", "Finding", "GroundTruthEntry", "PROFILES", "Report",
+    "ALL_CHECKERS", "ALL_KINDS", "CheckerConfig", "ConfusionMatrix",
+    "Finding", "GroundTruthEntry", "PROFILES", "Report",
     "TruthManifest", "analyze_unit", "build_cfg", "classify",
     "classify_program_size", "compute_persistence", "emit_structured",
     "expected_present", "load_corpus_manifest", "load_truth_manifest",

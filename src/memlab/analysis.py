@@ -56,9 +56,11 @@ detection columns of the tools compared in the benchmark corpus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import frontend as ast
 from .cfg import Cfg, LOOP_BACK, build_cfg
+from .diagnostics import Report
 
 # ---------------------------------------------------------------------------
 # Checker ids, finding kinds, configuration
@@ -181,19 +183,16 @@ PROFILES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Finding:
+class Finding(NamedTuple):
+    """One reported defect.  Equality, hashing and order are those of the
+    six fields as a tuple, so a report sorts by file, then line."""
+
     file: str
     line: int
     kind: str
     checker: str
     message: str
     function: str
-
-    def __post_init__(self):
-        if CHECKER_KIND.get(self.checker, self.kind) != self.kind:
-            raise ValueError(
-                f"kind {self.kind} inconsistent with checker {self.checker}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +471,6 @@ class FunctionSummary:
     returns_fresh: bool = False
     returns_null_always: bool = False
     frees_params: frozenset = frozenset()
-
-
-@dataclass
-class AnalysisResult:
-    """Findings plus an incompleteness flag; iterates like a finding list."""
-
-    findings: list
-    incomplete: bool = False
-
-    def __iter__(self):
-        return iter(self.findings)
-
-    def __len__(self):
-        return len(self.findings)
-
-    def __getitem__(self, idx):
-        return self.findings[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +771,7 @@ class _FunctionAnalysis:
             return results
         if isinstance(target, ast.FieldAccess):
             results = []
-            for s, base in self.eval(target.expr, state, reading=True):
+            for s, base in self.eval(target.expr, state):
                 if target.via_pointer:
                     base = self.check_null_deref(s, base, target.expr, target.loc)
                 if _is_block(base):
@@ -826,7 +808,7 @@ class _FunctionAnalysis:
 
     # -- expression evaluation --
 
-    def eval(self, expr, state: AbstractHeap, reading: bool = True) -> list:
+    def eval(self, expr, state: AbstractHeap) -> list:
         """Evaluate to a list of (state, value) outcomes (allocations fork)."""
         if isinstance(expr, ast.IntLit):
             return [(state, ZERO if expr.value == 0 else NONZERO)]
@@ -951,7 +933,7 @@ class _FunctionAnalysis:
             return UNKNOWN
         # Pointer arithmetic: keep the block, adjust the offset when the
         # other operand is a literal (interior pointers stay representable).
-        for ptr, other, sign in ((left, right, 1), (right, left, 1)):
+        for ptr in (left, right):
             if _is_block(ptr) and op in ("+", "-"):
                 delta = _literal_of(expr.right if ptr is left else expr.left)
                 if delta is None:
@@ -1271,19 +1253,18 @@ def compute_summaries(tu: ast.TranslationUnit, cfgs: dict,
 
 
 def analyze_unit(tu: ast.TranslationUnit, cfgs: dict | None = None,
-                 config: CheckerConfig | None = None) -> AnalysisResult:
+                 config: CheckerConfig | None = None) -> Report:
     """Run all enabled checkers over one translation unit.
 
     Each function is explored once, callees first, and gives its findings
     and its summary together.  A function that calls back into an open call
     cycle (itself included) is explored once more after every summary in
     the unit exists, and keeps the findings of that second exploration.
-    Returns findings sorted by (file, line, kind, checker, message,
-    function); the result is marked incomplete when any kept exploration
-    hit the path budget.
+    The report is marked incomplete when any kept exploration hit the path
+    budget.
     """
     config = config or PROFILES["union"]
     if cfgs is None:
         cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
     _, findings, incomplete = _explore(tu, cfgs, config)
-    return AnalysisResult(sorted(findings), incomplete)
+    return Report(findings, incomplete)

@@ -82,6 +82,13 @@ class AggregateFalsePositives:
     count: int
     note: str = ""
 
+    def __post_init__(self):
+        if self.kind not in ALL_KINDS:
+            raise ManifestError(f"unknown kind {self.kind!r}")
+        if self.count < 0:
+            raise ManifestError(
+                f"'count' must be at least 0, got {self.count}")
+
 
 class TruthEntries(tuple):
     """Ground-truth entries as a read-only sequence, indexed for matching.

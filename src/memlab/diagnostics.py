@@ -3,23 +3,31 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 INCOMPLETE_WARNING = "warning: analysis incomplete (path budget exceeded)"
 
 
 @dataclass
 class Report:
+    """Findings in sorted order, and whether the analysis behind them was
+    cut short; iterates like the finding list."""
+
     findings: list
     incomplete: bool = False
-    summary: dict = field(init=False)
 
     def __post_init__(self):
         self.findings = sorted(self.findings)
-        counts: dict[str, int] = {}
-        for f in self.findings:
-            counts[f.kind] = counts.get(f.kind, 0) + 1
-        self.summary = counts
+
+    def __iter__(self):
+        return iter(self.findings)
+
+    def __len__(self):
+        return len(self.findings)
+
+    def __getitem__(self, idx):
+        return self.findings[idx]
 
 
 def render_text(report: Report) -> str:
@@ -34,8 +42,9 @@ def render_text(report: Report) -> str:
             lines.append("")
         lines.append("Summary of the reports")
         lines.append("")
-        for kind in sorted(report.summary):
-            lines.append(f"  {kind}: {report.summary[kind]}")
+        counts = Counter(f.kind for f in report.findings)
+        for kind in sorted(counts):
+            lines.append(f"  {kind}: {counts[kind]}")
     if report.incomplete:
         lines.append("")
         lines.append(INCOMPLETE_WARNING)
@@ -43,16 +52,6 @@ def render_text(report: Report) -> str:
 
 
 def emit_structured(report: Report) -> str:
-    """One JSON record per finding, stable key order; round-trips through
-    the ingest module's memlab reader."""
-    out = []
-    for f in report.findings:
-        out.append(json.dumps({
-            "file": f.file,
-            "line": f.line,
-            "kind": f.kind,
-            "checker": f.checker,
-            "message": f.message,
-            "function": f.function,
-        }, sort_keys=False))
-    return "".join(line + "\n" for line in out)
+    """One JSON record per finding, its fields in order; round-trips
+    through the ingest module's memlab reader."""
+    return "".join(json.dumps(f._asdict()) + "\n" for f in report.findings)

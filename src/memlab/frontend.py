@@ -88,7 +88,7 @@ class UnsupportedConstruct(ParseError):
 
 @dataclass(frozen=True)
 class SourceUnit:
-    """A source file; ``line_col`` maps an offset to (line, column), 1-based."""
+    """A source file: its path, as findings name it, and its text."""
 
     path: str
     text: str
@@ -101,12 +101,6 @@ class SourceUnit:
     def from_file(cls, path) -> "SourceUnit":
         with open(path, encoding="utf-8") as fh:
             return cls.from_text(str(path), fh.read())
-
-    def line_col(self, offset: int) -> tuple[int, int]:
-        if offset < 0 or offset > len(self.text):
-            raise ValueError(f"offset {offset} outside source of length {len(self.text)}")
-        text = self.text
-        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class Token(NamedTuple):

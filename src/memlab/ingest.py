@@ -18,6 +18,7 @@ import re
 
 from .analysis import (
     ALL_KINDS,
+    CHECKER_KIND,
     Finding,
     KIND_DEAD_STORE,
     KIND_INVALID_DEREFERENCE,
@@ -289,13 +290,13 @@ def parse_predator_report(text: str) -> list:
 # This package's structured format
 # ---------------------------------------------------------------------------
 
-_MEMLAB_FIELDS = ("file", "line", "kind", "checker", "message", "function")
 _MEMLAB_TYPES = [str, int, str, str, str, str]
-_memlab_values = operator.itemgetter(*_MEMLAB_FIELDS)
+_memlab_values = operator.itemgetter(*Finding._fields)
 
 
 def parse_memlab_report(text: str) -> list:
-    """A JSON object a line: an integer `line` and five string fields."""
+    """A JSON object a line: an integer `line` and five string fields, the
+    kind being the one its checker reports, if the analyzer has it."""
     findings: list[Finding] = []
     for idx, raw in enumerate(text.splitlines(), start=1):
         try:
@@ -309,15 +310,17 @@ def parse_memlab_report(text: str) -> list:
         except (KeyError, TypeError):
             raise FormatError("record missing required fields", idx) from None
         if [*map(type, values)] != _MEMLAB_TYPES:  # name the first bad field
-            for name, value, typ in zip(_MEMLAB_FIELDS, values, _MEMLAB_TYPES):
+            for name, value, typ in zip(Finding._fields, values,
+                                        _MEMLAB_TYPES):
                 if type(value) is not typ:
                     noun = "an integer" if typ is int else "a string"
                     raise FormatError(
                         f"field `{name}` is not {noun}: {value!r}", idx)
-        try:
-            findings.append(Finding(*values))
-        except ValueError as exc:
-            raise FormatError(str(exc), idx) from None
+        finding = Finding(*values)
+        if CHECKER_KIND.get(finding.checker, finding.kind) != finding.kind:
+            raise FormatError(f"kind {finding.kind} inconsistent with "
+                              f"checker {finding.checker}", idx)
+        findings.append(finding)
     return findings
 
 

@@ -104,13 +104,20 @@ class TestManifestLoading:
         (HEADER, {"record": "aggregate_fp", "tool": "infer",
                   "kind": "MEMORY_LEAK", "count": "1"},
          "'count' must be an integer"),
+        (HEADER, {"record": "aggregate_fp", "tool": "infer",
+                  "kind": "MEMORY_LEKA", "count": 1},
+         "unknown kind 'MEMORY_LEKA'"),
+        (HEADER, {"record": "aggregate_fp", "tool": "infer",
+                  "kind": "MEMORY_LEAK", "count": -3},
+         "'count' must be at least 0, got -3"),
         (HEADER, ["entry"], "a record must be a JSON object"),
         ({**HEADER, "versions": "12"}, ENTRY,
          "'versions' must be a list of strings"),
         ({"record": "header", "versions": ["v1"]}, ENTRY,
          "missing 'program'"),
     ], ids=["str-is_real", "float-line", "bool-line", "str-tools",
-            "int-date", "bad-date", "no-tool", "str-count", "list-record",
+            "int-date", "bad-date", "no-tool", "str-count",
+            "unknown-aggregate-kind", "negative-count", "list-record",
             "str-versions", "no-program"])
     def test_malformed_record_is_a_located_error(self, tmp_path, header,
                                                  record, message):

@@ -1,5 +1,6 @@
 """Report rendering tests."""
 
+import memlab
 from memlab.analysis import Finding
 from memlab.diagnostics import Report, emit_structured, render_text
 from memlab.ingest import parse_memlab_report
@@ -81,3 +82,21 @@ class TestStructured:
         lines = text.splitlines()
         assert len(lines) == 2
         assert all(line.startswith('{"file": ') for line in lines)
+
+    def test_exact_bytes(self):
+        text = emit_structured(Report([
+            _finding(file="z.c", line=1, kind="DEAD_STORE",
+                     checker="DEAD_STORE", message='say "hi"', function="f"),
+            _finding(line=2, message="one"),
+        ]))
+        assert text == (
+            '{"file": "a.c", "line": 2, "kind": "MEMORY_LEAK", '
+            '"checker": "MEMORY_LEAK", "message": "one", "function": "main"}\n'
+            '{"file": "z.c", "line": 1, "kind": "DEAD_STORE", '
+            '"checker": "DEAD_STORE", "message": "say \\"hi\\"", '
+            '"function": "f"}\n')
+
+
+def test_every_public_name_resolves():
+    assert [name for name in memlab.__all__
+            if not hasattr(memlab, name)] == []

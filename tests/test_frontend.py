@@ -63,6 +63,11 @@ REFERENCE_PUNCTUATION = [
 ]
 
 
+def line_col(text, offset):
+    """The 1-based (line, column) of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def reference_tokenize(unit):
     """The tokens of `unit`, one character step at a time."""
     text = unit.text
@@ -81,11 +86,11 @@ def reference_tokenize(unit):
         if text.startswith("/*", i):
             j = text.find("*/", i + 2)
             if j < 0:
-                line, col = unit.line_col(i)
+                line, col = line_col(text, i)
                 raise LexError("unterminated block comment", line, col)
             i = j + 2
             continue
-        line, col = unit.line_col(i)
+        line, col = line_col(text, i)
         if ch == "#":
             j = text.find("\n", i)
             j = n if j < 0 else j
@@ -313,10 +318,9 @@ class TestTokenize:
                             "illegal character"}
 
     def test_line_col_round_trip(self):
-        unit = SourceUnit.from_text("<t>", "ab\ncd\n")
-        assert unit.line_col(0) == (1, 1)
-        assert unit.line_col(3) == (2, 1)
-        assert unit.line_col(4) == (2, 2)
+        assert line_col("ab\ncd\n", 0) == (1, 1)
+        assert line_col("ab\ncd\n", 3) == (2, 1)
+        assert line_col("ab\ncd\n", 4) == (2, 2)
 
 
 class TestParser:
