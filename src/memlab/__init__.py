@@ -12,7 +12,14 @@ Layers:
 - ``benchlab``: ground truth, TP/FP/FN/TN classification, size classes,
   defect persistence, corpus running.
 - ``cli``: the ``memlab`` command.
+
+``import memlab`` loads the four analysis layers only.  The triage names
+in ``__all__`` (from ``ingest`` and ``benchlab``) and the attributes
+``memlab.ingest`` and ``memlab.benchlab`` import their module on first
+access (PEP 562), so an analysis never compiles or runs them.
 """
+
+import importlib
 
 from .analysis import (
     ALL_CHECKERS,
@@ -22,25 +29,21 @@ from .analysis import (
     PROFILES,
     analyze_unit,
 )
-from .benchlab import (
-    ConfusionMatrix,
-    GroundTruthEntry,
-    TruthManifest,
-    classify,
-    classify_program_size,
-    compute_persistence,
-    expected_present,
-    load_corpus_manifest,
-    load_truth_manifest,
-    match_finding,
-    run_corpus,
-)
 from .cfg import build_cfg
 from .diagnostics import Report, emit_structured, render_text
 from .frontend import parse_file, parse_source
-from .ingest import parse_report
 
 __version__ = "0.1.0"
+
+# Public name -> the triage module that defines it.
+_LAZY = {
+    **dict.fromkeys((
+        "ConfusionMatrix", "GroundTruthEntry", "TruthManifest", "classify",
+        "classify_program_size", "compute_persistence", "expected_present",
+        "load_corpus_manifest", "load_truth_manifest", "match_finding",
+        "run_corpus"), "benchlab"),
+    "parse_report": "ingest",
+}
 
 __all__ = [
     "ALL_CHECKERS", "ALL_KINDS", "CheckerConfig", "ConfusionMatrix",
@@ -51,3 +54,16 @@ __all__ = [
     "match_finding", "parse_file", "parse_report", "parse_source",
     "render_text", "run_corpus", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("benchlab", "ingest"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "benchlab", "ingest"})

@@ -200,8 +200,7 @@ class Finding(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PtrValue:
+class PtrValue(NamedTuple):
     """Abstract pointer value.
 
     kind: null | block | stack | unknown | uninit.
@@ -232,8 +231,7 @@ class PtrValue:
         return PtrValue("stack", var=var)
 
 
-@dataclass(frozen=True)
-class ScalarValue:
+class ScalarValue(NamedTuple):
     state: str  # zero | nonzero | unknown | uninit
 
 
@@ -376,7 +374,7 @@ def _is_block(value) -> bool:
 
 def _scalar_state(value):
     # A scalar stands for its state string in a key: a str hashes from a
-    # cache, a dataclass by building a tuple.
+    # cache, a named tuple by hashing its field again.
     return value.state if type(value) is ScalarValue else value
 
 
@@ -465,8 +463,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
                    for s in map(sites.__getitem__, order)]))
 
 
-@dataclass(frozen=True)
-class FunctionSummary:
+class FunctionSummary(NamedTuple):
     name: str
     returns_fresh: bool = False
     returns_null_always: bool = False

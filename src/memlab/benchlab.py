@@ -25,7 +25,7 @@ from .frontend import parse_file
 from .ingest import KIND_UNMAPPED
 
 
-class ManifestError(Exception):
+class ManifestError(ValueError):
     pass
 
 
@@ -41,7 +41,7 @@ class EmptyMatrix(Exception):
     pass
 
 
-class NegativeInterval(Exception):
+class NegativeInterval(ValueError):
     pass
 
 
@@ -262,7 +262,7 @@ def load_truth_manifest(path) -> TruthManifest:
                     note=_field(record, "note", default="")))
             else:
                 raise ManifestError(f"unknown record type {rtype!r}")
-        except (ValueError, ManifestError) as exc:
+        except ValueError as exc:  # a ManifestError or a bad date
             raise ManifestError(f"{path}:{idx}: {exc}") from exc
     if manifest is None:
         raise ManifestError(f"{path}: empty manifest")

@@ -86,8 +86,7 @@ class UnsupportedConstruct(ParseError):
     """A real C construct that lies outside the analyzable subset."""
 
 
-@dataclass(frozen=True)
-class SourceUnit:
+class SourceUnit(NamedTuple):
     """A source file: its path, as findings name it, and its text."""
 
     path: str
@@ -155,8 +154,7 @@ def tokenize(unit: SourceUnit) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CType:
+class CType(NamedTuple):
     """Int, Void, Char, Struct(name) or Pointer(inner)."""
 
     base: str  # "int" | "void" | "char" | "struct" | "unknown"
@@ -175,8 +173,7 @@ class CType:
         return f"{name}{'*' * self.pointer_depth}"
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     column: int
 

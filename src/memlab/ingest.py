@@ -35,7 +35,7 @@ from .analysis import (
 KIND_UNMAPPED = "UNMAPPED"
 
 
-class FormatError(Exception):
+class FormatError(ValueError):
     def __init__(self, message: str, line_no: int = 0):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
         self.line_no = line_no

@@ -15,12 +15,15 @@ from memlab.analysis import (
     CHECKER_UNCHECKED_ALLOC,
     CHECKER_UNINIT_USE,
     CheckerConfig,
+    FunctionSummary,
     PROFILES,
+    PtrValue,
+    ScalarValue,
     analyze_unit,
     compute_summaries,
 )
 from memlab.cfg import build_cfg
-from memlab.frontend import parse_source
+from memlab.frontend import CType, Loc, SourceUnit, parse_source
 
 UNION = PROFILES["union"]
 
@@ -531,3 +534,51 @@ class TestConfig:
         }""")
         lines = [f.line for f in result]
         assert lines == sorted(lines) == [4, 5]
+
+
+# Each value type with two equal instances built apart and one that differs
+# in a single field.
+VALUES = [
+    (Loc(3, 7), Loc(3, 7), Loc(3, 8)),
+    (CType("struct", "node", 1), CType("struct", "node", 1),
+     CType("struct", "node", 2)),
+    (SourceUnit("a.c", "int x;"), SourceUnit.from_text("a.c", "int x;"),
+     SourceUnit("b.c", "int x;")),
+    (PtrValue("block", site=2, offset=8), PtrValue.block(2, 8),
+     PtrValue.block(2, 0)),
+    (ScalarValue("zero"), ScalarValue("zero"), ScalarValue("nonzero")),
+    (FunctionSummary("f", frees_params=frozenset({0})),
+     FunctionSummary("f", False, False, frozenset({0})),
+     FunctionSummary("f")),
+]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value,_,__", VALUES)
+    def test_fields_are_read_only(self, value, _, __):
+        for name in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
+    @pytest.mark.parametrize("value,same,other", VALUES)
+    def test_equal_and_hashed_by_fields(self, value, same, other):
+        assert value is not same
+        assert value == same and hash(value) == hash(same)
+        assert value != other
+        assert len({value, same, other}) == 2
+
+    def test_ctype(self):
+        node = CType("struct", "node")
+        assert (str(node), str(CType("int", pointer_depth=2))) == \
+            ("node", "int**")
+        assert node.pointer_to() == CType("struct", "node", 1)
+        assert node.pointer_to().pointer_to().is_pointer
+        assert not node.is_pointer
+
+    def test_pointer_constructors(self):
+        assert PtrValue.null("literal", 4) == PtrValue(
+            "null", "literal", 4, -1, 0, "", -1)
+        assert PtrValue.null("refined").line == 0
+        assert PtrValue.block(5) == PtrValue("block", site=5, offset=0)
+        assert PtrValue.stack("x") == PtrValue(
+            "stack", "", 0, -1, 0, "x", -1)

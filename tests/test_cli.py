@@ -17,6 +17,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_truth(tmp_path, **entry):
+    """A one-entry truth manifest; `entry` overrides the entry's fields."""
+    records = [
+        {"record": "header", "program": "p", "versions": ["v1", "v2"]},
+        {"record": "entry", "file": "a.c", "line": 3, "kind": "MEMORY_LEAK",
+         "is_real": True, "introduced_version": "v1",
+         "introduced_date": "2020-01-01", "fixed_date": "2020-02-01",
+         **entry},
+    ]
+    path = tmp_path / "truth.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
 class TestAnalyze:
     def test_findings_exit_one_with_golden_output(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "corpus/dead_store_tp.c",
@@ -416,6 +430,24 @@ class TestBench:
                              "truth/sds.jsonl")
         assert code == 2
 
+    def test_malformed_truth_manifest_is_a_located_error(self, capsys,
+                                                         tmp_path):
+        truth = write_truth(tmp_path, line="3")
+        report = tmp_path / "tool.jsonl"
+        report.write_text("")
+        out = run_cli(capsys, "bench", "--truth", str(truth), "--ingested",
+                      str(report))
+        assert out == (2, "", f"memlab: error: {truth}:2: 'line' must be an "
+                              "integer\n")
+
+    def test_malformed_report_names_its_line(self, capsys, tmp_path):
+        report = tmp_path / "tool.jsonl"
+        report.write_text("\n{}\n")
+        out = run_cli(capsys, "bench", "--truth", str(write_truth(tmp_path)),
+                      "--ingested", str(report))
+        assert out == (2, "", "memlab: error: line 2: record missing "
+                              "required fields\n")
+
 
 class TestIngest:
     def test_conversion_exits_zero_even_with_findings(self, capsys):
@@ -490,9 +522,24 @@ class TestPersistence:
         assert "net.c:28 DEAD_STORE: 22" in out
 
     def test_reversed_dates_exit_two(self, capsys):
-        code, _, _ = run_cli(capsys, "persistence", "2020-02-01",
-                             "2020-01-01")
-        assert code == 2
+        out = run_cli(capsys, "persistence", "2020-02-01", "2020-01-01")
+        assert out == (2, "", "memlab: error: 2020-01-01 precedes "
+                              "2020-02-01\n")
+
+    def test_reversed_manifest_dates_exit_two(self, capsys, tmp_path):
+        truth = write_truth(tmp_path, introduced_date="2020-02-01",
+                            fixed_date="2020-01-01")
+        out = run_cli(capsys, "persistence", "--truth", str(truth))
+        assert out == (2, "", "memlab: error: 2020-01-01 precedes "
+                              "2020-02-01\n")
+
+    def test_malformed_truth_manifest_is_a_located_error(self, capsys,
+                                                         tmp_path):
+        truth = write_truth(tmp_path, fixed_date="01/02/2020")
+        out = run_cli(capsys, "persistence", "--truth", str(truth))
+        assert out == (2, "", f"memlab: error: {truth}:2: time data "
+                              "'01/02/2020' does not match format "
+                              "'%Y-%m-%d'\n")
 
 
 class TestDeterminism:

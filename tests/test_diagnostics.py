@@ -1,5 +1,7 @@
 """Report rendering tests."""
 
+import importlib
+
 import memlab
 from memlab.analysis import Finding
 from memlab.diagnostics import Report, emit_structured, render_text
@@ -98,5 +100,10 @@ class TestStructured:
 
 
 def test_every_public_name_resolves():
-    assert [name for name in memlab.__all__
-            if not hasattr(memlab, name)] == []
+    # A lazily served name must be the very object its submodule defines.
+    modules = [importlib.import_module(f"memlab.{name}") for name in
+               ("analysis", "benchlab", "cfg", "diagnostics", "frontend",
+                "ingest")]
+    assert [name for name in memlab.__all__ if name != "__version__"
+            and not any(getattr(m, name, None) is getattr(memlab, name)
+                        for m in modules)] == []
