@@ -39,9 +39,9 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys((
         "ConfusionMatrix", "GroundTruthEntry", "TruthManifest", "classify",
-        "classify_program_size", "compute_persistence", "expected_present",
-        "load_corpus_manifest", "load_truth_manifest", "match_finding",
-        "run_corpus"), "benchlab"),
+        "classify_program_size", "compute_persistence",
+        "load_corpus_manifest", "load_truth_manifest", "run_corpus"),
+        "benchlab"),
     "parse_report": "ingest",
 }
 
@@ -50,9 +50,9 @@ __all__ = [
     "Finding", "GroundTruthEntry", "PROFILES", "Report",
     "TruthManifest", "analyze_unit", "build_cfg", "classify",
     "classify_program_size", "compute_persistence", "emit_structured",
-    "expected_present", "load_corpus_manifest", "load_truth_manifest",
-    "match_finding", "parse_file", "parse_report", "parse_source",
-    "render_text", "run_corpus", "__version__",
+    "load_corpus_manifest", "load_truth_manifest", "parse_file",
+    "parse_report", "parse_source", "render_text", "run_corpus",
+    "__version__",
 ]
 
 

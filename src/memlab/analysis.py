@@ -141,10 +141,10 @@ class CheckerConfig:
     def __post_init__(self):
         unknown = self.enabled - ALL_CHECKERS
         if unknown:
-            raise ValueError(f"unknown checker ids: {sorted(unknown)}")
+            raise ast.InputError(f"unknown checker ids: {sorted(unknown)}")
         if CHECKER_DEAD_STORE_NULL_INIT in self.enabled \
                 and CHECKER_DEAD_STORE not in self.enabled:
-            raise ValueError("DEAD_STORE_NULL_INIT requires DEAD_STORE")
+            raise ast.InputError("DEAD_STORE_NULL_INIT requires DEAD_STORE")
 
     def with_checkers(self, enable=(), disable=()) -> "CheckerConfig":
         enabled = (self.enabled | frozenset(enable)) - frozenset(disable)

@@ -10,30 +10,26 @@ matches a real entry is a true positive; a reported finding that matches
 nothing, or matches a known-false entry, is a false positive; real entries
 nobody reported are false negatives; known-false entries nobody reported
 are true negatives.
+
+At most one truth entry stands at each (file, kind, line): a second one,
+or one entry listed twice, is a ManifestError wherever truth is built, so
+a finding matches one entry or none.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
 
 from .analysis import ALL_KINDS, Finding, PROFILES, analyze_unit
-from .frontend import parse_file
+from .frontend import InputError, parse_file, read_text
 from .ingest import KIND_UNMAPPED
 
 
-class ManifestError(ValueError):
-    pass
-
-
-class UnknownVersion(Exception):
-    pass
-
-
-class AmbiguousMatch(Exception):
+class ManifestError(InputError):
     pass
 
 
@@ -41,7 +37,7 @@ class EmptyMatrix(Exception):
     pass
 
 
-class NegativeInterval(ValueError):
+class NegativeInterval(InputError):
     pass
 
 
@@ -93,10 +89,10 @@ class AggregateFalsePositives:
 class TruthEntries(tuple):
     """Ground-truth entries as a read-only sequence, indexed for matching.
 
-    The index is built once, here: each (file, kind)'s entries sorted by
-    line (entries on one line keep their order) beside their line numbers,
-    and the counts of real and known-false entries.  `classify` and
-    `match_finding` read it instead of scanning the entries.
+    The index is built once, here, where a second entry at one (file,
+    kind, line) is rejected: each (file, kind)'s entries sorted by line
+    beside their line numbers, and the counts of real and known-false
+    entries.  `classify` reads it instead of scanning the entries.
     """
 
     def __new__(cls, entries=()):
@@ -104,41 +100,35 @@ class TruthEntries(tuple):
         groups: dict = {}
         real = 0
         for e in self:
-            groups.setdefault((e.file, e.kind), []).append(e)
+            group = groups.setdefault((e.file, e.kind), {})
+            if e.line in group:
+                raise ManifestError(
+                    f"duplicate entry {e.file}:{e.line} {e.kind}")
+            group[e.line] = e
             if e.is_real:
                 real += 1
         self._groups = {}
         for key, group in groups.items():
-            group.sort(key=lambda e: e.line)
-            self._groups[key] = ([e.line for e in group], group)
+            lines = sorted(group)
+            self._groups[key] = (lines, [group[line] for line in lines])
         self.real = real
         self.known_false = len(self) - real
         return self
 
     def match(self, finding: Finding, tolerance: int):
-        """(entry, occurrences) of the nearest same-file same-kind entry
-        within the line tolerance, or None; occurrences counts how many
-        times that one entry object stands in the sequence."""
+        """The nearest same-file same-kind entry within the line tolerance,
+        the lower line on a tie, or None."""
         lines, group = self._groups.get((finding.file, finding.kind),
                                         ((), ()))
         line = finding.line
         below = bisect_right(lines, line)      # lines[:below] are <= line
         best = None
         if below and line - lines[below - 1] <= tolerance:
-            best = lines[below - 1]
+            best = below - 1
         if below < len(lines) and lines[below] - line <= tolerance and (
-                best is None or lines[below] - line < line - best):
-            best = lines[below]
-        if best is None:
-            return None
-        first, end = bisect_left(lines, best), bisect_right(lines, best)
-        entry = group[first]
-        others = sum(1 for e in group[first + 1:end] if e is not entry)
-        if others:
-            raise AmbiguousMatch(
-                f"{finding.file}:{finding.line} {finding.kind} matches "
-                f"{1 + others} truth entries at line {best}")
-        return entry, end - first
+                best is None or lines[below] - line < line - lines[best]):
+            best = below
+        return None if best is None else group[best]
 
 
 def _indexed(truth) -> TruthEntries:
@@ -156,11 +146,27 @@ class TruthManifest:
 def _parse_date(raw) -> date | None:
     if raw in (None, "", "x"):
         return None
-    return datetime.strptime(raw, "%Y-%m-%d").date()
+    try:
+        return datetime.strptime(raw, "%Y-%m-%d").date()
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from None
 
 
 # Manifests are JSON Lines.  The readers below raise a ManifestError that
-# names the field; the loaders put the record's path:line in front of it.
+# names the field; `_read_manifest` puts the record's path:line in front.
+
+def _read_manifest(path: Path, read) -> None:
+    """Call `read` on each record of the manifest at `path`, in order;
+    blank lines are skipped."""
+    if not path.exists():
+        raise ManifestError(f"manifest not found: {path}")
+    for idx, raw in enumerate(read_text(path).splitlines(), start=1):
+        if raw.strip():
+            try:
+                read(_json_object(raw))
+            except ManifestError as exc:
+                raise ManifestError(f"{path}:{idx}: {exc}") from exc
+
 
 def _json_object(raw: str) -> dict:
     try:
@@ -232,61 +238,44 @@ def _truth_entry(record: dict) -> GroundTruthEntry:
 
 def load_truth_manifest(path) -> TruthManifest:
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
     manifest: TruthManifest | None = None
-    for idx, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                              start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = _json_object(raw)
-            rtype = record.get("record")
-            if rtype == "header":
-                if manifest is not None:
-                    raise ManifestError("duplicate header")
-                manifest = TruthManifest(
-                    program=_field(record, "program"),
-                    versions=list(_field(record, "versions", _is_str_list,
-                                         "a list of strings")),
-                    entries=[],
-                )
-            elif manifest is None:
-                raise ManifestError("first record must be the header")
-            elif rtype == "entry":
-                manifest.entries.append(_truth_entry(record))
-            elif rtype == "aggregate_fp":
-                manifest.aggregates.append(AggregateFalsePositives(
-                    tool=_field(record, "tool"), kind=_field(record, "kind"),
-                    count=_field(record, "count", _is_int, "an integer"),
-                    note=_field(record, "note", default="")))
-            else:
-                raise ManifestError(f"unknown record type {rtype!r}")
-        except ValueError as exc:  # a ManifestError or a bad date
-            raise ManifestError(f"{path}:{idx}: {exc}") from exc
+
+    def read(record: dict) -> None:
+        nonlocal manifest
+        rtype = record.get("record")
+        if rtype == "header":
+            if manifest is not None:
+                raise ManifestError("duplicate header")
+            manifest = TruthManifest(
+                program=_field(record, "program"),
+                versions=list(_field(record, "versions", _is_str_list,
+                                     "a list of strings")),
+                entries=[],
+            )
+        elif manifest is None:
+            raise ManifestError("first record must be the header")
+        elif rtype == "entry":
+            manifest.entries.append(_truth_entry(record))
+        elif rtype == "aggregate_fp":
+            manifest.aggregates.append(AggregateFalsePositives(
+                tool=_field(record, "tool"), kind=_field(record, "kind"),
+                count=_field(record, "count", _is_int, "an integer"),
+                note=_field(record, "note", default="")))
+        else:
+            raise ManifestError(f"unknown record type {rtype!r}")
+
+    _read_manifest(path, read)
     if manifest is None:
         raise ManifestError(f"{path}: empty manifest")
-    for e in manifest.entries:
-        if e.introduced_version not in manifest.versions:
-            raise ManifestError(
-                f"{path}: undeclared version {e.introduced_version!r}")
-        if e.fixed_version is not None and e.fixed_version not in manifest.versions:
-            raise ManifestError(
-                f"{path}: undeclared version {e.fixed_version!r}")
-    manifest.entries = TruthEntries(manifest.entries)
+    try:
+        for e in manifest.entries:
+            for version in (e.introduced_version, e.fixed_version):
+                if version is not None and version not in manifest.versions:
+                    raise ManifestError(f"undeclared version {version!r}")
+        manifest.entries = TruthEntries(manifest.entries)
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
     return manifest
-
-
-def expected_present(entry: GroundTruthEntry, version: str, versions) -> bool:
-    """True iff the defect exists at `version` under the declared order."""
-    if version not in versions:
-        raise UnknownVersion(version)
-    pos = versions.index(version)
-    if versions.index(entry.introduced_version) > pos:
-        return False
-    if entry.fixed_version is None:
-        return True
-    return pos < versions.index(entry.fixed_version)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +303,6 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def match_finding(finding: Finding, truth, tolerance: int = 0):
-    """Nearest same-file same-kind entry within the line tolerance.
-
-    Ties on distance break toward the lower line; an exact tie (two entries
-    at the same line) raises AmbiguousMatch.
-    """
-    match = _indexed(truth).match(finding, tolerance)
-    return None if match is None else match[0]
-
-
 def classify(findings, truth, tolerance: int = 0):
     """Label findings TP/FP against truth and tally the confusion matrix.
 
@@ -334,31 +313,27 @@ def classify(findings, truth, tolerance: int = 0):
     """
     truth = _indexed(truth)
     labels = []
-    matched: set = set()
-    tp = fp = matched_real = matched_false = 0
+    matched: dict = {}     # id of each matched entry -> is it real?
+    tp = fp = 0
     for f in findings:
         if f.kind == KIND_UNMAPPED:
             labels.append((f, "UNMAPPED"))
             continue
-        match = truth.match(f, tolerance)
-        if match is None:
+        entry = truth.match(f, tolerance)
+        if entry is None:
             fp += 1
             labels.append((f, "FP"))
             continue
-        entry, occurrences = match
-        if id(entry) in matched:
-            occurrences = 0
-        matched.add(id(entry))
+        matched[id(entry)] = entry.is_real
         if entry.is_real:
             tp += 1
-            matched_real += occurrences
             labels.append((f, "TP"))
         else:
             fp += 1
-            matched_false += occurrences
             labels.append((f, "FP"))
+    matched_real = sum(matched.values())
     fn = truth.real - matched_real
-    tn = truth.known_false - matched_false
+    tn = truth.known_false - (len(matched) - matched_real)
     return ConfusionMatrix(tp, fp, fn, tn), labels
 
 
@@ -483,28 +458,22 @@ def _corpus_fixture(record: dict) -> CorpusFixture:
             isinstance(e, dict) and _is_int(e.get("line"))
             and isinstance(e.get("kind"), str) for e in v),
         'a list of {"line": integer, "kind": string}')
+    expected = tuple((e["line"], e["kind"]) for e in expected)
+    for i, (line, kind) in enumerate(expected):
+        if (line, kind) in expected[:i]:
+            raise ManifestError(f"'expected' lists line {line} {kind} twice")
     profiles = _field(
         record, "profiles", lambda v: isinstance(v, dict) and all(
             isinstance(b, bool) for b in v.values()), "an object of booleans")
-    return CorpusFixture(
-        path=fixture, fixed_path=fixed, pattern=pattern,
-        expected=tuple((e["line"], e["kind"]) for e in expected),
-        profiles=dict(profiles))
+    return CorpusFixture(path=fixture, fixed_path=fixed, pattern=pattern,
+                         expected=expected, profiles=dict(profiles))
 
 
 def load_corpus_manifest(path) -> CorpusManifest:
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
-    fixtures = []
-    for idx, raw in enumerate(path.read_text(encoding="utf-8").splitlines(),
-                              start=1):
-        if not raw.strip():
-            continue
-        try:
-            fixtures.append(_corpus_fixture(_json_object(raw)))
-        except ManifestError as exc:
-            raise ManifestError(f"{path}:{idx}: {exc}") from exc
+    fixtures: list = []
+    _read_manifest(path, lambda record: fixtures.append(
+        _corpus_fixture(record)))
     manifest = CorpusManifest(root=path.parent, fixtures=fixtures)
     for fx in fixtures:
         for p in (fx.path, fx.fixed_path):

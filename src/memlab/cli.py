@@ -22,12 +22,12 @@ import os
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from .analysis import ALL_CHECKERS, PROFILES, CheckerConfig, analyze_unit
 from .diagnostics import INCOMPLETE_WARNING, Report, emit_structured, \
     render_text
-from .frontend import LexError, ParseError, parse_file
+from .frontend import InputError, LexError, ParseError, parse_file, \
+    read_text
 
 # The keys of `ingest.PARSERS`, named here so that building the parser, and
 # so `analyze`, does not import `ingest`; `bench`, `ingest` and
@@ -48,7 +48,7 @@ def _read_config_file(path: str) -> dict:
     """Parse a simple ``key=value`` config file; # starts a comment."""
     values: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     for idx, raw in enumerate(text.splitlines(), start=1):
@@ -233,7 +233,7 @@ def cmd_persistence(args) -> int:
 
 def _read_input_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
@@ -317,8 +317,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, LexError, ParseError, ValueError, OSError) as exc:
-        # ValueError includes ingest.FormatError and benchlab.ManifestError
+    except (UsageError, LexError, ParseError, InputError, OSError) as exc:
+        # InputError includes ingest.FormatError and benchlab.ManifestError
         # and NegativeInterval, so this names no triage module.
         print(f"memlab: error: {exc}", file=sys.stderr)
         return 2

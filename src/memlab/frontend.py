@@ -86,6 +86,21 @@ class UnsupportedConstruct(ParseError):
     """A real C construct that lies outside the analyzable subset."""
 
 
+class InputError(ValueError):
+    """Input other than C source that memlab cannot use: a file that is not
+    UTF-8, a malformed report or manifest, a bad checker set, a reversed
+    date interval.  The CLI reports one as a single line and exits 2."""
+
+
+def read_text(path) -> str:
+    """A file's text; a file that is not UTF-8 is an InputError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 class SourceUnit(NamedTuple):
     """A source file: its path, as findings name it, and its text."""
 
@@ -98,8 +113,7 @@ class SourceUnit(NamedTuple):
 
     @classmethod
     def from_file(cls, path) -> "SourceUnit":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(str(path), fh.read())
+        return cls.from_text(str(path), read_text(path))
 
 
 class Token(NamedTuple):

@@ -28,6 +28,7 @@ from .analysis import (
     KIND_RESOURCE_LEAK,
     KIND_UNINITIALIZED_VALUE,
 )
+from .frontend import InputError
 
 # Bucket for kind strings that have no normalized kind in scope (for
 # example Predator's byte-precise out-of-bounds diagnostics).  UNMAPPED
@@ -35,7 +36,7 @@ from .analysis import (
 KIND_UNMAPPED = "UNMAPPED"
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     def __init__(self, message: str, line_no: int = 0):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
         self.line_no = line_no

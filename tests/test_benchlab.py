@@ -7,22 +7,18 @@ import pytest
 
 from memlab.analysis import Finding
 from memlab.benchlab import (
-    AmbiguousMatch,
     ConfusionMatrix,
     EmptyMatrix,
     GroundTruthEntry,
     ManifestError,
     NegativeInterval,
     TruthEntries,
-    UnknownVersion,
     classify,
     classify_program_size,
     compute_persistence,
     compute_rates,
-    expected_present,
     load_corpus_manifest,
     load_truth_manifest,
-    match_finding,
     reproduce_tool_table,
     run_corpus,
 )
@@ -130,67 +126,55 @@ class TestManifestLoading:
         assert str(exc.value).startswith(f"{p}:{line}: {message}")
 
 
-class TestExpectedPresent:
-    VERSIONS = ["v1", "v2", "v3"]
-
-    def test_window_semantics(self):
-        e = entry(introduced_version="v1", fixed_version="v3")
-        assert expected_present(e, "v1", self.VERSIONS)
-        assert expected_present(e, "v2", self.VERSIONS)
-        assert not expected_present(e, "v3", self.VERSIONS)
-
-    def test_never_fixed_persists(self):
-        e = entry(introduced_version="v2")
-        assert not expected_present(e, "v1", self.VERSIONS)
-        assert expected_present(e, "v3", self.VERSIONS)
-
-    def test_unknown_version_raises(self):
-        with pytest.raises(UnknownVersion):
-            expected_present(entry(), "v9", self.VERSIONS)
-
-
 class TestMatching:
     def test_exact_match_required_by_default(self):
-        truth = [entry(line=10)]
-        assert match_finding(finding(line=10), truth) is truth[0]
-        assert match_finding(finding(line=11), truth) is None
+        truth = TruthEntries([entry(line=10)])
+        assert truth.match(finding(line=10), 0) is truth[0]
+        assert truth.match(finding(line=11), 0) is None
 
     def test_kind_and_file_must_agree(self):
-        truth = [entry(line=10)]
-        assert match_finding(finding(kind="DEAD_STORE"), truth) is None
-        assert match_finding(finding(file="b.c"), truth) is None
+        truth = TruthEntries([entry(line=10)])
+        assert truth.match(finding(kind="DEAD_STORE"), 0) is None
+        assert truth.match(finding(file="b.c"), 0) is None
 
     def test_tolerance_picks_nearest(self):
-        truth = [entry(line=8), entry(line=13)]
-        got = match_finding(finding(line=12), truth, tolerance=4)
-        assert got.line == 13
+        truth = TruthEntries([entry(line=8), entry(line=13)])
+        assert truth.match(finding(line=12), 4).line == 13
 
     def test_distance_tie_breaks_to_lower_line(self):
-        truth = [entry(line=8), entry(line=12)]
-        got = match_finding(finding(line=10), truth, tolerance=2)
-        assert got.line == 8
+        truth = TruthEntries([entry(line=8), entry(line=12)])
+        assert truth.match(finding(line=10), 2).line == 8
 
-    def test_same_line_duplicates_are_ambiguous(self):
-        truth = [entry(line=10), entry(line=10)]
-        with pytest.raises(AmbiguousMatch):
-            match_finding(finding(line=10), truth)
+    @pytest.mark.parametrize("second", [
+        entry(line=10, is_real=False, note="again"), None,
+    ], ids=["equal-key", "same-object"])
+    def test_same_line_duplicates_are_rejected(self, tmp_path, second):
+        first = entry(line=10)
+        truth = [entry(line=3), first, first if second is None else second]
+        message = "duplicate entry a.c:10 MEMORY_LEAK"
+        with pytest.raises(ManifestError, match=f"^{message}$"):
+            TruthEntries(truth)
+        with pytest.raises(ManifestError, match=f"^{message}$"):
+            classify([finding(line=3)], truth)
+        import json
+        p = tmp_path / "twice.jsonl"
+        p.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"record": "header", "program": "x", "versions": ["v1"]},
+            *({"record": "entry", "file": e.file, "line": e.line,
+               "kind": e.kind, "is_real": e.is_real,
+               "introduced_version": "v1"} for e in truth))))
+        with pytest.raises(ManifestError) as exc:
+            load_truth_manifest(p)
+        assert str(exc.value) == f"{p}: {message}"
 
 
 def _scan_match(f, truth, tolerance):
-    """match_finding as it was before its truth index: scan every entry."""
+    """The match as it was before its truth index: scan every entry."""
     candidates = [e for e in truth
                   if e.file == f.file and e.kind == f.kind
                   and abs(e.line - f.line) <= tolerance]
-    best = min(candidates, default=None,
+    return min(candidates, default=None,
                key=lambda e: (abs(e.line - f.line), e.line))
-    if best is None:
-        return None
-    others = [e for e in candidates if e.line == best.line and e is not best]
-    if others:
-        raise AmbiguousMatch(f"{f.file}:{f.line} {f.kind} matches "
-                             f"{1 + len(others)} truth entries at line "
-                             f"{best.line}")
-    return best
 
 
 def _scan_classify(findings, truth, tolerance):
@@ -219,14 +203,13 @@ KINDS = ("MEMORY_LEAK", "DEAD_STORE")
 
 
 def _random_truth(rng):
-    """Up to 30 entries over 3 files, 2 kinds and 40 lines; sometimes one
-    entry object stands in the list twice."""
-    truth = [entry(file=rng.choice(FILES), line=rng.randint(1, 40),
-                   kind=rng.choice(KINDS), is_real=rng.random() < 0.7)
-             for _ in range(rng.randint(0, 30))]
-    if truth and rng.random() < 0.3:
-        truth.insert(rng.randint(0, len(truth)), rng.choice(truth))
-    return truth
+    """Up to 30 entries over 3 files, 2 kinds and 40 lines, at most one
+    for each (file, kind, line), in random order."""
+    keys = rng.sample([(file, kind, line) for file in FILES
+                       for kind in KINDS for line in range(1, 41)],
+                      rng.randint(0, 30))
+    return [entry(file=file, line=line, kind=kind,
+                  is_real=rng.random() < 0.7) for file, kind, line in keys]
 
 
 def _random_finding(rng, truth):
@@ -271,14 +254,7 @@ class TestClassify:
             findings = [_random_finding(rng, truth)
                         for _ in range(rng.randint(0, 30))]
             tolerance = rng.randint(0, 5)
-            try:
-                want = _scan_classify(findings, truth, tolerance)
-            except AmbiguousMatch as exc:
-                for against in (truth, indexed):
-                    with pytest.raises(AmbiguousMatch) as got:
-                        classify(findings, against, tolerance)
-                    assert str(got.value) == str(exc)
-                continue
+            want = _scan_classify(findings, truth, tolerance)
             assert classify(findings, truth, tolerance) == want
             assert classify(findings, indexed, tolerance) == want
 
@@ -290,16 +266,8 @@ class TestClassify:
         for _ in range(20):
             f = _random_finding(rng, truth)
             tolerance = rng.randint(0, 5)
-            try:
-                want = _scan_match(f, truth, tolerance)
-            except AmbiguousMatch as exc:
-                for against in (truth, indexed):
-                    with pytest.raises(AmbiguousMatch) as got:
-                        match_finding(f, against, tolerance)
-                    assert str(got.value) == str(exc)
-                continue
-            assert match_finding(f, truth, tolerance) is want
-            assert match_finding(f, indexed, tolerance) is want
+            assert indexed.match(f, tolerance) is _scan_match(f, truth,
+                                                              tolerance)
 
     def test_rates_partition_to_one(self):
         matrix = ConfusionMatrix(tp=3, fp=1, fn=4, tn=2)
@@ -345,9 +313,8 @@ class TestTruthIndex:
             classify(findings, plain)
         for tolerance, got in want.items():
             assert classify(findings, entries, tolerance) == got
-        assert match_finding(finding(file=plain[0].file, line=plain[0].line,
-                                     kind=plain[0].kind),
-                             entries) is plain[0]
+        assert entries.match(finding(file=plain[0].file, line=plain[0].line,
+                                     kind=plain[0].kind), 0) is plain[0]
 
 
 class TestToolTable:

@@ -308,14 +308,44 @@ class TestTruncationAndCrashes:
 
     def test_unexpected_exception_exits_two_on_one_line(self, capsys,
                                                         monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("engine fault\nwith a second line")
+        # A ValueError from the engine is a fault, not an input error.
+        for error in (RuntimeError, ValueError):
+            def broken(*args, **kwargs):
+                raise error("engine fault\nwith a second line")
 
-        monkeypatch.setattr("memlab.cli.analyze_unit", broken)
-        code, out, err = run_cli(capsys, "analyze", "corpus/explicit_leak.c")
-        assert (code, out) == (2, "")
-        assert err == ("memlab: error: internal error: RuntimeError: "
-                       "engine fault with a second line\n")
+            monkeypatch.setattr("memlab.cli.analyze_unit", broken)
+            code, out, err = run_cli(capsys, "analyze",
+                                     "corpus/explicit_leak.c")
+            assert (code, out) == (2, "")
+            assert err == (f"memlab: error: internal error: "
+                           f"{error.__name__}: engine fault with a second "
+                           f"line\n")
+
+    def test_checker_set_that_breaks_a_dependency_is_an_input_error(
+            self, capsys):
+        out = run_cli(capsys, "analyze", "--profile", "infer-like",
+                      "--disable", "DEAD_STORE", "corpus/explicit_leak.c")
+        assert out == (2, "", "memlab: error: DEAD_STORE_NULL_INIT requires "
+                              "DEAD_STORE\n")
+
+    @pytest.mark.parametrize("args", [
+        ("analyze", "{bad}"),
+        ("analyze", "--config", "{bad}", "corpus/explicit_leak.c"),
+        ("ingest", "--format", "infer", "{bad}"),
+        ("bench", "--corpus", "{bad}"),
+        ("bench", "--truth", "{bad}", "--ingested", "{bad}"),
+        ("bench", "--truth", "truth/sds.jsonl", "--ingested", "{bad}"),
+        ("persistence", "--truth", "{bad}"),
+    ], ids=["analyze", "config", "ingest", "corpus", "truth", "report",
+            "persistence"])
+    def test_file_that_is_not_utf8_is_a_named_error(self, capsys, tmp_path,
+                                                    args):
+        bad = tmp_path / "latin1.c"
+        bad.write_bytes(b"int main() { return 0; } /* \xe9 */\n")
+        out = run_cli(capsys, *(a.format(bad=bad) for a in args))
+        assert out == (2, "", f"memlab: error: {bad}: 'utf-8' codec can't "
+                              "decode byte 0xe9 in position 28: invalid "
+                              "continuation byte\n")
 
 
 class TestBench:
@@ -405,9 +435,13 @@ class TestBench:
         ("expected", {"line": 6}, "'expected' must be a list of"),
         ("profiles", {"union": "yes"}, "'profiles' must be an object"),
         ("fixed", 7, "'fixed' must be a string or null"),
+        ("expected", [{"line": 6, "kind": "MEMORY_LEAK"},
+                      {"line": 7, "kind": "MEMORY_LEAK"},
+                      {"line": 6, "kind": "MEMORY_LEAK"}],
+         "'expected' lists line 6 MEMORY_LEAK twice"),
     ], ids=["no-fixture", "no-pattern", "no-expected", "no-profiles",
             "int-fixture", "str-pattern", "bool-pattern", "str-line",
-            "dict-expected", "str-profile", "int-fixed"])
+            "dict-expected", "str-profile", "int-fixed", "twice-expected"])
     def test_malformed_corpus_record_is_a_located_error(
             self, capsys, tmp_path, key, value, message):
         (tmp_path / "f.c").write_text("int main() { return 0; }\n")
@@ -439,6 +473,21 @@ class TestBench:
                       str(report))
         assert out == (2, "", f"memlab: error: {truth}:2: 'line' must be an "
                               "integer\n")
+
+    def test_duplicate_truth_entry_names_the_manifest_and_key(
+            self, capsys, tmp_path):
+        truth = write_truth(tmp_path)
+        truth.write_text(truth.read_text() + truth.read_text().splitlines(
+            keepends=True)[1])
+        report = tmp_path / "tool.jsonl"
+        report.write_text(json.dumps({
+            "file": "a.c", "line": 3, "kind": "MEMORY_LEAK",
+            "checker": "ingest:memlab", "message": "", "function": "",
+        }) + "\n")
+        out = run_cli(capsys, "bench", "--truth", str(truth), "--ingested",
+                      str(report))
+        assert out == (2, "", f"memlab: error: {truth}: duplicate entry "
+                              "a.c:3 MEMORY_LEAK\n")
 
     def test_malformed_report_names_its_line(self, capsys, tmp_path):
         report = tmp_path / "tool.jsonl"
