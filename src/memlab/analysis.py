@@ -145,6 +145,12 @@ class CheckerConfig:
         if CHECKER_DEAD_STORE_NULL_INIT in self.enabled \
                 and CHECKER_DEAD_STORE not in self.enabled:
             raise ast.InputError("DEAD_STORE_NULL_INIT requires DEAD_STORE")
+        if self.path_budget < 1:
+            raise ast.InputError(
+                f"path budget must be at least 1, got {self.path_budget}")
+        if self.unroll_bound < 0:
+            raise ast.InputError(
+                f"unroll bound must be at least 0, got {self.unroll_bound}")
 
     def with_checkers(self, enable=(), disable=()) -> "CheckerConfig":
         enabled = (self.enabled | frozenset(enable)) - frozenset(disable)
@@ -231,42 +237,37 @@ class PtrValue(NamedTuple):
         return PtrValue("stack", var=var)
 
 
-class ScalarValue(NamedTuple):
-    state: str  # zero | nonzero | unknown | uninit
-
-
-UNKNOWN = ScalarValue("unknown")
-ZERO = ScalarValue("zero")
-NONZERO = ScalarValue("nonzero")
-SCALAR_UNINIT = ScalarValue("uninit")
+# A scalar is its state string.
+UNKNOWN = "unknown"
+ZERO = "zero"
+NONZERO = "nonzero"
+SCALAR_UNINIT = "uninit"
 PTR_UNINIT = PtrValue("uninit")
 PTR_UNKNOWN = PtrValue("unknown")
 
 
 def is_uninit(value) -> bool:
-    return (isinstance(value, ScalarValue) and value.state == "uninit") or \
-        (isinstance(value, PtrValue) and value.kind == "uninit")
+    return (value.kind if type(value) is PtrValue else value) == "uninit"
 
 
 def truthiness(value) -> str:
     """"true", "false", or "unknown"."""
-    if isinstance(value, PtrValue):
+    if type(value) is PtrValue:
         if value.kind == "null":
             return "false"
         if value.kind in ("block", "stack"):
             return "true"
         return "unknown"
-    if isinstance(value, ScalarValue):
-        if value.state == "zero":
-            return "false"
-        if value.state == "nonzero":
-            return "true"
+    if value == ZERO:
+        return "false"
+    if value == NONZERO:
+        return "true"
     return "unknown"
 
 
 def value_eq(left, right) -> bool | None:
     """Abstract equality; None when undecided."""
-    lp, rp = isinstance(left, PtrValue), isinstance(right, PtrValue)
+    lp, rp = type(left) is PtrValue, type(right) is PtrValue
     if lp and rp:
         if left.kind == "null" and right.kind == "null":
             return True
@@ -276,17 +277,16 @@ def value_eq(left, right) -> bool | None:
         return None
     if lp or rp:
         ptr, other = (left, right) if lp else (right, left)
-        if isinstance(other, ScalarValue) and other.state == "zero":
+        if other == ZERO:
             if ptr.kind == "null":
                 return True
             if ptr.kind in ("block", "stack"):
                 return False
         return None
-    if isinstance(left, ScalarValue) and isinstance(right, ScalarValue):
-        if left.state == "zero" and right.state == "zero":
-            return True
-        if {left.state, right.state} == {"zero", "nonzero"}:
-            return False
+    if left == ZERO and right == ZERO:
+        return True
+    if {left, right} == {ZERO, NONZERO}:
+        return False
     return None
 
 
@@ -310,28 +310,25 @@ class AbstractHeap:
     """State carried along one explored path."""
 
     env: dict = field(default_factory=dict)
-    sites: dict = field(default_factory=dict)
+    # A site's id is its index.  Sites are never removed, and a block value
+    # names a site of the state it is in, so `sites[v.site]` always exists.
+    sites: list = field(default_factory=list)
     # var -> (var, line) of its last store, or an alias standing for it
     cur_store: dict = field(default_factory=dict)
     ret_line: int = 0
-    next_site: int = 0
 
     def clone(self) -> "AbstractHeap":
         return AbstractHeap(
             env=dict(self.env),
-            sites={sid: SiteInfo(s.line, s.status, s.escaped,
-                                 dict(s.fields), s.default_field, s.hint)
-                   for sid, s in self.sites.items()},
+            sites=[SiteInfo(s.line, s.status, s.escaped, dict(s.fields),
+                            s.default_field, s.hint) for s in self.sites],
             cur_store=dict(self.cur_store),
             ret_line=self.ret_line,
-            next_site=self.next_site,
         )
 
     def new_site(self, line: int, default_field) -> int:
-        sid = self.next_site
-        self.next_site += 1
-        self.sites[sid] = SiteInfo(line, "live", False, {}, default_field)
-        return sid
+        self.sites.append(SiteInfo(line, "live", False, {}, default_field))
+        return len(self.sites) - 1
 
     def reachable_sites(self, roots=None) -> set:
         """Sites reachable from env values (or the given root values)."""
@@ -341,13 +338,14 @@ class AbstractHeap:
         seen = set()
         while work:
             sid = work.pop()
-            if sid in seen or sid not in self.sites:
+            if sid in seen:
                 continue
             seen.add(sid)
-            if self.sites[sid].status != "live":
+            info = self.sites[sid]
+            if info.status != "live":
                 # A freed or leaked block's fields keep nothing alive.
                 continue
-            for v in self.sites[sid].fields.values():
+            for v in info.fields.values():
                 if _is_block(v):
                     work.append(v.site)
         return seen
@@ -361,8 +359,8 @@ class AbstractHeap:
             v = work.pop()
             if not _is_block(v):
                 continue
-            info = self.sites.get(v.site)
-            if info is None or info.escaped:
+            info = self.sites[v.site]
+            if info.escaped:
                 continue
             info.escaped = True
             work.extend(info.fields.values())
@@ -370,12 +368,6 @@ class AbstractHeap:
 
 def _is_block(value) -> bool:
     return type(value) is PtrValue and value.kind == "block"
-
-
-def _scalar_state(value):
-    # A scalar stands for its state string in a key: a str hashes from a
-    # cache, a named tuple by hashing its field again.
-    return value.state if type(value) is ScalarValue else value
 
 
 # What a dead variable's value is in a key: no read is left to tell values
@@ -425,8 +417,8 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
         stores = tuple(sorted(keep.intersection(state.cur_store)))
     stores = interned.setdefault(stores, stores)
     if not sites:
-        return (block_id, names, tuple(map(_scalar_state, values)), stores,
-                state.ret_line, back_counts, ())
+        return (block_id, names, tuple(values), stores, state.ret_line,
+                back_counts, ())
 
     renum: dict = {}
     order: list = []
@@ -438,7 +430,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
                 order.append(v.site)
 
     number(values)
-    live = (sid for sid, s in sites.items() if s.status == "live")
+    live = (sid for sid, s in enumerate(sites) if s.status == "live")
     done = 0
     while True:
         while done < len(order):
@@ -453,7 +445,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
     def canon(v):
         if _is_block(v):
             return ("block", renum[v.site], v.offset)
-        return _scalar_state(v)
+        return v
 
     return (block_id, names, tuple(map(canon, values)), stores,
             state.ret_line, back_counts,
@@ -529,7 +521,7 @@ class _FunctionAnalysis:
             if ctype.is_pointer:
                 state.env[name] = PtrValue("unknown", param_index=idx)
             else:
-                state.env[name] = ScalarValue("unknown")
+                state.env[name] = UNKNOWN
         for g in self.tu.globals:
             state.env[g.name] = UNKNOWN
         self._exec(self.cfg.entry, state, ())
@@ -718,8 +710,7 @@ class _FunctionAnalysis:
                 out.append(state)
             else:
                 for s, v in self.eval(stmt.expr, state):
-                    fresh = _is_block(v) and s.sites.get(v.site) is not None \
-                        and s.sites[v.site].status == "live"
+                    fresh = _is_block(v) and s.sites[v.site].status == "live"
                     self.returns.append((v, fresh))
                     s.escape_value(v)
                     s.ret_line = stmt.loc.line
@@ -740,8 +731,8 @@ class _FunctionAnalysis:
         state.cur_store[name] = key
         state.env[name] = value
         if _is_block(value):
-            info = state.sites.get(value.site)
-            if info is not None and not info.hint:
+            info = state.sites[value.site]
+            if not info.hint:
                 info.hint = name
 
     def _assign(self, target, value, state: AbstractHeap, loc) -> list:
@@ -757,11 +748,10 @@ class _FunctionAnalysis:
                     if base.kind == "stack":
                         s.env[base.var] = value
                     elif base.kind == "block":
-                        info = s.sites.get(base.site)
-                        if info is not None:
-                            info.fields[""] = value
-                            if info.escaped:
-                                s.escape_value(value)
+                        info = s.sites[base.site]
+                        info.fields[""] = value
+                        if info.escaped:
+                            s.escape_value(value)
                     elif base.kind == "unknown":
                         s.escape_value(value)
                 results.append(s)
@@ -772,16 +762,15 @@ class _FunctionAnalysis:
                 if target.via_pointer:
                     base = self.check_null_deref(s, base, target.expr, target.loc)
                 if _is_block(base):
-                    info = s.sites.get(base.site)
-                    if info is not None:
-                        info.fields[target.fieldname] = value
-                        if _is_block(value):
-                            vinfo = s.sites.get(value.site)
-                            if vinfo is not None and not vinfo.hint:
-                                vinfo.hint = f"{info.hint}.{target.fieldname}" \
-                                    if info.hint else target.fieldname
-                        if info.escaped:
-                            s.escape_value(value)
+                    info = s.sites[base.site]
+                    info.fields[target.fieldname] = value
+                    if _is_block(value):
+                        vinfo = s.sites[value.site]
+                        if not vinfo.hint:
+                            vinfo.hint = f"{info.hint}.{target.fieldname}" \
+                                if info.hint else target.fieldname
+                    if info.escaped:
+                        s.escape_value(value)
                 else:
                     s.escape_value(value)
                 results.append(s)
@@ -858,7 +847,7 @@ class _FunctionAnalysis:
         value = state.env.get(name, UNKNOWN)
         if is_uninit(value):
             self.check_uninit_use(name, loc)
-            value = UNKNOWN if isinstance(value, ScalarValue) else PTR_UNKNOWN
+            value = PTR_UNKNOWN if type(value) is PtrValue else UNKNOWN
             state.env[name] = value
         return value
 
@@ -868,9 +857,7 @@ class _FunctionAnalysis:
         if base.kind == "stack" and fieldname == "":
             return self._read_var(state, base.var, loc)
         if base.kind == "block":
-            info = state.sites.get(base.site)
-            if info is None:
-                return UNKNOWN
+            info = state.sites[base.site]
             value = info.fields.get(fieldname, info.default_field)
             if is_uninit(value):
                 self.check_uninit_use(info.hint or "memory", loc)
@@ -932,9 +919,10 @@ class _FunctionAnalysis:
         # other operand is a literal (interior pointers stay representable).
         for ptr in (left, right):
             if _is_block(ptr) and op in ("+", "-"):
-                delta = _literal_of(expr.right if ptr is left else expr.left)
-                if delta is None:
+                other = expr.right if ptr is left else expr.left
+                if not isinstance(other, ast.IntLit):
                     return PtrValue.block(ptr.site, offset=1)  # nonzero, unknown
+                delta = other.value
                 if op == "-" and ptr is left:
                     delta = -delta
                 return PtrValue.block(ptr.site, offset=ptr.offset + delta)
@@ -988,9 +976,7 @@ class _FunctionAnalysis:
             fail = s.clone()
             # Success: the old block is consumed by realloc itself.
             if _is_block(old):
-                info = s.sites.get(old.site)
-                if info is not None:
-                    info.status = "freed"
+                s.sites[old.site].status = "freed"
             sid = s.new_site(call.loc.line, SCALAR_UNINIT)
             results.append((s, PtrValue.block(sid)))
             # Failure: the old block stays allocated.  The dedicated
@@ -1023,8 +1009,8 @@ class _FunctionAnalysis:
                 if idx < len(vals):
                     v = vals[idx]
                     if _is_block(v):
-                        info = s.sites.get(v.site)
-                        if info is not None and info.status == "live":
+                        info = s.sites[v.site]
+                        if info.status == "live":
                             info.status = "freed"
             if summary.returns_fresh:
                 sid = s.new_site(call.loc.line, UNKNOWN)
@@ -1070,9 +1056,7 @@ class _FunctionAnalysis:
             return
         if value.kind != "block":
             return  # free(NULL) and free(unknown) are no-ops here
-        info = state.sites.get(value.site)
-        if info is None:
-            return
+        info = state.sites[value.site]
         if info.status == "freed":
             self.emit(CHECKER_INVALID_FREE, line,
                       f"double free of `{name}` (allocated at line {info.line})")
@@ -1094,8 +1078,8 @@ class _FunctionAnalysis:
             return
         reachable = state.reachable_sites()
         for fname, v in field_blocks:
-            info = state.sites.get(v.site)
-            if info is None or info.status != "live" or info.escaped:
+            info = state.sites[v.site]
+            if info.status != "live" or info.escaped:
                 continue
             if v.site in reachable:
                 continue
@@ -1111,13 +1095,13 @@ class _FunctionAnalysis:
                              roots=None) -> None:
         """Report blocks that just became unreachable on this path: those
         no value in env (or in `roots`) reaches."""
-        for info in state.sites.values():
+        for info in state.sites:
             if info.status == "live" and not info.escaped:
                 break
         else:
             return  # nothing can leak
         reachable = state.reachable_sites(roots)
-        for sid, info in state.sites.items():
+        for sid, info in enumerate(state.sites):
             if info.status != "live" or info.escaped or sid in reachable:
                 continue
             self.emit(CHECKER_MEMORY_LEAK, line,
@@ -1165,15 +1149,8 @@ def _is_null_expr(expr) -> bool:
 
 
 def _is_null_expr_value(value) -> bool:
-    return (isinstance(value, PtrValue) and value.kind == "null"
-            and value.origin == "literal") or \
-        (isinstance(value, ScalarValue) and value.state == "zero")
-
-
-def _literal_of(expr):
-    if isinstance(expr, ast.IntLit):
-        return expr.value
-    return None
+    return value == ZERO or (type(value) is PtrValue and value.kind == "null"
+                             and value.origin == "literal")
 
 
 # ---------------------------------------------------------------------------
@@ -1186,7 +1163,8 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
     """Explore each function callees first: (summaries, findings, incomplete).
 
     A function's findings are kept from its first exploration when every
-    function it calls that the unit defines already had a summary then.
+    function it calls that the unit defines, except one named like a
+    builtin (`eval_call` models those), already had a summary then.
     The others call back into a cycle that the walk has not closed yet:
     their summaries keep the first exploration, and their findings come
     from one more exploration against the full table.
@@ -1194,6 +1172,9 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
     summaries: dict[str, FunctionSummary] = {}
     started: set[str] = set()  # in progress or summarized
     by_name = {fn.name: fn for fn in tu.functions}
+    # The functions whose summaries a call reads.
+    defined = by_name.keys() - ast.BUILTIN_FUNCTIONS
+    callees = {fn.name: sorted(fn.calls & defined) for fn in tu.functions}
     findings: set[Finding] = set()
     incomplete = False
     on_cycle: list[str] = []
@@ -1205,7 +1186,7 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
 
     def opened(name: str) -> tuple:
         started.add(name)
-        return name, iter(sorted(by_name[name].calls))
+        return name, iter(callees[name])
 
     # Depth first over the calls, each function analysed after its callees:
     # the stack holds the functions in progress, each with the callees it
@@ -1215,17 +1196,15 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
             continue
         stack = [opened(root.name)]
         while stack:
-            name, callees = stack[-1]
-            for callee in callees:
-                if callee in by_name and callee not in started \
-                        and callee not in ast.BUILTIN_FUNCTIONS:
+            name, pending = stack[-1]
+            for callee in pending:
+                if callee not in started:
                     stack.append(opened(callee))
                     break
             else:
                 stack.pop()
                 fn = by_name[name]
-                final = all(callee in summaries
-                            for callee in fn.calls if callee in by_name)
+                final = all(callee in summaries for callee in callees[name])
                 fa = _FunctionAnalysis(tu, fn, cfgs[name], config, summaries)
                 fa.run()
                 summaries[name] = fa.summary()

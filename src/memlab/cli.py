@@ -58,7 +58,10 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{idx}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise UsageError(f"{path}:{idx}: duplicate key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -89,23 +92,25 @@ def resolve_config(args) -> CheckerConfig:
     if profile not in PROFILES:
         raise UsageError(f"unknown profile {profile!r}")
     config = PROFILES[profile]
+    settings: dict = {}
+    enabled = config.enabled
 
     # Config-file overrides.
     for key, value in file_values.items():
         if key == "profile":
             continue
         elif key in _CONFIG_BOOL_KEYS:
-            config = replace(config, **{key: _parse_bool(value, key)})
+            settings[key] = _parse_bool(value, key)
         elif key in _CONFIG_INT_KEYS:
             try:
-                config = replace(config, **{key: int(value)})
+                settings[key] = int(value)
             except ValueError:
                 raise UsageError(f"config key {key}: expected an integer") \
                     from None
         elif key == "enable":
-            config = config.with_checkers(enable=_split_checkers(value))
+            enabled = enabled | _split_checkers(value)
         elif key == "disable":
-            config = config.with_checkers(disable=_split_checkers(value))
+            enabled = enabled - _split_checkers(value)
         else:
             raise UsageError(f"unknown config key {key!r}")
 
@@ -113,18 +118,13 @@ def resolve_config(args) -> CheckerConfig:
     for key in _CONFIG_BOOL_KEYS + _CONFIG_INT_KEYS:
         value = getattr(args, key, None)
         if value is not None:
-            config = replace(config, **{key: value})
+            settings[key] = value
     if args.enable:
-        config = config.with_checkers(enable=_split_checkers(args.enable))
+        enabled = enabled | _split_checkers(args.enable)
     if args.disable:
-        config = config.with_checkers(disable=_split_checkers(args.disable))
-    if config.path_budget < 1:
-        raise UsageError(
-            f"path budget must be at least 1, got {config.path_budget}")
-    if config.unroll_bound < 0:
-        raise UsageError(
-            f"unroll bound must be at least 0, got {config.unroll_bound}")
-    return config
+        enabled = enabled - _split_checkers(args.disable)
+    # Only the result is checked, so a flag may mend what the file set.
+    return replace(config, enabled=enabled, **settings)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,11 @@ from memlab.analysis import (
     FunctionSummary,
     PROFILES,
     PtrValue,
-    ScalarValue,
     analyze_unit,
     compute_summaries,
 )
 from memlab.cfg import build_cfg
-from memlab.frontend import CType, Loc, SourceUnit, parse_source
+from memlab.frontend import CType, InputError, Loc, SourceUnit, parse_source
 
 UNION = PROFILES["union"]
 
@@ -524,6 +523,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             CheckerConfig("bad", frozenset({CHECKER_DEAD_STORE_NULL_INIT}))
 
+    @pytest.mark.parametrize("bound,message", [
+        ({"path_budget": 0}, "path budget must be at least 1, got 0"),
+        ({"path_budget": -5}, "path budget must be at least 1, got -5"),
+        ({"unroll_bound": -7}, "unroll bound must be at least 0, got -7"),
+    ], ids=["budget-zero", "budget-negative", "unroll-negative"])
+    def test_bounds_are_checked_where_the_config_is_built(self, bound,
+                                                         message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            replace(UNION, **bound)
+
     def test_findings_are_sorted_and_deduped(self):
         result = run_full("""int main() {
             int *p = NULL;
@@ -546,7 +555,6 @@ VALUES = [
      SourceUnit("b.c", "int x;")),
     (PtrValue("block", site=2, offset=8), PtrValue.block(2, 8),
      PtrValue.block(2, 0)),
-    (ScalarValue("zero"), ScalarValue("zero"), ScalarValue("nonzero")),
     (FunctionSummary("f", frees_params=frozenset({0})),
      FunctionSummary("f", False, False, frozenset({0})),
      FunctionSummary("f")),

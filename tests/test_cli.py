@@ -152,6 +152,41 @@ class TestAnalyze:
         assert (code, out) == (2, "")
         assert err.startswith("memlab: error: unroll bound must be at least 0")
 
+    @pytest.mark.parametrize("config,flag", [
+        ("path_budget = 0\n", ["--path-budget", "5"]),
+        ("unroll_bound = -1\n", ["--unroll-bound", "2"]),
+        ("profile = infer-like\ndisable = DEAD_STORE\n",
+         ["--disable", "DEAD_STORE_NULL_INIT"]),
+    ], ids=["path-budget", "unroll-bound", "checkers"])
+    def test_flag_mends_a_config_file_setting(self, capsys, tmp_path,
+                                              config, flag):
+        # Only the configuration the file and the flags give together is
+        # checked, not the file's on its own.
+        cfg = tmp_path / "memlab.conf"
+        cfg.write_text(config)
+        code, out, err = run_cli(capsys, "analyze", "corpus/explicit_leak.c",
+                                 "--config", str(cfg), *flag)
+        assert (code, err) == (1, "")
+        assert "MEMORY_LEAK" in out
+
+    @pytest.mark.parametrize("config,line,key", [
+        ("disable = DEAD_STORE_NULL_INIT\ndisable = DEAD_STORE\n", 2,
+         "disable"),
+        ("enable = UNINIT_USE\n# more\n\n enable = INTERIOR_FREE\n", 4,
+         "enable"),
+        ("path_budget = 9\nprofile = union\npath_budget=9\n", 3,
+         "path_budget"),
+    ], ids=["disable", "enable", "same-value"])
+    def test_repeated_config_key_is_a_located_error(self, capsys, tmp_path,
+                                                    config, line, key):
+        # Keeping only the last value would silently drop the first line.
+        cfg = tmp_path / "memlab.conf"
+        cfg.write_text(config)
+        out = run_cli(capsys, "analyze", "corpus/explicit_leak.c",
+                      "--config", str(cfg))
+        assert out == (2, "", f"memlab: error: {cfg}:{line}: duplicate key "
+                              f"'{key}'\n")
+
     def test_unroll_bound_of_zero_is_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze",
                                "corpus/dead_store_tp_fixed.c",

@@ -267,7 +267,10 @@ def assert_same_without_dedup(source, config, monkeypatch):
     assert deduped == every_path, source
     assert [name for name, _ in counts] == [name for name, _ in full_counts]
     assert all(n <= full for (_, n), (_, full) in zip(counts, full_counts))
-    tight = replace(config, path_budget=max(full for _, full in full_counts))
+    # A budget is at least 1: a function whose every path is abandoned at
+    # the unroll bound counts none.
+    tight = replace(config,
+                    path_budget=max(1, *(full for _, full in full_counts)))
     if not counted_outcome(source, tight, monkeypatch, dedup=False)[0][1]:
         assert outcome(source, tight) == every_path, source
 
@@ -425,7 +428,8 @@ ESCAPE_CONFIGS = [PROFILES[profile] for profile in sorted(PROFILES)] + [
     ids=["dying", "random", "escaping"])
 def test_escaped_blocks_reach_only_escaped_blocks(make, seeds, monkeypatch):
     """After every statement, every block a field of an escaped block
-    points to has escaped too: the leak checks read the flag as it is."""
+    points to has escaped too: the leak checks read the flag as it is.
+    Every block value, in env or in a field, names a site of its state."""
     transfer = _FunctionAnalysis.transfer
     edges = 0
 
@@ -433,11 +437,17 @@ def test_escaped_blocks_reach_only_escaped_blocks(make, seeds, monkeypatch):
         nonlocal edges
         out = transfer(self, stmt, state)
         for s in out:
-            for info in s.sites.values():
+            values = list(s.env.values())
+            for info in s.sites:
+                values += info.fields.values()
+            for v in values:
+                if analysis._is_block(v):
+                    assert 0 <= v.site < len(s.sites), (stmt.loc.line, source)
+            for info in s.sites:
                 if not info.escaped:
                     continue
                 for v in info.fields.values():
-                    if analysis._is_block(v) and v.site in s.sites:
+                    if analysis._is_block(v):
                         assert s.sites[v.site].escaped, (stmt.loc.line, source)
                         edges += 1
         return out

@@ -366,3 +366,13 @@ class TestExplorationCount:
             int *c(int *p) { free(p); return a(NULL); }
         """))
         assert explored == ["c", "b", "a", "c"]
+
+    def test_function_named_like_a_builtin_is_not_waited_for(self, explored):
+        # `eval_call` models `free` itself and never reads its summary, so
+        # `g` is final at its first exploration.
+        result = analyze_unit(parse_source("<t>", """
+            int g() { int *p = malloc(4); free(p); return 0; }
+            void free(int *p) { }
+        """))
+        assert explored == ["g", "free"]
+        assert list(result) == []
