@@ -493,7 +493,7 @@ class _FunctionAnalysis:
         self.frees_params: set[int] = set()
 
         self.has_user_calls = any(
-            name not in ast.BUILTIN_FUNCTIONS for name in fn.calls)
+            name not in BUILTIN_FUNCTIONS for name in fn.calls)
 
         self.global_names = {g.name for g in tu.globals}
 
@@ -931,16 +931,8 @@ class _FunctionAnalysis:
     # -- calls --
 
     def eval_call(self, call: ast.Call, state: AbstractHeap) -> list:
-        name = call.name
-        if name in ("malloc", "calloc"):
-            return self._eval_alloc(call, state)
-        if name == "realloc":
-            return self._eval_realloc(call, state)
-        if name == "free":
-            return self._eval_free(call, state)
-        if name in ("printf", "memset", "memcpy", "memmove"):
-            return [(s, UNKNOWN) for s, _ in self._eval_args(call.args, state)]
-        return self._eval_user_call(call, state)
+        model = BUILTIN_FUNCTIONS.get(call.name, _FunctionAnalysis._eval_user_call)
+        return model(self, call, state)
 
     def _eval_args(self, args, state: AbstractHeap) -> list:
         # Evaluate arguments left to right, threading forks through:
@@ -986,6 +978,9 @@ class _FunctionAnalysis:
                 fail.escape_value(old)
             results.append((fail, PtrValue.null("alloc_failure", call.loc.line)))
         return results
+
+    def _eval_opaque(self, call: ast.Call, state: AbstractHeap) -> list:
+        return [(s, UNKNOWN) for s, _ in self._eval_args(call.args, state)]
 
     def _eval_free(self, call: ast.Call, state: AbstractHeap) -> list:
         results = []
@@ -1143,6 +1138,19 @@ class _FunctionAnalysis:
                       f"The value written to &{var} is never used")
 
 
+# The library functions the analyzer models itself, each by the method that
+# evaluates a call to it; no prototype is needed, and a unit's definition of
+# one is never called.
+BUILTIN_FUNCTIONS = {
+    "malloc": _FunctionAnalysis._eval_alloc,
+    "calloc": _FunctionAnalysis._eval_alloc,
+    "realloc": _FunctionAnalysis._eval_realloc,
+    "free": _FunctionAnalysis._eval_free,
+    **dict.fromkeys(("printf", "memset", "memcpy", "memmove"),
+                    _FunctionAnalysis._eval_opaque),
+}
+
+
 def _is_null_expr(expr) -> bool:
     return isinstance(expr, ast.NullLit) or \
         (isinstance(expr, ast.IntLit) and expr.value == 0)
@@ -1173,7 +1181,7 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
     started: set[str] = set()  # in progress or summarized
     by_name = {fn.name: fn for fn in tu.functions}
     # The functions whose summaries a call reads.
-    defined = by_name.keys() - ast.BUILTIN_FUNCTIONS
+    defined = by_name.keys() - BUILTIN_FUNCTIONS
     callees = {fn.name: sorted(fn.calls & defined) for fn in tu.functions}
     findings: set[Finding] = set()
     incomplete = False

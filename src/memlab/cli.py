@@ -155,7 +155,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import benchlab
-    from .ingest import parse_report
 
     if bool(args.corpus) == bool(args.truth):
         raise UsageError("bench needs exactly one of --corpus or --truth")
@@ -173,8 +172,7 @@ def cmd_bench(args) -> int:
         raise UsageError(
             f"tolerance must be at least 0, got {args.tolerance}")
     truth = benchlab.load_truth_manifest(args.truth)
-    text = _read_input_file(args.ingested)
-    findings = parse_report(text, args.report_format)
+    findings = _read_report(args.ingested, args.report_format)
     matrix, labels = benchlab.classify(findings, truth.entries,
                                        tolerance=args.tolerance)
     unmapped = sum(1 for _, label in labels if label == "UNMAPPED")
@@ -185,10 +183,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .ingest import parse_report
-
-    text = _read_input_file(args.report)
-    findings = parse_report(text, args.report_format)
+    findings = _read_report(args.report, args.report_format)
     sys.stdout.write(emit_structured(Report(findings)))
     return 0
 
@@ -236,6 +231,20 @@ def _read_input_file(path: str) -> str:
         return read_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_report(path: str, fmt: str) -> list:
+    """A tool report's findings; a malformed report's error reads
+    "path:line: message", or "path: message" where no line is at fault."""
+    from .ingest import FormatError, parse_report
+
+    text = _read_input_file(path)
+    try:
+        return parse_report(text, fmt)
+    except FormatError as exc:
+        where = f"{path}:{exc.line_no}" if exc.line_no else path
+        exc.args = (f"{where}: {exc.message}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ The lexer matches one regular expression at each offset, one alternative
 per token shape, and counts lines as it scans, so a token's line and column
 cost no lookup.  Source text is ASCII: outside a comment or a string
 literal, any other character is an illegal character.  The parser reads
+the tokens followed by end-of-input tokens, so no rule asks whether a token
+is there, and a name it reads must be an identifier.  It reads
 binary operators by precedence climbing over one table of levels
 (``BINARY_LEVELS``) and the ``else if`` arms of a chain in a loop.  It
 records on each ``FunctionDef`` the functions its body calls and the
@@ -28,12 +30,6 @@ from typing import NamedTuple
 KEYWORDS = {
     "int", "void", "char", "struct", "typedef", "if", "else", "while",
     "return", "sizeof", "NULL",
-}
-
-# Library functions modeled directly by the analyzer; no prototype needed.
-BUILTIN_FUNCTIONS = {
-    "malloc", "calloc", "realloc", "free", "printf",
-    "memset", "memcpy", "memmove",
 }
 
 # Statements, blocks, parentheses, call arguments, sizeof operands, casts and
@@ -117,7 +113,7 @@ class SourceUnit(NamedTuple):
 
 
 class Token(NamedTuple):
-    kind: str  # KW | IDENT | INT | STRING | PREPROC | PUNCT
+    kind: str  # KW | IDENT | INT | STRING | PREPROC | PUNCT, or the parser's EOF
     lexeme: str
     line: int
     column: int
@@ -359,6 +355,13 @@ class _Parser:
     def __init__(self, tokens: list[Token], unit: SourceUnit):
         # Preprocessor lines are recognized by the lexer and skipped here.
         self.tokens = [t for t in tokens if t.kind != "PREPROC"]
+        # Three end-of-input tokens at the last token's place: the parser
+        # looks at most two tokens ahead, so no look-ahead runs off the
+        # list, and no rule consumes the first one, `self.end`.
+        line, column = (self.tokens[-1].line, self.tokens[-1].column) \
+            if self.tokens else (1, 1)
+        self.end = len(self.tokens)
+        self.tokens += [Token("EOF", "end of input", line, column, len(unit.text))] * 3
         self.unit = unit
         self.pos = 0
         self.struct_names: set[str] = set()
@@ -369,54 +372,47 @@ class _Parser:
 
     # -- token helpers --
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        try:
-            return self.tokens[self.pos + ahead]
-        except IndexError:
-            return None
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[self.pos + ahead]
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.pos == self.end
 
     def advance(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column if last else 1
-            raise ParseError("unexpected end of input", line, col)
+        if self.pos == self.end:
+            raise self.error("unexpected end of input")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def check(self, lexeme: str, ahead: int = 0) -> bool:
-        try:
-            return self.tokens[self.pos + ahead].lexeme == lexeme
-        except IndexError:
-            return False
+        return self.tokens[self.pos + ahead].lexeme == lexeme
 
     def accept(self, lexeme: str) -> Token | None:
-        tok = self.peek()
-        if tok is not None and tok.lexeme == lexeme:
+        tok = self.tokens[self.pos]
+        if tok.lexeme == lexeme:
             self.pos += 1
             return tok
         return None
 
     def expect(self, lexeme: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.lexeme != lexeme:
-            got = tok.lexeme if tok else "end of input"
-            line = tok.line if tok else (self.tokens[-1].line if self.tokens else 1)
-            col = tok.column if tok else 1
-            raise ParseError(f"expected {lexeme!r}, got {got!r}", line, col)
+        tok = self.tokens[self.pos]
+        if tok.lexeme != lexeme:
+            raise self.error(f"expected {lexeme!r}, got {tok.lexeme!r}")
         self.pos += 1
         return tok
 
+    def name(self) -> str:
+        """The identifier a declaration or field access names."""
+        tok = self.tokens[self.pos]
+        if tok.kind != "IDENT":
+            raise self.error(f"expected a name, got {tok.lexeme!r}")
+        self.pos += 1
+        return tok.lexeme
+
     def error(self, message: str, unsupported: bool = False) -> ParseError:
-        tok = self.peek() or (self.tokens[-1] if self.tokens else None)
-        line = tok.line if tok else 1
-        col = tok.column if tok else 1
+        tok = self.tokens[self.pos]
         cls = UnsupportedConstruct if unsupported else ParseError
-        return cls(message, line, col)
+        return cls(message, tok.line, tok.column)
 
     def nested(self, parse):
         """parse() one nesting level deeper; past MAX_NESTING, an error."""
@@ -433,10 +429,8 @@ class _Parser:
 
     # -- type recognition --
 
-    def at_type(self) -> bool:
-        tok = self.peek()
-        if tok is None:
-            return False
+    def at_type(self, ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
         if tok.lexeme in ("int", "void", "char", "struct"):
             return True
         return tok.kind == "IDENT" and tok.lexeme in self.struct_names
@@ -446,8 +440,7 @@ class _Parser:
         if tok.lexeme in ("int", "void", "char"):
             ctype = CType(tok.lexeme)
         elif tok.lexeme == "struct":
-            name_tok = self.advance()
-            ctype = CType("struct", name_tok.lexeme)
+            ctype = CType("struct", self.name())
         elif tok.kind == "IDENT" and tok.lexeme in self.struct_names:
             ctype = CType("struct", tok.lexeme)
         else:
@@ -474,14 +467,11 @@ class _Parser:
                                  unsupported=True)
             start = self.peek()
             ctype = self.parse_type()
-            name_tok = self.advance()
-            if name_tok.kind != "IDENT":
-                raise ParseError(f"expected a name, got {name_tok.lexeme!r}",
-                                 name_tok.line, name_tok.column)
+            name = self.name()
             if self.check("("):
-                functions.append(self.parse_function_rest(ctype, name_tok, start))
+                functions.append(self.parse_function_rest(ctype, name, start))
             else:
-                globals_.append(self.parse_decl_rest(ctype, name_tok, start))
+                globals_.append(self.parse_decl_rest(ctype, name, start))
         tu = TranslationUnit(self.unit, structs, functions, globals_)
         self._check_unique(tu)
         return tu
@@ -501,37 +491,33 @@ class _Parser:
     def parse_typedef_struct(self) -> StructDef:
         start = self.expect("typedef")
         self.expect("struct")
-        tok = self.peek()
-        if tok is not None and tok.kind == "IDENT":
-            self.struct_names.add(self.advance().lexeme)
+        if self.peek().kind == "IDENT":
+            self.struct_names.add(self.name())
         fields = self.parse_struct_fields()
-        alias_tok = self.advance()
-        if alias_tok.kind != "IDENT":
-            raise ParseError("expected typedef alias name", alias_tok.line, alias_tok.column)
+        alias = self.name()
         self.expect(";")
-        self.struct_names.add(alias_tok.lexeme)
-        return StructDef(self.loc(start), alias_tok.lexeme, fields)
+        self.struct_names.add(alias)
+        return StructDef(self.loc(start), alias, fields)
 
     def parse_plain_struct(self) -> StructDef:
         start = self.expect("struct")
-        name_tok = self.advance()
-        self.struct_names.add(name_tok.lexeme)
+        name = self.name()
+        self.struct_names.add(name)
         fields = self.parse_struct_fields()
         self.expect(";")
-        return StructDef(self.loc(start), name_tok.lexeme, fields)
+        return StructDef(self.loc(start), name, fields)
 
     def parse_struct_fields(self) -> list[tuple[str, CType]]:
         self.expect("{")
         fields: list[tuple[str, CType]] = []
         while not self.check("}"):
             ctype = self.parse_type()
-            name_tok = self.advance()
-            fields.append((name_tok.lexeme, ctype))
+            fields.append((self.name(), ctype))
             self.expect(";")
         self.expect("}")
         return fields
 
-    def parse_function_rest(self, ret: CType, name_tok: Token, start: Token) -> FunctionDef:
+    def parse_function_rest(self, ret: CType, name: str, start: Token) -> FunctionDef:
         self.calls, self.addr_taken = set(), set()
         self.expect("(")
         params: list[tuple[str, CType]] = []
@@ -541,21 +527,20 @@ class _Parser:
             else:
                 while True:
                     ptype = self.parse_type()
-                    pname = self.advance()
-                    params.append((pname.lexeme, ptype))
+                    params.append((self.name(), ptype))
                     if not self.accept(","):
                         break
         self.expect(")")
         body = self.parse_block()
-        return FunctionDef(self.loc(start), name_tok.lexeme, params, ret, body,
+        return FunctionDef(self.loc(start), name, params, ret, body,
                            frozenset(self.calls), frozenset(self.addr_taken))
 
-    def parse_decl_rest(self, ctype: CType, name_tok: Token, start: Token) -> VarDecl:
+    def parse_decl_rest(self, ctype: CType, name: str, start: Token) -> VarDecl:
         init = None
         if self.accept("="):
             init = self.parse_expr()
         self.expect(";")
-        return VarDecl(self.loc(start), name_tok.lexeme, ctype, init)
+        return VarDecl(self.loc(start), name, ctype, init)
 
     # -- statements --
 
@@ -574,8 +559,6 @@ class _Parser:
 
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
         if tok.lexeme in ("for", "switch", "do", "goto", "break", "continue"):
             raise self.error(f"{tok.lexeme!r} statements are outside the subset",
                              unsupported=True)
@@ -590,8 +573,7 @@ class _Parser:
             return Return(self.loc(tok), expr)
         if self.at_type() and not self._looks_like_expression_start():
             ctype = self.parse_type()
-            name_tok = self.advance()
-            return self.parse_decl_rest(ctype, name_tok, tok)
+            return self.parse_decl_rest(ctype, self.name(), tok)
         expr = self.parse_expr()
         if self.accept("="):
             if not isinstance(expr, (Ident, Deref, FieldAccess)):
@@ -607,13 +589,9 @@ class _Parser:
     def _looks_like_expression_start(self) -> bool:
         # A struct-typedef name followed by '(' or an operator is an
         # expression (e.g. a call), not the start of a declaration.
-        tok = self.peek()
-        nxt = self.peek(1)
-        if tok is None or nxt is None:
-            return False
-        if tok.kind == "IDENT" and tok.lexeme in self.struct_names:
-            return nxt.lexeme not in ("*",) and nxt.kind != "IDENT"
-        return False
+        tok, nxt = self.peek(), self.peek(1)
+        return tok.kind == "IDENT" and tok.lexeme in self.struct_names \
+            and nxt.kind not in ("IDENT", "EOF") and nxt.lexeme != "*"
 
     def parse_if(self) -> If:
         # The `else if` arms of a chain are read in this loop, so an arm is
@@ -653,8 +631,6 @@ class _Parser:
         left = self.parse_unary()
         while True:
             op = self.peek()
-            if op is None:
-                return left
             level = BINARY_LEVELS.get(op.lexeme)
             if level is None or level < min_level:
                 return left
@@ -665,8 +641,6 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok is None:
-            raise self.error("unexpected end of input")
         if tok.lexeme == "*":
             self.advance()
             return Deref(self.loc(tok), self.nested(self.parse_unary))
@@ -698,13 +672,8 @@ class _Parser:
 
     def _at_cast(self) -> bool:
         # '(' <type> '*'... ')' starting a cast; called with peek() == '('.
-        tok = self.peek(1)
-        if tok is None:
-            return False
-        if tok.lexeme in ("int", "void", "char", "struct"):
-            return True
-        return tok.kind == "IDENT" and tok.lexeme in self.struct_names \
-            and self.check("*", 2)
+        # A struct alias starts one only when a '*' follows it.
+        return self.at_type(1) and (self.peek(1).kind == "KW" or self.check("*", 2))
 
     def parse_sizeof(self) -> Expr:
         start = self.expect("sizeof")
@@ -722,8 +691,6 @@ class _Parser:
         expr = self.parse_primary()
         while True:
             tok = self.peek()
-            if tok is None:
-                return expr
             if tok.lexeme == "(" and isinstance(expr, Ident):
                 self.advance()
                 args: list = []
@@ -738,8 +705,7 @@ class _Parser:
                 continue
             if tok.lexeme in (".", "->"):
                 self.advance()
-                name_tok = self.advance()
-                expr = FieldAccess(self.loc(tok), expr, name_tok.lexeme, tok.lexeme == "->")
+                expr = FieldAccess(self.loc(tok), expr, self.name(), tok.lexeme == "->")
                 continue
             return expr
 

@@ -39,6 +39,7 @@ KIND_UNMAPPED = "UNMAPPED"
 class FormatError(InputError):
     def __init__(self, message: str, line_no: int = 0):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
+        self.message = message
         self.line_no = line_no
 
 

@@ -3,12 +3,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from memlab.analysis import PROFILES, analyze_unit
 from memlab.benchlab import load_truth_manifest
 from memlab.cli import main
+from memlab.diagnostics import render_text
+from memlab.frontend import parse_file
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +190,35 @@ class TestAnalyze:
                       "--config", str(cfg))
         assert out == (2, "", f"memlab: error: {cfg}:{line}: duplicate key "
                               f"'{key}'\n")
+
+    @pytest.mark.parametrize("field,fixture", [
+        ("interprocedural", "interproc_leak.c"),
+        ("sizeof_star_tracking", "sizeof_ptr_leak.c"),
+        ("realloc_with_calls", "realloc_leak_calls.c"),
+        ("struct_field_leak", "struct_field_leak.c"),
+    ])
+    def test_capability_flag_and_config_key_switch_it_off(self, capsys, tmp_path,
+                                                          field, fixture):
+        path = f"corpus/{fixture}"
+        tu = parse_file(path)
+        off = render_text(analyze_unit(
+            tu, config=replace(PROFILES["union"], **{field: False})))
+        assert off != render_text(analyze_unit(tu, config=PROFILES["union"]))
+        cfg = tmp_path / "memlab.conf"
+        cfg.write_text(f"{field} = false\n")
+        flag = "--" + field.replace("_", "-")
+        for argv in ([flag, "0"], ["--config", str(cfg)]):
+            _, out, err = run_cli(capsys, "analyze", path, "--profile", "union",
+                                  *argv)
+            assert (out, err) == (off, ""), argv
+
+    def test_capability_config_key_must_be_a_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "memlab.conf"
+        cfg.write_text("interprocedural = maybe\n")
+        out = run_cli(capsys, "analyze", "corpus/interproc_leak.c",
+                      "--config", str(cfg))
+        assert out == (2, "", "memlab: error: config key interprocedural: "
+                              "expected a boolean, got 'maybe'\n")
 
     def test_unroll_bound_of_zero_is_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "analyze",
@@ -529,7 +562,7 @@ class TestBench:
         report.write_text("\n{}\n")
         out = run_cli(capsys, "bench", "--truth", str(write_truth(tmp_path)),
                       "--ingested", str(report))
-        assert out == (2, "", "memlab: error: line 2: record missing "
+        assert out == (2, "", f"memlab: error: {report}:2: record missing "
                               "required fields\n")
 
 
@@ -558,7 +591,7 @@ class TestIngest:
         code, out, err = run_cli(capsys, "ingest", str(report),
                                  "--format", "cppcheck")
         assert (code, out) == (2, "")
-        assert err == ("memlab: error: line 3: malformed bracket line: "
+        assert err == (f"memlab: error: {report}:3: malformed bracket line: "
                        "'[a.c 5]: (error) x'\n")
 
     @pytest.mark.parametrize("field,value,message", [
@@ -575,14 +608,22 @@ class TestIngest:
         code, out, err = run_cli(capsys, "ingest", str(report),
                                  "--format", "memlab")
         assert (code, out) == (2, "")
-        assert err == f"memlab: error: line 1: {message}\n"
+        assert err == f"memlab: error: {report}:1: {message}\n"
+
+    def test_report_error_without_a_line_names_the_report(self, capsys,
+                                                         tmp_path):
+        report = tmp_path / "infer.txt"
+        report.write_text("Found 2 issues\n")
+        out = run_cli(capsys, "ingest", str(report), "--format", "infer")
+        assert out == (2, "", f"memlab: error: {report}: header declares 2 "
+                              "issue(s), parsed 0\n")
 
     def test_format_mismatch_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "ingest",
                                "reports/infer_null_deref.txt",
                                "--format", "predator")
         assert code == 2
-        assert "line 1" in err
+        assert "reports/infer_null_deref.txt:1: " in err
 
 
 class TestPersistence:

@@ -20,6 +20,7 @@ import pytest
 
 from memlab import analysis
 from memlab.analysis import (
+    BUILTIN_FUNCTIONS,
     FunctionSummary,
     PROFILES,
     PtrValue,
@@ -29,7 +30,6 @@ from memlab.analysis import (
 )
 from memlab.cfg import build_cfg
 from memlab.frontend import (
-    BUILTIN_FUNCTIONS,
     AddressOf,
     Call,
     Ident,

@@ -171,7 +171,7 @@ class ReferenceExprParser(_Parser):
 
     def parse_comparison(self):
         left = self.parse_additive()
-        while self.peek() is not None and self.peek().lexeme in (
+        while self.peek().lexeme in (
                 "==", "!=", "<", ">", "<=", ">="):
             op = self.advance()
             right = self.parse_additive()
@@ -180,7 +180,7 @@ class ReferenceExprParser(_Parser):
 
     def parse_additive(self):
         left = self.parse_multiplicative()
-        while self.peek() is not None and self.peek().lexeme in ("+", "-"):
+        while self.peek().lexeme in ("+", "-"):
             op = self.advance()
             right = self.parse_multiplicative()
             left = BinOp(self.loc(op), op.lexeme, left, right)
@@ -188,7 +188,7 @@ class ReferenceExprParser(_Parser):
 
     def parse_multiplicative(self):
         left = self.parse_unary()
-        while self.peek() is not None and self.peek().lexeme in ("*", "/"):
+        while self.peek().lexeme in ("*", "/"):
             op = self.advance()
             right = self.parse_unary()
             left = BinOp(self.loc(op), op.lexeme, left, right)
@@ -413,6 +413,27 @@ class TestParser:
     def test_expression_statement_must_be_call(self):
         with pytest.raises(ParseError):
             parse_source("<t>", "int main() { 1 + 2; return 0; }")
+
+    @pytest.mark.parametrize("source,message", [
+        ("int f() { int 3 = 1; return 0; }", "1:15: expected a name, got '3'"),
+        ("int f() { int ) = 10; return 0; }", "1:15: expected a name, got ')'"),
+        ("typedef struct { int a; } st;\nint f() { st *NULL = 0; return 0; }",
+         "2:15: expected a name, got 'NULL'"),
+        ("int f(int *new) { new -> if = 1; return 0; }",
+         "1:26: expected a name, got 'if'"),
+        ("int f() { struct 5 *p = 0; return 0; }", "1:18: expected a name, got '5'"),
+        ("int f(int 3) { return 0; }", "1:11: expected a name, got '3'"),
+        ("typedef struct { int 3; } st;", "1:22: expected a name, got '3'"),
+        ("struct 5 { int a; };", "1:8: expected a name, got '5'"),
+        ("typedef struct { int a; } 5;", "1:27: expected a name, got '5'"),
+        ("int 3 = 1;", "1:5: expected a name, got '3'"),
+        ("int", "1:1: expected a name, got 'end of input'"),
+    ], ids=["local", "punct", "keyword", "field", "tag", "param", "member",
+            "struct", "alias", "global", "end"])
+    def test_a_declared_or_accessed_name_is_an_identifier(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse_source("<t>", source)
+        assert str(err.value) == message
 
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:

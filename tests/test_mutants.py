@@ -7,6 +7,10 @@ the subset or break a declaration; the others reach the engine with
 shapes the corpus never shows it.  Whatever the input, `memlab analyze`
 must exit 0, 1 or 2 without an internal error, and an exit 2 must be one
 `memlab: error:` line.
+
+At the token level, every corpus file is cut at each token boundary, and
+seeded mutants delete, duplicate or replace one token.  There an exit 2
+must also name a `line:col` inside the text, however early it ends.
 """
 
 import contextlib
@@ -14,17 +18,29 @@ import io
 import random
 import re
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from memlab.cli import main
+from memlab.frontend import SourceUnit, tokenize
 
 CORPUS = sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.c"))
 PROFILES = ("union", "cppcheck-like", "clang-like", "infer-like",
             "predator-like")
 MUTANTS_PER_PROFILE = 300
+TOKEN_MUTANTS = 600
 _IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def analyze(path, text, *argv):
+    """Exit code and stderr of `memlab analyze` on `text`, saved at `path`."""
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path), *argv])
+    return code, err.getvalue()
 
 
 def mutate(text: str, rng: random.Random) -> str:
@@ -60,12 +76,7 @@ def test_mutants_exit_cleanly(tmp_path, profile):
     assert len(CORPUS) == 22
     exits = Counter()
     for name, text in mutants(PROFILES.index(profile), MUTANTS_PER_PROFILE):
-        path = tmp_path / name
-        path.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["analyze", str(path), "--profile", profile])
-        err = err.getvalue()
+        code, err = analyze(tmp_path / name, text, "--profile", profile)
         where = f"{name} under {profile}:\n{text}"
         assert code in (0, 1, 2), where
         assert "internal error" not in err, err + where
@@ -77,3 +88,68 @@ def test_mutants_exit_cleanly(tmp_path, profile):
         exits[code] += 1
     # The gate checks the engine only through mutants that parse.
     assert exits[0] + exits[1] >= MUTANTS_PER_PROFILE // 4, exits
+
+
+def cuts():
+    """Each corpus file cut before each of its tokens, and whole."""
+    for path in CORPUS:
+        text = path.read_text()
+        for tok in tokenize(SourceUnit(path.name, text)):
+            yield f"{path.name}@{tok.offset}", text[:tok.offset]
+        yield path.name, text
+
+
+def token_mutants(seed: int, count: int):
+    """`count` corpus files with one token deleted, duplicated or replaced
+    by a lexeme of the corpus, from `seed`."""
+    rng = random.Random(seed)
+    texts = [(path.name, path.read_text()) for path in CORPUS]
+    tokens = {name: tokenize(SourceUnit(name, text)) for name, text in texts}
+    lexemes = sorted({t.lexeme for toks in tokens.values() for t in toks})
+    for i in range(count):
+        name, text = rng.choice(texts)
+        tok = rng.choice(tokens[name])
+        start, end = tok.offset, tok.offset + len(tok.lexeme)
+        op = rng.choice(("delete", "duplicate", "replace"))
+        new = {"delete": "", "duplicate": f"{tok.lexeme} {tok.lexeme}",
+               "replace": rng.choice(lexemes)}[op]
+        yield f"{i}-{op}-{name}", text[:start] + new + text[end:]
+
+
+@pytest.mark.parametrize("inputs", [cuts, partial(token_mutants, 5, TOKEN_MUTANTS)],
+                         ids=["cuts", "token-mutants"])
+def test_token_mutants_exit_cleanly_with_a_located_error(tmp_path, inputs):
+    path = tmp_path / "m.c"
+    located = re.compile(re.escape(f"memlab: error: {path}:") + r"(\d+):(\d+): ")
+    exits = Counter()
+    for name, text in inputs():
+        code, err = analyze(path, text)
+        where = f"{name}:\n{text}"
+        assert code in (0, 1, 2), where
+        assert "internal error" not in err, err + where
+        if code == 2:
+            m = located.match(err)
+            assert m and err.count("\n") == 1 and err.endswith("\n"), err + where
+            line, col = int(m[1]), int(m[2])
+            lines = text.split("\n")
+            assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]), \
+                err + where
+        else:
+            assert err == "", err + where
+        exits[code] += 1
+    assert exits[0] + exits[1] and exits[2], exits
+
+
+@pytest.mark.parametrize("text,message", [
+    ("int f() {", "1:9: unexpected end of input"),
+    ("int x", "1:5: expected ';', got 'end of input'"),
+    ("int f() { int 3 = 1; return 0; }", "1:15: expected a name, got '3'"),
+    # Cuts where the parser looks up to two tokens past the last one; no
+    # corpus cut does.
+    ("struct", "1:1: expected a name, got 'end of input'"),
+    ("typedef struct { int a; } st; int *p = (st",
+     "1:41: expected ')', got 'end of input'"),
+])
+def test_cut_and_misnamed_inputs_name_the_place(tmp_path, text, message):
+    path = tmp_path / "m.c"
+    assert analyze(path, text) == (2, f"memlab: error: {path}:{message}\n")
