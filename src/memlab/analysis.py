@@ -55,7 +55,7 @@ detection columns of the tools compared in the benchmark corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import frontend as ast
@@ -76,12 +76,6 @@ CHECKER_DEAD_STORE = "DEAD_STORE"
 CHECKER_DEAD_STORE_NULL_INIT = "DEAD_STORE_NULL_INIT"
 CHECKER_UNINIT_USE = "UNINIT_USE"
 
-ALL_CHECKERS = frozenset({
-    CHECKER_NULL_DEREF, CHECKER_UNCHECKED_ALLOC, CHECKER_MEMORY_LEAK,
-    CHECKER_REALLOC_LEAK, CHECKER_INVALID_FREE, CHECKER_INTERIOR_FREE,
-    CHECKER_DEAD_STORE, CHECKER_DEAD_STORE_NULL_INIT, CHECKER_UNINIT_USE,
-})
-
 KIND_NULL_DEREFERENCE = "NULL_DEREFERENCE"
 KIND_MEMORY_LEAK = "MEMORY_LEAK"
 KIND_INVALID_FREE = "INVALID_FREE"
@@ -89,20 +83,6 @@ KIND_INVALID_DEREFERENCE = "INVALID_DEREFERENCE"
 KIND_DEAD_STORE = "DEAD_STORE"
 KIND_UNINITIALIZED_VALUE = "UNINITIALIZED_VALUE"
 KIND_RESOURCE_LEAK = "RESOURCE_LEAK"
-
-# Kinds that may appear in findings produced by this analyzer.
-ANALYZER_KINDS = frozenset({
-    KIND_NULL_DEREFERENCE, KIND_MEMORY_LEAK, KIND_INVALID_FREE,
-    KIND_DEAD_STORE, KIND_UNINITIALIZED_VALUE,
-})
-
-# Kinds accepted in reports, ground truth and classification.  Some occur
-# only in ingested external reports or truth manifests, never from the
-# analyzer itself.
-ALL_KINDS = ANALYZER_KINDS | frozenset({
-    KIND_INVALID_DEREFERENCE, KIND_RESOURCE_LEAK,
-    "BUFFER_OVERFLOW", "DANGLING_POINTER", "OUT_OF_BOUNDS",
-})
 
 CHECKER_KIND = {
     CHECKER_NULL_DEREF: KIND_NULL_DEREFERENCE,
@@ -115,6 +95,17 @@ CHECKER_KIND = {
     CHECKER_DEAD_STORE_NULL_INIT: KIND_DEAD_STORE,
     CHECKER_UNINIT_USE: KIND_UNINITIALIZED_VALUE,
 }
+ALL_CHECKERS = frozenset(CHECKER_KIND)
+# Kinds that may appear in findings produced by this analyzer.
+ANALYZER_KINDS = frozenset(CHECKER_KIND.values())
+
+# Kinds accepted in reports, ground truth and classification.  Some occur
+# only in ingested external reports or truth manifests, never from the
+# analyzer itself.
+ALL_KINDS = ANALYZER_KINDS | frozenset({
+    KIND_INVALID_DEREFERENCE, KIND_RESOURCE_LEAK,
+    "BUFFER_OVERFLOW", "DANGLING_POINTER", "OUT_OF_BOUNDS",
+})
 
 
 @dataclass(frozen=True)
@@ -157,9 +148,9 @@ class CheckerConfig:
         return replace(self, enabled=enabled)
 
 
-PROFILES = {
-    "union": CheckerConfig("union", ALL_CHECKERS),
-    "cppcheck-like": CheckerConfig(
+PROFILES = {c.profile: c for c in (
+    CheckerConfig("union", ALL_CHECKERS),
+    CheckerConfig(
         "cppcheck-like",
         frozenset({CHECKER_NULL_DEREF, CHECKER_MEMORY_LEAK,
                    CHECKER_REALLOC_LEAK, CHECKER_INVALID_FREE,
@@ -167,26 +158,31 @@ PROFILES = {
         interprocedural=False,
         realloc_with_calls=False,
     ),
-    "clang-like": CheckerConfig(
+    CheckerConfig(
         "clang-like",
         frozenset({CHECKER_NULL_DEREF, CHECKER_MEMORY_LEAK,
                    CHECKER_DEAD_STORE, CHECKER_INVALID_FREE,
                    CHECKER_INTERIOR_FREE, CHECKER_UNINIT_USE}),
         struct_field_leak=False,
     ),
-    "infer-like": CheckerConfig(
+    CheckerConfig(
         "infer-like",
         frozenset({CHECKER_NULL_DEREF, CHECKER_UNCHECKED_ALLOC,
                    CHECKER_MEMORY_LEAK, CHECKER_REALLOC_LEAK,
                    CHECKER_DEAD_STORE, CHECKER_DEAD_STORE_NULL_INIT}),
         sizeof_star_tracking=False,
     ),
-    "predator-like": CheckerConfig(
+    CheckerConfig(
         "predator-like",
         frozenset({CHECKER_NULL_DEREF, CHECKER_MEMORY_LEAK,
                    CHECKER_INVALID_FREE, CHECKER_INTERIOR_FREE}),
     ),
-}
+)}
+
+# The settings a user may override, each "bool" or "int" as its default is:
+# every field of CheckerConfig but the profile name and the checker set.
+SETTINGS = {f.name: type(f.default).__name__ for f in fields(CheckerConfig)
+            if f.name not in ("profile", "enabled")}
 
 
 class Finding(NamedTuple):
@@ -495,7 +491,12 @@ class _FunctionAnalysis:
         self.has_user_calls = any(
             name not in BUILTIN_FUNCTIONS for name in fn.calls)
 
-        self.global_names = {g.name for g in tu.globals}
+        # A parameter shadows a global of its name; a user call may reassign
+        # a pointer global.
+        params = {name for name, _ in fn.params}
+        self.global_names = {g.name for g in tu.globals} - params
+        self.pointer_globals = [g.name for g in tu.globals
+                                if g.ctype.is_pointer and g.name not in params]
 
         # Dead-store bookkeeping is global across paths: a store is dead
         # only if no explored path reads it.
@@ -517,13 +518,13 @@ class _FunctionAnalysis:
 
     def run(self) -> None:
         state = AbstractHeap()
+        for g in self.tu.globals:
+            state.env[g.name] = PTR_UNKNOWN if g.ctype.is_pointer else UNKNOWN
         for idx, (name, ctype) in enumerate(self.fn.params):
             if ctype.is_pointer:
                 state.env[name] = PtrValue("unknown", param_index=idx)
             else:
                 state.env[name] = UNKNOWN
-        for g in self.tu.globals:
-            state.env[g.name] = UNKNOWN
         self._exec(self.cfg.entry, state, ())
         self.check_dead_store()
 
@@ -995,6 +996,10 @@ class _FunctionAnalysis:
             if self.config.interprocedural else None
         results = []
         for s, vals in self._eval_args(call.args, state):
+            # The callee may reassign a pointer global, or keep its block.
+            for name in self.pointer_globals:
+                s.escape_value(s.env[name])
+                s.env[name] = PTR_UNKNOWN
             if summary is None:
                 for v in vals:
                     s.escape_value(v)

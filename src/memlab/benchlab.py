@@ -69,6 +69,10 @@ class GroundTruthEntry:
             raise ManifestError(f"unknown kind {self.kind!r}")
         if self.source not in SOURCES:
             raise ManifestError(f"unknown source {self.source!r}")
+        if self.introduced_date is not None and self.fixed_date is not None \
+                and self.fixed_date < self.introduced_date:
+            raise ManifestError(
+                f"{self.fixed_date} precedes {self.introduced_date}")
 
 
 @dataclass(frozen=True)

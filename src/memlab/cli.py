@@ -23,11 +23,11 @@ import sys
 import time
 from dataclasses import replace
 
-from .analysis import ALL_CHECKERS, PROFILES, CheckerConfig, analyze_unit
+from .analysis import ALL_CHECKERS, PROFILES, SETTINGS, CheckerConfig, \
+    analyze_unit
 from .diagnostics import INCOMPLETE_WARNING, Report, emit_structured, \
     render_text
-from .frontend import InputError, LexError, ParseError, parse_file, \
-    read_text
+from .frontend import InputError, parse_file, read_text
 
 # The keys of `ingest.PARSERS`, named here so that building the parser, and
 # so `analyze`, does not import `ingest`; `bench`, `ingest` and
@@ -35,13 +35,8 @@ from .frontend import InputError, LexError, ParseError, parse_file, \
 REPORT_FORMATS = ("cppcheck", "infer", "memlab", "predator")
 
 
-class UsageError(Exception):
+class UsageError(InputError):
     pass
-
-
-_CONFIG_BOOL_KEYS = ("interprocedural", "sizeof_star_tracking",
-                     "realloc_with_calls", "struct_field_leak")
-_CONFIG_INT_KEYS = ("unroll_bound", "path_budget")
 
 
 def _read_config_file(path: str) -> dict:
@@ -74,9 +69,9 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise UsageError(f"config key {key}: expected a boolean, got {raw!r}")
 
 
-def _split_checkers(raw) -> frozenset:
+def _split_checkers(chunks: list) -> frozenset:
     names: set[str] = set()
-    for chunk in raw if isinstance(raw, (list, tuple)) else [raw]:
+    for chunk in chunks:
         names.update(n.strip() for n in chunk.split(",") if n.strip())
     unknown = names - ALL_CHECKERS
     if unknown:
@@ -99,24 +94,24 @@ def resolve_config(args) -> CheckerConfig:
     for key, value in file_values.items():
         if key == "profile":
             continue
-        elif key in _CONFIG_BOOL_KEYS:
+        elif key == "enable":
+            enabled = enabled | _split_checkers([value])
+        elif key == "disable":
+            enabled = enabled - _split_checkers([value])
+        elif SETTINGS.get(key) == "bool":
             settings[key] = _parse_bool(value, key)
-        elif key in _CONFIG_INT_KEYS:
+        elif SETTINGS.get(key) == "int":
             try:
                 settings[key] = int(value)
             except ValueError:
                 raise UsageError(f"config key {key}: expected an integer") \
                     from None
-        elif key == "enable":
-            enabled = enabled | _split_checkers(value)
-        elif key == "disable":
-            enabled = enabled - _split_checkers(value)
         else:
             raise UsageError(f"unknown config key {key!r}")
 
     # Flag overrides.
-    for key in _CONFIG_BOOL_KEYS + _CONFIG_INT_KEYS:
-        value = getattr(args, key, None)
+    for key in SETTINGS:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     if args.enable:
@@ -160,10 +155,7 @@ def cmd_bench(args) -> int:
         raise UsageError("bench needs exactly one of --corpus or --truth")
     if args.corpus:
         manifest = benchlab.load_corpus_manifest(args.corpus)
-        profile = args.profile or "union"
-        if profile not in PROFILES:
-            raise UsageError(f"unknown profile {profile!r}")
-        report = benchlab.run_corpus(manifest, PROFILES[profile])
+        report = benchlab.run_corpus(manifest, PROFILES[args.profile])
         sys.stdout.write(benchlab.render_bench_report(report))
         return 0 if report.all_passed else 1
     if not args.ingested:
@@ -252,6 +244,14 @@ def _read_report(path: str, fmt: str) -> list:
 # ---------------------------------------------------------------------------
 
 
+# Help text of the `analyze` flags that have one.
+_SETTING_HELP = {"path_budget": (
+    "paths a function may count before its analysis stops and is marked "
+    f"incomplete (default {PROFILES['union'].path_budget}): a path that "
+    "reaches a join or loop head in a state already explored there is "
+    "dropped and counts as one at most")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memlab",
@@ -271,30 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="CHECKER")
     p_an.add_argument("--format", choices=("text", "structured"),
                       default="text")
-    p_an.add_argument("--interprocedural", type=int, choices=(0, 1),
-                      default=None)
-    p_an.add_argument("--sizeof-star-tracking", dest="sizeof_star_tracking",
-                      type=int, choices=(0, 1), default=None)
-    p_an.add_argument("--realloc-with-calls", dest="realloc_with_calls",
-                      type=int, choices=(0, 1), default=None)
-    p_an.add_argument("--struct-field-leak", dest="struct_field_leak",
-                      type=int, choices=(0, 1), default=None)
-    p_an.add_argument("--unroll-bound", dest="unroll_bound", type=int,
-                      default=None)
-    p_an.add_argument("--path-budget", dest="path_budget", type=int,
-                      default=None,
-                      help="paths a function may count before its "
-                           "analysis stops and is marked incomplete "
-                           f"(default {PROFILES['union'].path_budget}): "
-                           "a path that reaches a join or loop head in a "
-                           "state already explored there is dropped and "
-                           "counts as one at most")
+    for key, kind in SETTINGS.items():
+        p_an.add_argument("--" + key.replace("_", "-"), type=int,
+                          choices=(0, 1) if kind == "bool" else None,
+                          help=_SETTING_HELP.get(key))
     p_an.add_argument("--timings", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 
     p_be = sub.add_parser("bench", help="run corpus or classify a report")
     p_be.add_argument("--corpus", help="corpus manifest (JSONL)")
-    p_be.add_argument("--profile", default=None)
+    p_be.add_argument("--profile", choices=sorted(PROFILES),
+                      default="union")
     p_be.add_argument("--truth", help="ground-truth manifest (JSONL)")
     p_be.add_argument("--ingested", help="tool report to classify")
     p_be.add_argument("--format", dest="report_format",
@@ -326,9 +313,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, LexError, ParseError, InputError, OSError) as exc:
-        # InputError includes ingest.FormatError and benchlab.ManifestError
-        # and NegativeInterval, so this names no triage module.
+    except (InputError, OSError) as exc:
         print(f"memlab: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

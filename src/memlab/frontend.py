@@ -27,9 +27,16 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+# The subset's keywords and NULL, then the rest of C11's keywords, so none
+# of them is read as a name.
 KEYWORDS = {
     "int", "void", "char", "struct", "typedef", "if", "else", "while",
     "return", "sizeof", "NULL",
+    "auto", "break", "case", "const", "continue", "default", "do", "double",
+    "enum", "extern", "float", "for", "goto", "inline", "long", "register",
+    "restrict", "short", "signed", "static", "switch", "union", "unsigned",
+    "volatile", "_Alignas", "_Alignof", "_Atomic", "_Bool", "_Complex",
+    "_Generic", "_Imaginary", "_Noreturn", "_Static_assert", "_Thread_local",
 }
 
 # Statements, blocks, parentheses, call arguments, sizeof operands, casts and
@@ -64,28 +71,26 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE | re.DOTALL | re.ASCII)
 
 
-class LexError(Exception):
+class InputError(ValueError):
+    """Input memlab cannot use: C source it cannot lex or parse, a file not
+    in UTF-8, a malformed report, manifest or command line, a bad checker
+    set, a reversed date interval.  The CLI reports one as a single line
+    and exits 2."""
+
+
+class ParseError(InputError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
+class LexError(ParseError):
+    """Text that is no token of the subset."""
 
 
 class UnsupportedConstruct(ParseError):
     """A real C construct that lies outside the analyzable subset."""
-
-
-class InputError(ValueError):
-    """Input other than C source that memlab cannot use: a file that is not
-    UTF-8, a malformed report or manifest, a bad checker set, a reversed
-    date interval.  The CLI reports one as a single line and exits 2."""
 
 
 def read_text(path) -> str:
@@ -740,6 +745,6 @@ def parse_file(path) -> TranslationUnit:
     unit = SourceUnit.from_file(path)
     try:
         return parse(tokenize(unit), unit)
-    except (LexError, ParseError) as exc:
+    except ParseError as exc:
         exc.args = (f"{path}:{exc}",)
         raise

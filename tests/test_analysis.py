@@ -60,6 +60,40 @@ class TestNullDeref:
             return 0;
         }""") == [(3, CHECKER_NULL_DEREF)]
 
+    def test_pointer_global_refines_as_a_parameter_does(self):
+        assert run("""int *p;
+        int f() {
+            if (p == NULL) {
+                *p = 1;
+            }
+            return 0;
+        }""") == [(4, CHECKER_NULL_DEREF)]
+
+    @pytest.mark.parametrize("profile", ["union", "cppcheck-like"])
+    def test_user_call_may_set_a_pointer_global(self, profile):
+        # Lazy initialisation: `init` sets `g`, with or without a summary.
+        assert run("""int *g;
+        void init() {
+            g = malloc(4);
+        }
+        int main() {
+            if (g == NULL) {
+                init();
+            }
+            *g = 1;
+            return 0;
+        }""", PROFILES[profile]) == []
+
+    def test_user_call_may_keep_the_block_of_a_pointer_global(self):
+        # `swap` may store the block elsewhere before `g` is overwritten.
+        assert run("""int *g;
+        int main() {
+            g = malloc(4);
+            swap();
+            g = NULL;
+            return 0;
+        }""") == []
+
     @pytest.mark.parametrize("read", ["*q", "p"])
     def test_uninitialized_pointer_read_through_its_address_refines(
             self, read):
@@ -460,6 +494,31 @@ class TestInterprocedural:
             release(p);
             return 0;
         }""") == []
+
+    def test_parameter_shadows_a_global_of_its_name(self):
+        # `release` frees its argument, not the global `p`.
+        assert run("""int *p;
+        void release(int *p) {
+            free(p);
+        }
+        int main() {
+            int *q = malloc(4);
+            release(q);
+            return 0;
+        }""") == []
+
+    def test_parameter_that_shadows_a_global_is_a_local(self):
+        # Neither store outlives the call: the block leaks, both are dead.
+        assert run("""int *p;
+        int x;
+        void f(int *p) {
+            p = malloc(4);
+        }
+        int g(int x) {
+            x = 1;
+            return 0;
+        }""") == [(3, CHECKER_MEMORY_LEAK), (4, CHECKER_DEAD_STORE),
+                  (7, CHECKER_DEAD_STORE)]
 
     def test_intraprocedural_mode_escapes_arguments(self):
         src = """int main() {

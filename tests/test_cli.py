@@ -3,14 +3,14 @@
 import json
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from memlab.analysis import PROFILES, analyze_unit
+from memlab.analysis import PROFILES, CheckerConfig, analyze_unit
 from memlab.benchlab import load_truth_manifest
-from memlab.cli import main
+from memlab.cli import build_parser, main, resolve_config
 from memlab.diagnostics import render_text
 from memlab.frontend import parse_file
 
@@ -211,6 +211,21 @@ class TestAnalyze:
             _, out, err = run_cli(capsys, "analyze", path, "--profile", "union",
                                   *argv)
             assert (out, err) == (off, ""), argv
+
+    @pytest.mark.parametrize("setting", fields(CheckerConfig)[2:],
+                             ids=lambda f: f.name)
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, setting):
+        union = PROFILES["union"]
+        default = getattr(union, setting.name)
+        value = type(default)(not default if setting.type == "bool"
+                              else default + 1)
+        cfg = tmp_path / "memlab.conf"
+        cfg.write_text(f"{setting.name} = {int(value)}\n")
+        flag = "--" + setting.name.replace("_", "-")
+        for argv in ([flag, str(int(value))], ["--config", str(cfg)]):
+            args = build_parser().parse_args(["analyze", "a.c", *argv])
+            assert resolve_config(args) == \
+                replace(union, **{setting.name: value}), argv
 
     def test_capability_config_key_must_be_a_boolean(self, capsys, tmp_path):
         cfg = tmp_path / "memlab.conf"
@@ -526,6 +541,12 @@ class TestBench:
         assert err.startswith(f"memlab: error: {manifest}:2: {message}")
         assert err.count("\n") == 1
 
+    def test_unknown_profile_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--corpus",
+                                 "corpus/manifest.jsonl", "--profile", "bogus")
+        assert (code, out) == (2, "")
+        assert "argument --profile: invalid choice: 'bogus'" in err
+
     def test_corpus_and_truth_together_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--corpus",
                              "corpus/manifest.jsonl", "--truth",
@@ -654,9 +675,13 @@ class TestPersistence:
     def test_reversed_manifest_dates_exit_two(self, capsys, tmp_path):
         truth = write_truth(tmp_path, introduced_date="2020-02-01",
                             fixed_date="2020-01-01")
-        out = run_cli(capsys, "persistence", "--truth", str(truth))
-        assert out == (2, "", "memlab: error: 2020-01-01 precedes "
-                              "2020-02-01\n")
+        report = tmp_path / "empty.jsonl"
+        report.write_text("")
+        error = f"memlab: error: {truth}:2: 2020-01-01 precedes 2020-02-01\n"
+        assert run_cli(capsys, "persistence", "--truth", str(truth)) == \
+            (2, "", error)
+        assert run_cli(capsys, "bench", "--truth", str(truth), "--ingested",
+                       str(report)) == (2, "", error)
 
     def test_malformed_truth_manifest_is_a_located_error(self, capsys,
                                                          tmp_path):

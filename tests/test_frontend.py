@@ -435,6 +435,21 @@ class TestParser:
             parse_source("<t>", source)
         assert str(err.value) == message
 
+    # The 44 keywords of C11 (ISO/IEC 9899:2011, 6.4.1).
+    C11_KEYWORDS = """auto break case char const continue default do double
+        else enum extern float for goto if inline int long register restrict
+        return short signed sizeof static struct switch typedef union
+        unsigned void volatile while _Alignas _Alignof _Atomic _Bool _Complex
+        _Generic _Imaginary _Noreturn _Static_assert _Thread_local""".split()
+
+    @pytest.mark.parametrize("keyword", C11_KEYWORDS)
+    def test_no_c_keyword_is_a_name(self, keyword):
+        assert _tokens(keyword)[0].kind == "KW"
+        with pytest.raises(ParseError) as err:
+            parse_source("<t>", "int f() {\n  int %s = 1;\n  return 0;\n}"
+                         % keyword)
+        assert str(err.value) == f"2:7: expected a name, got {keyword!r}"
+
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_source("<t>", "int main() {\n    int x = ;\n}")

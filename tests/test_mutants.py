@@ -11,6 +11,12 @@ must exit 0, 1 or 2 without an internal error, and an exit 2 must be one
 At the token level, every corpus file is cut at each token boundary, and
 seeded mutants delete, duplicate or replace one token.  There an exit 2
 must also name a `line:col` inside the text, however early it ends.
+
+At the byte level, seeded mutants of the tool reports in `reports/`, of a
+memlab JSONL report and of the truth manifests in `truth/` delete 1-8
+bytes, insert one byte or overwrite one, and go through `ingest`, `bench
+--truth` and `persistence --truth`.  The same exits hold, and an exit 2
+names the mutated file first.
 """
 
 import contextlib
@@ -23,24 +29,38 @@ from pathlib import Path
 
 import pytest
 
+from memlab.analysis import analyze_unit
 from memlab.cli import main
-from memlab.frontend import SourceUnit, tokenize
+from memlab.diagnostics import Report, emit_structured
+from memlab.frontend import SourceUnit, parse_file, tokenize
 
-CORPUS = sorted(Path(__file__).resolve().parent.parent.glob("corpus/*.c"))
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = sorted(ROOT.glob("corpus/*.c"))
+REPORTS = sorted(ROOT.glob("reports/*"))
+TRUTHS = sorted(ROOT.glob("truth/*.jsonl"))
 PROFILES = ("union", "cppcheck-like", "clang-like", "infer-like",
             "predator-like")
 MUTANTS_PER_PROFILE = 300
 TOKEN_MUTANTS = 600
+REPORT_MUTANTS = 800
+MANIFEST_MUTANTS = 300
+# Printable ASCII, layout, NUL and a byte that is never UTF-8.
+_BYTES = bytes(range(32, 127)) + b"\n\t\x00\xff"
 _IDENT = re.compile(r"[A-Za-z_]\w*")
+
+
+def run_main(*argv):
+    """Exit code and stderr of `main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
 
 
 def analyze(path, text, *argv):
     """Exit code and stderr of `memlab analyze` on `text`, saved at `path`."""
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze", str(path), *argv])
-    return code, err.getvalue()
+    return run_main("analyze", str(path), *argv)
 
 
 def mutate(text: str, rng: random.Random) -> str:
@@ -153,3 +173,62 @@ def test_token_mutants_exit_cleanly_with_a_located_error(tmp_path, inputs):
 def test_cut_and_misnamed_inputs_name_the_place(tmp_path, text, message):
     path = tmp_path / "m.c"
     assert analyze(path, text) == (2, f"memlab: error: {path}:{message}\n")
+
+
+def byte_mutant(data: bytes, rng: random.Random) -> bytes:
+    """`data` with 1-8 bytes deleted, one byte inserted or one overwritten."""
+    k = rng.randrange(len(data))
+    op = rng.choice(("delete", "insert", "overwrite"))
+    if op == "delete":
+        return data[:k] + data[k + rng.randint(1, 8):]
+    byte = bytes([rng.choice(_BYTES)])
+    return data[:k] + byte + data[k + (op == "overwrite"):]
+
+
+def assert_clean_exit(code, err, path, where):
+    assert code in (0, 1, 2), where
+    assert "internal error" not in err, err + where
+    if code == 2:
+        assert err.startswith(f"memlab: error: {path}") \
+            and err.count("\n") == 1 and err.endswith("\n"), err + where
+    else:
+        assert err == "", err + where
+
+
+def test_report_byte_mutants_exit_cleanly(tmp_path):
+    assert len(REPORTS) == 5
+    memlab = tmp_path / "memlab_corpus.jsonl"
+    memlab.write_text(emit_structured(Report(
+        [f for path in CORPUS for f in analyze_unit(parse_file(path))])))
+    sources = [(p.name.split("_")[0], p.read_bytes())
+               for p in (*REPORTS, memlab)]
+    rng = random.Random(11)
+    path = tmp_path / "report.txt"
+    exits = Counter()
+    for i in range(REPORT_MUTANTS):
+        fmt, data = rng.choice(sources)
+        mutant = byte_mutant(data, rng)
+        path.write_bytes(mutant)
+        code, err = run_main("ingest", str(path), "--format", fmt)
+        assert_clean_exit(code, err, path, f"{i} ({fmt}): {mutant!r}")
+        exits[code] += 1
+    assert exits[0] and exits[2], exits
+
+
+def test_manifest_byte_mutants_exit_cleanly(tmp_path):
+    assert len(TRUTHS) == 2
+    sources = [p.read_bytes() for p in TRUTHS]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rng = random.Random(13)
+    path = tmp_path / "truth.jsonl"
+    exits = Counter()
+    for i in range(MANIFEST_MUTANTS):
+        mutant = byte_mutant(rng.choice(sources), rng)
+        path.write_bytes(mutant)
+        for argv in (("bench", "--truth", str(path), "--ingested", str(empty)),
+                     ("persistence", "--truth", str(path))):
+            code, err = run_main(*argv)
+            assert_clean_exit(code, err, path, f"{i} {argv[0]}: {mutant!r}")
+            exits[code] += 1
+    assert exits[0] and exits[2], exits
