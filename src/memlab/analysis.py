@@ -2,11 +2,10 @@
 
 The engine explores execution paths through each function's control-flow
 graph while tracking an abstract heap: which allocation sites are live,
-freed, or escaped, what each local points to, and which stores have been
-read.  Allocation calls fork the path into a success branch (a definitely
-non-null block) and a failure branch (a null result), so null checks in the
-program prune the failure path naturally instead of requiring dominator
-bookkeeping.
+freed, or escaped, and what each local points to.  Allocation calls fork
+the path into a success branch (a definitely non-null block) and a failure
+branch (a null result), so null checks in the program prune the failure
+path naturally instead of requiring dominator bookkeeping.
 
 A block reachable through the fields of an escaped block has escaped too.
 `AbstractHeap.escape_value` is the one place that marks a block escaped,
@@ -26,21 +25,22 @@ once more for its findings after every summary exists.
 A path that enters a join or a loop head in a state already explored from
 there (same heap up to site numbering, same loop trip counts) is dropped:
 transfer is deterministic and everything an exploration collects is a set,
-so it would only repeat what was found.  The state names the variables
-that hold a store but not the lines of the stores, since only the
-dead-store checker asks which store a read reads: the first entry puts an
-alias in place of each current store, a dropped path adds its own stores to
-those aliases, and a read of an alias reads every store it stands for.  It
-leaves out what no path from the block can read (`Cfg.live`): the value and
-store of a dead variable, one that every path writes before reading, and
-the trip counts of loops that no path from there can take again.  A dead
-variable that points to a live site keeps its value, since it keeps the
-site reachable and the statement that overwrites it is the line of a leak;
-one whose address is taken, or a global, is never dead.  The path budget
-counts finished paths, and a dropped path as one when the exploration it
-repeats counted any.  A dropped path stands for at least one path of the
-full walk, so a function with no more paths than the budget is always
-explored completely.
+so it would only repeat what was found.  The state leaves out what no path
+from the block can read (`Cfg.live`): the value of a dead variable, one
+that every path writes before reading, and the trip counts of loops that no
+path from there can take again.  A dead variable that points to a live
+site keeps its value, since it keeps the site reachable and the statement
+that overwrites it is the line of a leak; one whose address is taken, or a
+global, is never dead.  The path budget counts finished paths, and a
+dropped path as one when the exploration it repeats counted any.  A
+dropped path stands for at least one path of the full walk, so a function
+with no more paths than the budget is always explored completely.
+
+Dead stores come from the same liveness, as in the Clang static analyzer
+and Infer, not from the paths: a store that an explored path executed is
+dead when no path of the CFG from it reads the variable before writing it
+again (`Cfg.live_stores`).  So the state holds no stores, and a store read
+only on a branch the engine proves infeasible is not reported.
 
 Exploration is depth first over an explicit stack of entries into blocks,
 in the order of a recursive walk: the states leaving a block in turn, each
@@ -309,8 +309,6 @@ class AbstractHeap:
     # A site's id is its index.  Sites are never removed, and a block value
     # names a site of the state it is in, so `sites[v.site]` always exists.
     sites: list = field(default_factory=list)
-    # var -> (var, line) of its last store, or an alias standing for it
-    cur_store: dict = field(default_factory=dict)
     ret_line: int = 0
 
     def clone(self) -> "AbstractHeap":
@@ -318,7 +316,6 @@ class AbstractHeap:
             env=dict(self.env),
             sites=[SiteInfo(s.line, s.status, s.escaped, dict(s.fields),
                             s.default_field, s.hint) for s in self.sites],
-            cur_store=dict(self.cur_store),
             ret_line=self.ret_line,
         )
 
@@ -381,26 +378,23 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
     env by name, then each numbered site's fields, then any live site
     nothing refers to.  Transfer is deterministic, so two entries with
     equal keys explore the same continuations and report the same things.
-    Of the current stores only the variables count: which store is current
-    decides only which store a read reads, and the aliases of
-    `_alias_stores` carry that.  The variable names repeat across many
-    keys; `interned` keeps one copy of each tuple of them, and where in
-    such a tuple the dead variables are for each `keep`.
+    `ret_line` is left out: it is 0 at every merge, since a block that
+    returns leaves only for the exit.  The variable names repeat across
+    many keys; `interned` keeps one copy of each tuple of them, and where
+    in such a tuple the dead variables are for each `keep`.
 
     `keep` (see `_FunctionAnalysis._merge_key`) holds what the
     continuation may read.  A variable outside it is dead: every path
-    writes it before any read, so its value becomes `_DEAD` and its store
-    leaves the key.  Its value stays when it points to a live site, because
-    it still keeps the site reachable, and the statement that drops the
-    last reference is the line a leak is reported at.
+    writes it before any read, so its value becomes `_DEAD`.  Its value
+    stays when it points to a live site, because it still keeps the site
+    reachable, and the statement that drops the last reference is the line
+    a leak is reported at.
     """
     env = state.env
     names, values = zip(*sorted(env.items())) if env else ((), ())
     names = interned.setdefault(names, names)
     sites = state.sites
-    if env.keys() <= keep:
-        stores = tuple(sorted(state.cur_store))
-    else:
+    if not env.keys() <= keep:
         dead = interned.get((names, keep))
         if dead is None:
             dead = interned[names, keep] = [
@@ -410,11 +404,8 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
             v = values[i]
             if not (_is_block(v) and sites[v.site].status == "live"):
                 values[i] = _DEAD
-        stores = tuple(sorted(keep.intersection(state.cur_store)))
-    stores = interned.setdefault(stores, stores)
     if not sites:
-        return (block_id, names, tuple(values), stores, state.ret_line,
-                back_counts, ())
+        return (block_id, names, tuple(values), back_counts, ())
 
     renum: dict = {}
     order: list = []
@@ -443,8 +434,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
             return ("block", renum[v.site], v.offset)
         return v
 
-    return (block_id, names, tuple(map(canon, values)), stores,
-            state.ret_line, back_counts,
+    return (block_id, names, tuple(map(canon, values)), back_counts,
             tuple([(s.line, s.status, s.escaped,
                     tuple([(f, canon(v)) for f, v in s.fields.items()]),
                     s.default_field, s.hint)
@@ -476,11 +466,9 @@ class _FunctionAnalysis:
         # Paths finished plus paths dropped as already explored; nothing
         # new is explored once it reaches the path budget.
         self.paths_counted = 0
-        # _state_key of each merge-block entry explored -> (1 if the paths
-        # from it counted any, else 0; its [(var, alias)] from _alias_stores)
+        # _state_key of each merge-block entry explored -> 1 if the paths
+        # from it counted any, else 0
         self.seen: dict = {}
-        # alias -> the stores and aliases it stands for
-        self.alias_sources: list = []
         self.interned: dict = {}
         # merge block -> (what its key keeps, whether that is every back
         # edge); see _merge_key
@@ -491,19 +479,17 @@ class _FunctionAnalysis:
         self.has_user_calls = any(
             name not in BUILTIN_FUNCTIONS for name in fn.calls)
 
-        # A parameter shadows a global of its name; a user call may reassign
-        # a pointer global.
-        params = {name for name, _ in fn.params}
-        self.global_names = {g.name for g in tu.globals} - params
+        # A parameter or a local shadows a global of its name; a user call
+        # may reassign a pointer global.
+        self.global_names = {g.name for g in tu.globals} - fn.declared
         self.pointer_globals = [g.name for g in tu.globals
-                                if g.ctype.is_pointer and g.name not in params]
+                                if g.name in self.global_names
+                                and g.ctype.is_pointer]
 
-        # Dead-store bookkeeping is global across paths: a store is dead
-        # only if no explored path reads it.
-        # (var, line) -> "null-or-zero" if every value written there was
-        # null or zero, else "other"
+        # The stores some explored path executed: (var, line) ->
+        # "null-or-zero" if every value written there was null or zero,
+        # else "other"
         self.stores: dict = {}
-        self.read_stores: set = set()
 
     # -- reporting --
 
@@ -554,20 +540,15 @@ class _FunctionAnalysis:
             block_id, state, back_counts = stack.pop()
             if block_id is None:  # every path from the merge entry is done
                 key, before = state, back_counts
-                self.seen[key] = (int(self.paths_counted > before),
-                                  self.seen[key][1])
+                self.seen[key] = int(self.paths_counted > before)
                 continue
             key = None
             if block_id in self.cfg.merges:
-                key, keep = self._merge_key(block_id, state, back_counts)
-                explored = self.seen.get(key)
-                if explored is not None:
+                key = self._merge_key(block_id, state, back_counts)
+                weight = self.seen.get(key)
+                if weight is not None:
                     # Explored from here already: the paths it found stand
-                    # for this one, which counts as one path if they counted
-                    # any; each alias made there stands for this store too.
-                    weight, aliases = explored
-                    for var, alias in aliases:
-                        self.alias_sources[alias].append(state.cur_store[var])
+                    # for this one, which counts as one path if they did.
                     self.paths_counted += weight
                     continue
             if self.paths_counted >= self.config.path_budget:
@@ -575,14 +556,12 @@ class _FunctionAnalysis:
                 continue
             if key is not None:
                 # weight 0 until the paths from here are explored
-                self.seen[key] = (0, self._alias_stores(state, keep))
+                self.seen[key] = 0
                 stack.append((None, key, self.paths_counted))
             blk = self.cfg.blocks[block_id]
             states = [state]
             for stmt in blk.statements:
                 states = [t for s in states for t in self.transfer(stmt, s)]
-                if not states:
-                    break
             if block_id == self.cfg.exit:
                 for s in states:
                     self.finish_path(s)
@@ -617,7 +596,7 @@ class _FunctionAnalysis:
 
     def _merge_key(self, block_id: int, state: AbstractHeap,
                    back_counts: tuple) -> tuple:
-        """(the `_state_key` of an entry into a merge block, what it keeps).
+        """The `_state_key` of an entry into a merge block.
 
         It keeps what some path from the block may read (`Cfg.live`), and
         the variables read through pointers or after the function returns:
@@ -634,28 +613,7 @@ class _FunctionAnalysis:
         if back_counts and not every_loop:
             back_counts = tuple([c for c in back_counts if c[0] in keep])
         return _state_key(block_id, state, back_counts, self.interned,
-                          keep), keep
-
-    def _alias_stores(self, state: AbstractHeap, keep: frozenset) -> list:
-        """Replace each current store of a variable in `keep` with a fresh
-        alias: [(var, alias)].
-
-        The continuation from a merge entry reads a variable's entry store
-        exactly when it reads the variable before writing it, whichever
-        store that is; so a read of the alias is a read of every store it
-        stands for, this entry's and those of the arrivals dropped here.
-        The store of a variable outside `keep` is never read, and needs none.
-        """
-        sources = self.alias_sources
-        aliases = []
-        for var, store in state.cur_store.items():
-            if var not in keep:
-                continue
-            alias = len(sources)
-            sources.append([store])
-            state.cur_store[var] = alias
-            aliases.append((var, alias))
-        return aliases
+                          keep)
 
     def _refine(self, state: AbstractHeap, cond, branch: bool) -> None:
         """Narrow a pointer tested by the condition on the taken branch."""
@@ -729,7 +687,6 @@ class _FunctionAnalysis:
         # so which duplicate paths are skipped cannot change the checker.
         if cls != "null-or-zero" or key not in self.stores:
             self.stores[key] = cls
-        state.cur_store[name] = key
         state.env[name] = value
         if _is_block(value):
             info = state.sites[value.site]
@@ -842,9 +799,6 @@ class _FunctionAnalysis:
         return [(state, UNKNOWN)]
 
     def _read_var(self, state: AbstractHeap, name: str, loc):
-        key = state.cur_store.get(name)
-        if key is not None:
-            self.read_stores.add(key)
         value = state.env.get(name, UNKNOWN)
         if is_uninit(value):
             self.check_uninit_use(name, loc)
@@ -1114,28 +1068,22 @@ class _FunctionAnalysis:
         # Only globals survive the function; locals go out of scope.
         self.check_memory_leak_at(
             state, state.ret_line or self.fn.loc.line,
-            [state.env[g] for g in self.global_names if g in state.env])
+            [state.env[g] for g in self.global_names])
 
     def check_uninit_use(self, name: str, loc) -> None:
         self.emit(CHECKER_UNINIT_USE, loc.line,
                   f"variable `{name}` may be read before initialization")
 
     def check_dead_store(self) -> None:
-        if self.incomplete:
-            return  # unexplored paths could read the stores; stay quiet
-        # A read of an alias reads every store it stands for.
-        read = set(self.read_stores)
-        work = [alias for alias in read if type(alias) is int]
-        while work:
-            for store in self.alias_sources[work.pop()]:
-                if store not in read:
-                    read.add(store)
-                    if type(store) is int:
-                        work.append(store)
+        """Report each store an explored path executed that no path of the
+        CFG reads.  A variable whose address is taken, and a global, may be
+        read where the function cannot see.  A run cut short reports none."""
+        if self.incomplete or CHECKER_DEAD_STORE not in self.config.enabled:
+            return
+        read = self.cfg.live_stores()
         for (var, line), cls in sorted(self.stores.items()):
-            if (var, line) in read:
-                continue
-            if var in self.fn.addr_taken or var in self.global_names:
+            if (var, line) in read or var in self.fn.addr_taken \
+                    or var in self.global_names:
                 continue
             checker = CHECKER_DEAD_STORE_NULL_INIT if cls == "null-or-zero" \
                 else CHECKER_DEAD_STORE

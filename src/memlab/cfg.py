@@ -8,7 +8,9 @@ after a ``return`` is kept in an unreachable block that is never explored.
 
 Each graph also answers, per block, what a path from the block's entry may
 still read (``Cfg.live``), so that the engine can leave the rest out of the
-states it compares where paths meet.
+states it compares where paths meet; and, from the same liveness, which
+stores some path may read (``Cfg.live_stores``): the dead-store checker
+reports the others that a path executed.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frontend import (AddressOf, Assign, BinOp, Call, Cast, Deref,
-                       ExprStmt, FieldAccess, FunctionDef, Ident, If, Return,
-                       Stmt, UnaryNot, VarDecl, While)
+                       FieldAccess, FunctionDef, Ident, If, Return, Stmt,
+                       UnaryNot, VarDecl, While)
 
 FALLTHROUGH = "fallthrough"
 TRUE_BRANCH = "true-branch"
@@ -54,7 +56,8 @@ class Cfg:
     # before writing it: the variables, and the back edges (src, dst) that
     # it may still take, since the unrolling bound reads an edge's trip
     # count where the edge leaves and nothing resets it.  Only the engine
-    # asks, and only at merges, so the fixpoint runs on first use.
+    # asks, at merges and for dead stores, so the fixpoint runs on first
+    # use.
     _live: list | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,32 +94,14 @@ class Cfg:
         live, writes = [], []
         for blk in self.blocks:
             read: set = set()
-            written: set = set()
             # The condition is read after the statements.
             if blk.branch_cond is not None:
                 _expr_reads(blk.branch_cond, read)
             for stmt in reversed(blk.statements):
-                cls = type(stmt)
-                if cls is Assign:
-                    if type(stmt.target) is Ident:
-                        read.discard(stmt.target.name)
-                        written.add(stmt.target.name)
-                    else:  # `*p = v` and `p->f = v` read `p`
-                        _expr_reads(stmt.target, read)
-                    _expr_reads(stmt.value, read)
-                elif cls is VarDecl:
-                    # A declaration without an initializer leaves the
-                    # variable's last store current, to be read again.
-                    if stmt.init is not None:
-                        read.discard(stmt.name)
-                        written.add(stmt.name)
-                        _expr_reads(stmt.init, read)
-                elif cls is ExprStmt:
-                    _expr_reads(stmt.expr, read)
-                elif cls is Return and stmt.expr is not None:
-                    _expr_reads(stmt.expr, read)
+                _read_before(stmt, read)
             live.append(read)
-            writes.append(written)
+            writes.append({name for name in map(_stored, blk.statements)
+                           if name is not None})
         for edge in self.back_edges:  # read where it leaves, never written
             live[edge[0]].add(edge)
         preds: list = [[] for _ in self.blocks]
@@ -141,13 +126,59 @@ class Cfg:
                         work.append(src)
         return [frozenset(entry) for entry in live]
 
+    def live_stores(self) -> set:
+        """The stores (var, line) that some path from them may read: one
+        statement on the line writes the variable, and some path from
+        there reads it before writing it again."""
+        stores = set()
+        for blk in self.blocks:
+            # What the rest of the block reads before writing it, and what
+            # it writes; only a variable in neither asks the successors.
+            read: set = set()
+            written: set = set()
+            _expr_reads(blk.branch_cond, read)
+            for stmt in reversed(blk.statements):
+                name = _stored(stmt)
+                if name is not None:
+                    if name in read or (name not in written and any(
+                            name in self.live(dst)
+                            for dst, _ in self._succs[blk.id])):
+                        stores.add((name, stmt.loc.line))
+                    written.add(name)
+                _read_before(stmt, read)
+        return stores
+
+
+def _stored(stmt) -> str | None:
+    """The variable the statement stores to: an assignment to a name, or a
+    declaration with an initializer.  One without leaves the variable's
+    last store current, to be read again."""
+    cls = type(stmt)
+    if cls is Assign:
+        return stmt.target.name if type(stmt.target) is Ident else None
+    if cls is VarDecl and stmt.init is not None:
+        return stmt.name
+    return None
+
+
+def _read_before(stmt, live: set) -> None:
+    """Turn `live`, what a path may read after the statement before writing
+    it, into what it may read before the statement."""
+    live.discard(_stored(stmt))
+    if type(stmt) is Assign:
+        if type(stmt.target) is not Ident:  # `*p = v` and `p->f = v` read `p`
+            _expr_reads(stmt.target, live)
+        _expr_reads(stmt.value, live)
+    else:  # a declaration, a call or a return, whose expression may be None
+        _expr_reads(stmt.init if type(stmt) is VarDecl else stmt.expr, live)
+
 
 _UNARY = (Deref, AddressOf, FieldAccess, UnaryNot, Cast)
 
 
 def _expr_reads(expr, out: set) -> None:
     """Add the variables that evaluating `expr` reads to `out`.  The
-    operand of `sizeof` is not evaluated."""
+    operand of `sizeof` is not evaluated, and None reads nothing."""
     work = [expr]
     while work:
         expr = work.pop()

@@ -153,20 +153,29 @@ def cmd_bench(args) -> int:
 
     if bool(args.corpus) == bool(args.truth):
         raise UsageError("bench needs exactly one of --corpus or --truth")
+    # A flag of the other mode is an error, not silently ignored.
     if args.corpus:
+        for flag, value in (("--ingested", args.ingested),
+                            ("--format", args.report_format),
+                            ("--tolerance", args.tolerance)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to --truth, not --corpus")
         manifest = benchlab.load_corpus_manifest(args.corpus)
-        report = benchlab.run_corpus(manifest, PROFILES[args.profile])
+        report = benchlab.run_corpus(manifest,
+                                     PROFILES[args.profile or "union"])
         sys.stdout.write(benchlab.render_bench_report(report))
         return 0 if report.all_passed else 1
+    if args.profile is not None:
+        raise UsageError("--profile applies to --corpus, not --truth")
     if not args.ingested:
         raise UsageError("--truth requires --ingested")
-    if args.tolerance < 0:
-        raise UsageError(
-            f"tolerance must be at least 0, got {args.tolerance}")
+    tolerance = args.tolerance or 0
+    if tolerance < 0:
+        raise UsageError(f"tolerance must be at least 0, got {tolerance}")
     truth = benchlab.load_truth_manifest(args.truth)
-    findings = _read_report(args.ingested, args.report_format)
+    findings = _read_report(args.ingested, args.report_format or "memlab")
     matrix, labels = benchlab.classify(findings, truth.entries,
-                                       tolerance=args.tolerance)
+                                       tolerance=tolerance)
     unmapped = sum(1 for _, label in labels if label == "UNMAPPED")
     print(f"program: {truth.program}")
     print(f"tp={matrix.tp} fp={matrix.fp} fn={matrix.fn} tn={matrix.tn}")
@@ -281,13 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_be = sub.add_parser("bench", help="run corpus or classify a report")
     p_be.add_argument("--corpus", help="corpus manifest (JSONL)")
     p_be.add_argument("--profile", choices=sorted(PROFILES),
-                      default="union")
+                      help="with --corpus (default union)")
     p_be.add_argument("--truth", help="ground-truth manifest (JSONL)")
     p_be.add_argument("--ingested", help="tool report to classify")
     p_be.add_argument("--format", dest="report_format",
-                      choices=REPORT_FORMATS, default="memlab")
-    p_be.add_argument("--tolerance", type=int, default=0,
-                      help="line-match tolerance")
+                      choices=REPORT_FORMATS,
+                      help="with --truth (default memlab)")
+    p_be.add_argument("--tolerance", type=int,
+                      help="line-match tolerance, with --truth (default 0)")
     p_be.set_defaults(func=cmd_bench)
 
     p_in = sub.add_parser("ingest", help="normalize an external tool report")

@@ -16,9 +16,9 @@ the tokens followed by end-of-input tokens, so no rule asks whether a token
 is there, and a name it reads must be an identifier.  It reads
 binary operators by precedence climbing over one table of levels
 (``BINARY_LEVELS``) and the ``else if`` arms of a chain in a loop.  It
-records on each ``FunctionDef`` the functions its body calls and the
-variables it takes the address of, so the analyzer needs no second walk of
-the tree.
+records on each ``FunctionDef`` the functions its body calls, the
+variables it takes the address of and the names it declares, so the
+analyzer needs no second walk of the tree.
 """
 
 from __future__ import annotations
@@ -329,6 +329,7 @@ class FunctionDef(Node):
     body: list
     calls: frozenset  # names of the functions the body calls
     addr_taken: frozenset  # variables the body applies `&` to
+    declared: frozenset  # its parameters and local declarations
 
 
 @dataclass
@@ -371,9 +372,11 @@ class _Parser:
         self.pos = 0
         self.struct_names: set[str] = set()
         self.depth = 0
-        # What the function being parsed calls and takes the address of.
+        # What the function being parsed calls, takes the address of and
+        # declares.
         self.calls: set[str] = set()
         self.addr_taken: set[str] = set()
+        self.declared: set[str] = set()
 
     # -- token helpers --
 
@@ -536,9 +539,11 @@ class _Parser:
                     if not self.accept(","):
                         break
         self.expect(")")
+        self.declared = {pname for pname, _ in params}
         body = self.parse_block()
         return FunctionDef(self.loc(start), name, params, ret, body,
-                           frozenset(self.calls), frozenset(self.addr_taken))
+                           frozenset(self.calls), frozenset(self.addr_taken),
+                           frozenset(self.declared))
 
     def parse_decl_rest(self, ctype: CType, name: str, start: Token) -> VarDecl:
         init = None
@@ -578,7 +583,9 @@ class _Parser:
             return Return(self.loc(tok), expr)
         if self.at_type() and not self._looks_like_expression_start():
             ctype = self.parse_type()
-            return self.parse_decl_rest(ctype, self.name(), tok)
+            name = self.name()
+            self.declared.add(name)
+            return self.parse_decl_rest(ctype, name, tok)
         expr = self.parse_expr()
         if self.accept("="):
             if not isinstance(expr, (Ident, Deref, FieldAccess)):

@@ -436,6 +436,34 @@ class TestDeadStore:
             return 0;
         }""") == []
 
+    def test_a_store_no_path_of_the_cfg_reads_is_dead(self):
+        # x = 1 is written again on both arms before any read; p is never
+        # read at all.
+        src = """int f(int c) {
+            int x = 1;
+            int *p = NULL;
+            if (c) { x = 2; } else { x = 3; }
+            return x;
+        }"""
+        assert run(src) == [(2, CHECKER_DEAD_STORE),
+                            (3, CHECKER_DEAD_STORE_NULL_INIT)]
+        assert run(src, PROFILES["clang-like"]) == [(2, CHECKER_DEAD_STORE)]
+
+    def test_a_store_read_only_in_a_loop_never_entered_is_not_dead(self):
+        # x is 0, so no explored path enters the loop, but a path of the
+        # CFG reads p there: liveness, as in the Clang static analyzer and
+        # Infer, counts the store as read.
+        src = """int f(int *r) {
+            int x = 0;
+            int *p = r;
+            while (x) {
+                x = *p;
+            }
+            return x;
+        }"""
+        for name in ("union", "clang-like", "infer-like"):
+            assert run(src, PROFILES[name]) == [], name
+
     def test_read_on_one_path_is_enough(self):
         assert run("""int f(int a) {
             int x = 1;
@@ -519,6 +547,26 @@ class TestInterprocedural:
             return 0;
         }""") == [(3, CHECKER_MEMORY_LEAK), (4, CHECKER_DEAD_STORE),
                   (7, CHECKER_DEAD_STORE)]
+
+    def test_local_that_shadows_a_global_is_a_local(self):
+        # The function reports what it reports without the global: the
+        # global is no root for the block, and the store is not exempt.
+        body = "int f() {\n  int *g = malloc(4);\n  return 0;\n}\n"
+        assert run(body) == [(2, CHECKER_DEAD_STORE), (3, CHECKER_MEMORY_LEAK)]
+        assert run("int *g;\n" + body) == [(3, CHECKER_DEAD_STORE),
+                                            (4, CHECKER_MEMORY_LEAK)]
+
+    def test_user_call_leaves_a_local_named_like_a_pointer_global(self):
+        # h() may reassign the global g, not the local: the block stays in
+        # the local, unchecked and then lost.
+        assert run("""int *g;
+        void h() {}
+        int f() {
+            int *g = malloc(4);
+            h();
+            *g = 1;
+            return 0;
+        }""") == [(6, CHECKER_UNCHECKED_ALLOC), (7, CHECKER_MEMORY_LEAK)]
 
     def test_intraprocedural_mode_escapes_arguments(self):
         src = """int main() {

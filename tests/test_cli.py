@@ -493,6 +493,25 @@ class TestBench:
         assert out == (0, f"program: {program}\n{expected}\nunmapped=1\n",
                        "")
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("--corpus", "corpus/manifest.jsonl", "--tolerance", "5"),
+         "--tolerance"),
+        (("--corpus", "corpus/manifest.jsonl", "--format", "infer"),
+         "--format"),
+        (("--corpus", "corpus/manifest.jsonl", "--ingested", "r.jsonl"),
+         "--ingested"),
+        (("--truth", "truth/sds.jsonl", "--ingested", "r.jsonl",
+          "--profile", "predator-like"), "--profile"),
+    ], ids=["tolerance", "format", "ingested", "profile"])
+    def test_a_flag_of_the_other_mode_is_a_usage_error(self, capsys, argv,
+                                                        flag):
+        # Ignoring it would print the plain corpus report, or a score that
+        # looks per profile but is not.
+        code, out, err = run_cli(capsys, "bench", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("memlab: error: " + flag + " ")
+        assert err.count("\n") == 1
+
     def test_corpus_fixture_outside_the_subset_names_its_file(
             self, capsys, tmp_path):
         (tmp_path / "loop.c").write_text("int f() {\n  for (;;) {}\n}\n")

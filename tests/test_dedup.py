@@ -89,8 +89,9 @@ def store_program(rng):
     """Stores on lines of their own in both arms of ifs and in loop bodies,
     on 2-4 scalars and a pointer.  Arms that store equal values on
     different lines reach a join in one state, so the paths that arrive
-    second are dropped and only aliases tell whether their stores are read;
-    some variables are read after the join, some are never read."""
+    second are dropped, and their stores must still be reported exactly
+    when no path of the CFG reads them; some variables are read after the
+    join, some are never read."""
     scalars = ["a", "b", "x", "y"][:rng.randint(2, 4)]
     values = ("0", "1", "2", "c", "d")
 
@@ -328,10 +329,9 @@ def test_families_under_every_profile(source, monkeypatch):
 
 def unpruned_merge_key(self, block_id, state, back_counts):
     """The key as it was before pruning: every variable and every loop trip
-    count, all stores aliased."""
+    count."""
     keep = frozenset(state.env) | self.cfg.back_edges
-    return _state_key(block_id, state, back_counts, self.interned,
-                      keep), keep
+    return _state_key(block_id, state, back_counts, self.interned, keep)
 
 
 def assert_same_as_unpruned(source, config, monkeypatch):
@@ -485,11 +485,11 @@ def paths(monkeypatch):
 class TestPathsCounted:
     @pytest.mark.parametrize("n", [0, 1, 4, 31, 48, 90, 96, 150])
     def test_p_chain_is_linear(self, paths, n):
-        # The key holds which variables have a store, not the store's line,
-        # so two states leave each join: x zero and x unknown.  Each enters
-        # the next if and reaches its join twice, so of the 4 arrivals at
-        # joins 2..n, 2 are dropped: 2 * (n - 1) dropped paths and 2
-        # finished ones, 2n in all; with no if, the one path.
+        # The key holds values, not stores, so two states leave each join:
+        # x zero and x unknown.  Each enters the next if and reaches its
+        # join twice, so of the 4 arrivals at joins 2..n, 2 are dropped:
+        # 2 * (n - 1) dropped paths and 2 finished ones, 2n in all; with no
+        # if, the one path.
         analyze_unit(parse_source("t.c", p_chain(n)))
         assert paths["f"] == (2 * n if n else 1, False)
 

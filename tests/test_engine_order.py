@@ -43,20 +43,16 @@ def _exec(self, block_id: int, state: AbstractHeap,
           back_counts: tuple) -> None:
     key = None
     if block_id in self.cfg.merges:
-        key, keep = self._merge_key(block_id, state, back_counts)
-        explored = self.seen.get(key)
-        if explored is not None:
-            weight, aliases = explored
-            for var, alias in aliases:
-                self.alias_sources[alias].append(state.cur_store[var])
+        key = self._merge_key(block_id, state, back_counts)
+        weight = self.seen.get(key)
+        if weight is not None:
             self.paths_counted += weight
             return
     if self.paths_counted >= self.config.path_budget:
         self.incomplete = True
         return
     if key is not None:
-        aliases = self._alias_stores(state, keep)
-        self.seen[key] = (0, aliases)
+        self.seen[key] = 0
         before = self.paths_counted
     blk = self.cfg.blocks[block_id]
     states = [state]
@@ -79,7 +75,7 @@ def _exec(self, block_id: int, state: AbstractHeap,
             for dst, kind in succs:
                 self._follow(dst, s, back_counts, kind, block_id)
     if key is not None:
-        self.seen[key] = (int(self.paths_counted > before), aliases)
+        self.seen[key] = int(self.paths_counted > before)
 
 
 def _follow(self, dst: int, state: AbstractHeap, back_counts: tuple,

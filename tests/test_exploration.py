@@ -34,6 +34,7 @@ from memlab.frontend import (
     Call,
     Ident,
     Node,
+    VarDecl,
     parse_source,
 )
 
@@ -43,10 +44,12 @@ from memlab.frontend import (
 # ---------------------------------------------------------------------------
 
 
-def scan_body_reference(fn) -> tuple[set, set]:
-    """The names a function calls and the variables whose address it takes."""
+def scan_body_reference(fn) -> tuple[set, set, set]:
+    """The names a function calls, the variables whose address it takes,
+    and its parameters and local declarations."""
     calls: set[str] = set()
     addr_taken: set[str] = set()
+    declared = {name for name, _ in fn.params}
     work = list(fn.body)
     while work:
         node = work.pop()
@@ -54,12 +57,14 @@ def scan_body_reference(fn) -> tuple[set, set]:
             calls.add(node.name)
         elif isinstance(node, AddressOf) and isinstance(node.expr, Ident):
             addr_taken.add(node.expr.name)
+        elif isinstance(node, VarDecl):
+            declared.add(node.name)
         for value in vars(node).values():
             if isinstance(value, Node):
                 work.append(value)
             elif isinstance(value, list):
                 work.extend(v for v in value if isinstance(v, Node))
-    return calls, addr_taken
+    return calls, addr_taken, declared
 
 
 def _summarize(tu, fn, cfg, config, summaries) -> FunctionSummary:
@@ -89,7 +94,7 @@ def two_pass_reference(tu, config):
         if name in summaries or name in in_progress or name not in by_name:
             return
         in_progress.add(name)
-        callees, _ = scan_body_reference(by_name[name])
+        callees = scan_body_reference(by_name[name])[0]
         for callee in sorted(callees):
             if callee not in BUILTIN_FUNCTIONS:
                 visit(callee)
@@ -253,7 +258,8 @@ def test_random_programs_cover_the_interesting_cases():
 
 def _assert_records_match_walk(tu):
     for fn in tu.functions:
-        assert (fn.calls, fn.addr_taken) == scan_body_reference(fn), fn.name
+        assert (fn.calls, fn.addr_taken, fn.declared) \
+            == scan_body_reference(fn), fn.name
 
 
 def test_parser_records_match_walk_on_random_programs():
@@ -298,6 +304,9 @@ def test_global_initializer_after_a_function_is_in_no_function():
         == (frozenset(), {"x"})
     assert (tu.function("main").calls, tu.function("main").addr_taken) \
         == ({"f"}, frozenset())
+    # The globals are declared in no function.
+    assert tu.function("f").declared == {"x", "p"}
+    assert tu.function("main").declared == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,121 @@ class TestLeakOracle:
 
 
 # ---------------------------------------------------------------------------
+# Random straight-line stores with a dead-store oracle
+# ---------------------------------------------------------------------------
+
+STORE_TARGETS = ("a", "b", "x", "c")  # `c` is a parameter
+DEAD_MESSAGE = re.compile(r"The value written to &(\w+) is never used")
+
+
+def straight_line_stores(rng):
+    """A straight-line function of scalar and pointer stores, reads, and
+    `&x`, each statement on a line of its own.
+
+    Returns (source, dead): the (line, variable) of each store that the
+    next statement touching its variable writes without reading it first,
+    or that no later statement touches.  A variable whose address is taken
+    and the global `g` are exempt: a read through a pointer, or after the
+    function returns, is invisible here.  Straight-line code has one path
+    (up to allocation failures), so what a path reads and what a path of
+    the CFG reads are the same.
+    """
+    lines = ["int g;", "int f(int c, int *r) {"]
+    stmts = []  # (line, variable written or None, variables read)
+    scalars, pointers = ["c"], []  # declared so far
+    mallocs = 0
+
+    def add(text, written, read):
+        lines.append("    " + text)
+        stmts.append((len(lines), written, read))
+
+    def scalar():
+        """An int expression over what is declared: (text, reads)."""
+        s, t = rng.choice(scalars), rng.choice(scalars)
+        choices = [("0", set()), ("1", set()), ("g", set()), (s, {s}),
+                   (f"{s} + {t}", {s, t})]
+        if pointers:
+            p = rng.choice(pointers)
+            choices.append((f"*{p}", {p}))
+        return rng.choice(choices)
+
+    def pointer(target):
+        nonlocal mallocs
+        choices = [("r", set()), ("NULL", set()), ("&x", set())]
+        choices += [(p, {p}) for p in pointers if p != target]
+        if mallocs < 3:
+            choices.append(("malloc(4)", set()))
+        text, read = rng.choice(choices)
+        mallocs += text == "malloc(4)"
+        return text, read
+
+    for v in ("a", "b", "x"):
+        text, read = scalar()
+        add(f"int {v} = {text};", v, read)
+        scalars.append(v)
+    for v in ("p", "q"):
+        text, read = pointer(v)
+        add(f"int *{v} = {text};", v, read)
+        pointers.append(v)
+    for _ in range(rng.randint(3, 10)):
+        kind = rng.choice(("scalar", "scalar", "pointer", "through", "global",
+                           "read"))
+        if kind == "scalar":
+            v = rng.choice(STORE_TARGETS)
+            text, read = scalar()
+            add(f"{v} = {text};", v, read)
+        elif kind == "pointer":
+            v = rng.choice(pointers)
+            text, read = pointer(v)
+            add(f"{v} = {text};", v, read)
+        elif kind == "through":
+            v = rng.choice(pointers)
+            text, read = scalar()
+            add(f"*{v} = {text};", None, read | {v})
+        elif kind == "global":
+            text, read = scalar()
+            add(f"g = {text};", "g", read)
+        else:
+            v = rng.choice(scalars + pointers)
+            add(f'printf("%d\\n", {v});', None, {v})
+    v = rng.choice(("a", "b", "0"))
+    add(f"return {v};", None, {v})
+    lines.append("}")
+
+    exempt = {"g"} | ({"x"} if any("&x" in line for line in lines) else set())
+    dead = set()
+    for i, (line, var, _) in enumerate(stmts):
+        if var is None or var in exempt:
+            continue
+        for _, written, read in stmts[i + 1:]:
+            if var in read:
+                break
+            if written == var:
+                dead.add((line, var))
+                break
+        else:
+            dead.add((line, var))
+    return "\n".join(lines) + "\n", dead
+
+
+class TestDeadStoreOracle:
+    def test_union_reports_exactly_the_oracle_dead_stores(self):
+        kinds = set()
+        for seed in range(400):
+            source, dead = straight_line_stores(random.Random(seed))
+            result = analyze_unit(parse_source("<p>", source))
+            assert not result.incomplete, source
+            got = set()
+            for f in result:
+                if f.kind == "DEAD_STORE":
+                    kinds.add(f.checker)
+                    got.add((f.line,
+                             DEAD_MESSAGE.fullmatch(f.message).group(1)))
+            assert got == dead, f"seed {seed}:\n{source}"
+        assert kinds == {"DEAD_STORE", "DEAD_STORE_NULL_INIT"}
+
+
+# ---------------------------------------------------------------------------
 # Buggy/fixed monotonicity on the corpus
 # ---------------------------------------------------------------------------
 
