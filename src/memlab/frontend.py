@@ -8,23 +8,27 @@ access, address-of, dereference, pointer casts and comparisons against
 ``NULL``/``0``.  Anything else is rejected with a located error instead of
 a crash.
 
-The lexer matches one regular expression at each offset, one alternative
-per token shape, and counts lines as it scans, so a token's line and column
-cost no lookup.  Source text is ASCII: outside a comment or a string
-literal, any other character is an illegal character.  The parser reads
-the tokens followed by end-of-input tokens, so no rule asks whether a token
-is there, and a name it reads must be an identifier.  It reads
-binary operators by precedence climbing over one table of levels
-(``BINARY_LEVELS``) and the ``else if`` arms of a chain in a loop.  It
+The lexer is one ``finditer`` pass of one regular expression in which each
+match is one token, comment or run of newlines, with the blanks in front of
+it folded in; a last one-character alternative marks every place where no
+token starts, the one place an error is raised.  It counts lines as it
+scans, so a token's line and column cost no lookup.  Source text is ASCII:
+outside a comment or a string literal, any other character is an illegal
+character.  The parser reads the tokens followed by end-of-input tokens, so
+no rule asks whether a token is there, and a name it reads must be an
+identifier.  It reads binary operators by precedence climbing over one
+table of levels (``BINARY_LEVELS``) and the ``else if`` arms of a chain in a
+loop; an operand that no prefix operator starts goes straight to the
+postfix step, which builds identifier and integer leaves itself.  It
 records on each ``FunctionDef`` the functions its body calls, the
 variables it takes the address of and the names it declares, so the
-analyzer needs no second walk of the tree.
+analyzer needs no second walk of the tree.  The AST nodes are plain
+classes, so importing the module generates no code.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # The subset's keywords and NULL, then the rest of C11's keywords, so none
@@ -38,6 +42,7 @@ KEYWORDS = {
     "volatile", "_Alignas", "_Alignof", "_Atomic", "_Bool", "_Complex",
     "_Generic", "_Imaginary", "_Noreturn", "_Static_assert", "_Thread_local",
 }
+_KEYWORD_KIND = dict.fromkeys(KEYWORDS, "KW")
 
 # Statements, blocks, parentheses, call arguments, sizeof operands, casts and
 # prefix operators nest at most this deep.  The parser recurses at most seven
@@ -54,20 +59,30 @@ BINARY_LEVELS = {
     "*": 3, "/": 3,
 }
 _TIGHTEST_LEVEL = max(BINARY_LEVELS.values())
+# The tokens that can start a prefix operator, `sizeof` or a cast.
+_UNARY_STARTS = frozenset({"*", "&", "!", "-", "sizeof", "("})
+_TYPE_KEYWORDS = frozenset({"int", "void", "char", "struct"})
 
-# One alternative per token shape, tried in order at each offset.  Two-
-# character punctuators come before their one-character prefixes, and `/`
-# is no punctuator in front of `*`, so an unclosed `/*` matches nothing and
-# is reported as an unterminated comment.  ASCII only: `\d` and `\w` match no other digit
+# Each match is one token, a comment or a run of newlines, with the blanks
+# in front of it folded in (possessively, so text that ends in blanks
+# matches nothing more).  `COMMENT` comes before `PUNCT`, so `//` is no pair
+# of slashes.  Two-character punctuators come before their one-character
+# prefixes, and `/` is no punctuator in front of `*`, so an unclosed `/*`
+# falls through to `ERROR`, the one-character catch-all that marks every
+# place no token starts.  ASCII only: `\d` and `\w` match no other digit
 # or letter, so any other character outside a comment or string literal is
 # an illegal character.
 _TOKEN = re.compile(r"""
-    (?P<SKIP> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )
-  | (?P<PREPROC> \#[^\n]* )
-  | (?P<STRING> "(?:[^"\\]|\\.)*" )
-  | (?P<INT> \d+ )
-  | (?P<IDENT> [A-Za-z_]\w* )
-  | (?P<PUNCT> -> | [=!<>]= | [-(){};,*&=<>+!.] | /(?!\*) )
+    [ \t\r]*+
+    (?: (?P<NEWLINE> \n (?: [ \t\r]*+ \n )* )
+      | (?P<COMMENT> //[^\n]* | /\*.*?\*/ )
+      | (?P<PREPROC> \#[^\n]* )
+      | (?P<STRING> "(?:[^"\\]|\\.)*" )
+      | (?P<INT> \d+ )
+      | (?P<IDENT> [A-Za-z_]\w* )
+      | (?P<PUNCT> -> | [=!<>]= | [-(){};,*&=<>+!.] | /(?!\*) )
+      | (?P<ERROR> . )
+    )
 """, re.VERBOSE | re.DOTALL | re.ASCII)
 
 
@@ -125,6 +140,10 @@ class Token(NamedTuple):
     offset: int
 
 
+# A named tuple built without the frame of its Python `__new__`.
+_tuple_new = tuple.__new__
+
+
 def tokenize(unit: SourceUnit) -> list[Token]:
     """Split a source unit into tokens; whitespace and comments are dropped.
 
@@ -134,33 +153,36 @@ def tokenize(unit: SourceUnit) -> list[Token]:
     text = unit.text
     tokens: list[Token] = []
     append = tokens.append
-    match = _TOKEN.match
-    end = len(text)
-    pos = 0
-    # Only whitespace, comments and string literals can hold a newline.
+    new = _tuple_new
+    keyword = _KEYWORD_KIND.get
+    # Only newline runs, comments and string literals can hold a newline.
     line, line_start = 1, 0
-    while pos < end:
-        m = match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            if text.startswith("/*", pos):
-                raise LexError("unterminated block comment", line, col)
-            if text[pos] == '"':
-                raise LexError("unterminated string literal", line, col)
-            raise LexError(f"illegal character {text[pos]!r}", line, col)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        nxt = m.end()
-        if kind != "SKIP":
-            lexeme = m.group()
-            if kind == "IDENT" and lexeme in KEYWORDS:
-                kind = "KW"
-            append(Token(kind, lexeme, line, pos - line_start + 1, pos))
-        if kind == "SKIP" or kind == "STRING":
-            newlines = text.count("\n", pos, nxt)
+        lexeme = m[kind]
+        if kind == "NEWLINE":
+            line += lexeme.count("\n")
+            line_start = m.end()
+            continue
+        start = m.start(kind)
+        if kind == "IDENT":
+            kind = keyword(lexeme, kind)
+        elif kind == "COMMENT" or kind == "STRING" or kind == "ERROR":
+            col = start - line_start + 1
+            if kind == "ERROR":
+                if text.startswith("/*", start):
+                    raise LexError("unterminated block comment", line, col)
+                if lexeme == '"':
+                    raise LexError("unterminated string literal", line, col)
+                raise LexError(f"illegal character {lexeme!r}", line, col)
+            if kind == "STRING":
+                append(new(Token, (kind, lexeme, line, col, start)))
+            newlines = lexeme.count("\n")
             if newlines:
                 line += newlines
-                line_start = text.rindex("\n", pos, nxt) + 1
-        pos = nxt
+                line_start = start + lexeme.rindex("\n") + 1
+            continue
+        append(new(Token, (kind, lexeme, line, start - line_start + 1, start)))
     return tokens
 
 
@@ -193,86 +215,139 @@ class Loc(NamedTuple):
     column: int
 
 
-@dataclass
 class Node:
-    loc: Loc
+    """An AST node.  `_fields` names its fields in order: a node's repr and
+    equality go by them, and a node is unhashable, as a dataclass's would
+    be.  A node keeps its `__dict__`, so a walker can read its fields with
+    `vars(node)`."""
+
+    _fields: tuple[str, ...] = ("loc",)
+    __hash__ = None
+
+    def __init__(self, loc: Loc):
+        self.loc = loc
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self._fields] \
+            == [getattr(other, name) for name in self._fields]
 
 
 # Expressions
 
 
-@dataclass
 class Ident(Node):
-    name: str
+    _fields = ("loc", "name")
+
+    def __init__(self, loc: Loc, name: str):
+        self.loc = loc
+        self.name = name
 
 
-@dataclass
 class IntLit(Node):
-    value: int
+    _fields = ("loc", "value")
+
+    def __init__(self, loc: Loc, value: int):
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class StrLit(Node):
-    value: str
+    _fields = ("loc", "value")
+
+    def __init__(self, loc: Loc, value: str):
+        self.loc = loc
+        self.value = value
 
 
-@dataclass
 class NullLit(Node):
     pass
 
 
-@dataclass
 class Deref(Node):
-    expr: "Expr"
+    _fields = ("loc", "expr")
+
+    def __init__(self, loc: Loc, expr: Expr):
+        self.loc = loc
+        self.expr = expr
 
 
-@dataclass
 class AddressOf(Node):
-    expr: "Expr"
+    _fields = ("loc", "expr")
+
+    def __init__(self, loc: Loc, expr: Expr):
+        self.loc = loc
+        self.expr = expr
 
 
-@dataclass
 class FieldAccess(Node):
-    expr: "Expr"
-    fieldname: str
-    via_pointer: bool
+    _fields = ("loc", "expr", "fieldname", "via_pointer")
+
+    def __init__(self, loc: Loc, expr: Expr, fieldname: str, via_pointer: bool):
+        self.loc = loc
+        self.expr = expr
+        self.fieldname = fieldname
+        self.via_pointer = via_pointer
 
 
-@dataclass
 class Call(Node):
-    name: str
-    args: list
+    _fields = ("loc", "name", "args")
+
+    def __init__(self, loc: Loc, name: str, args: list):
+        self.loc = loc
+        self.name = name
+        self.args = args
 
 
-@dataclass
 class SizeofType(Node):
-    ctype: CType
+    _fields = ("loc", "ctype")
+
+    def __init__(self, loc: Loc, ctype: CType):
+        self.loc = loc
+        self.ctype = ctype
 
 
-@dataclass
 class SizeofExpr(Node):
-    expr: "Expr"
-    # True for the exact shape `sizeof(*identifier)`, which some tools
-    # historically failed to size correctly.
-    star_of_ident: bool = False
+    _fields = ("loc", "expr", "star_of_ident")
+
+    def __init__(self, loc: Loc, expr: Expr, star_of_ident: bool = False):
+        self.loc = loc
+        self.expr = expr
+        # True for the exact shape `sizeof(*identifier)`, which some tools
+        # historically failed to size correctly.
+        self.star_of_ident = star_of_ident
 
 
-@dataclass
 class BinOp(Node):
-    op: str
-    left: "Expr"
-    right: "Expr"
+    _fields = ("loc", "op", "left", "right")
+
+    def __init__(self, loc: Loc, op: str, left: Expr, right: Expr):
+        self.loc = loc
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class UnaryNot(Node):
-    expr: "Expr"
+    _fields = ("loc", "expr")
+
+    def __init__(self, loc: Loc, expr: Expr):
+        self.loc = loc
+        self.expr = expr
 
 
-@dataclass
 class Cast(Node):
-    ctype: CType
-    expr: "Expr"
+    _fields = ("loc", "ctype", "expr")
+
+    def __init__(self, loc: Loc, ctype: CType, expr: Expr):
+        self.loc = loc
+        self.ctype = ctype
+        self.expr = expr
 
 
 Expr = Ident | IntLit | StrLit | NullLit | Deref | AddressOf | FieldAccess | Call \
@@ -282,68 +357,101 @@ Expr = Ident | IntLit | StrLit | NullLit | Deref | AddressOf | FieldAccess | Cal
 # Statements
 
 
-@dataclass
 class VarDecl(Node):
-    name: str
-    ctype: CType
-    init: Expr | None
+    _fields = ("loc", "name", "ctype", "init")
+
+    def __init__(self, loc: Loc, name: str, ctype: CType, init: Expr | None):
+        self.loc = loc
+        self.name = name
+        self.ctype = ctype
+        self.init = init
 
 
-@dataclass
 class Assign(Node):
-    target: Expr  # Ident, Deref or FieldAccess
-    value: Expr
+    _fields = ("loc", "target", "value")
+
+    def __init__(self, loc: Loc, target: Expr, value: Expr):
+        self.loc = loc
+        self.target = target  # Ident, Deref or FieldAccess
+        self.value = value
 
 
-@dataclass
 class ExprStmt(Node):
-    expr: Expr  # a call used for effect
+    _fields = ("loc", "expr")
+
+    def __init__(self, loc: Loc, expr: Expr):
+        self.loc = loc
+        self.expr = expr  # a call used for effect
 
 
-@dataclass
 class If(Node):
-    cond: Expr
-    then: list
-    els: list | None
+    _fields = ("loc", "cond", "then", "els")
+
+    def __init__(self, loc: Loc, cond: Expr, then: list, els: list | None):
+        self.loc = loc
+        self.cond = cond
+        self.then = then
+        self.els = els
 
 
-@dataclass
 class While(Node):
-    cond: Expr
-    body: list
+    _fields = ("loc", "cond", "body")
+
+    def __init__(self, loc: Loc, cond: Expr, body: list):
+        self.loc = loc
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class Return(Node):
-    expr: Expr | None
+    _fields = ("loc", "expr")
+
+    def __init__(self, loc: Loc, expr: Expr | None):
+        self.loc = loc
+        self.expr = expr
 
 
 Stmt = VarDecl | Assign | ExprStmt | If | While | Return
 
 
-@dataclass
 class FunctionDef(Node):
-    name: str
-    params: list[tuple[str, CType]]
-    return_type: CType
-    body: list
-    calls: frozenset  # names of the functions the body calls
-    addr_taken: frozenset  # variables the body applies `&` to
-    declared: frozenset  # its parameters and local declarations
+    _fields = ("loc", "name", "params", "return_type", "body", "calls",
+               "addr_taken", "declared")
+
+    def __init__(self, loc: Loc, name: str, params: list[tuple[str, CType]],
+                 return_type: CType, body: list, calls: frozenset,
+                 addr_taken: frozenset, declared: frozenset):
+        self.loc = loc
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.calls = calls  # names of the functions the body calls
+        self.addr_taken = addr_taken  # variables the body applies `&` to
+        self.declared = declared  # its parameters and local declarations
 
 
-@dataclass
 class StructDef(Node):
-    name: str
-    fields: list[tuple[str, CType]]
+    _fields = ("loc", "name", "fields")
+
+    def __init__(self, loc: Loc, name: str, fields: list[tuple[str, CType]]):
+        self.loc = loc
+        self.name = name
+        self.fields = fields
 
 
-@dataclass
 class TranslationUnit:
-    unit: SourceUnit
-    structs: list[StructDef]
-    functions: list[FunctionDef]
-    globals: list[VarDecl]
+    _fields = ("unit", "structs", "functions", "globals")
+    __repr__ = Node.__repr__
+    __eq__ = Node.__eq__
+    __hash__ = None
+
+    def __init__(self, unit: SourceUnit, structs: list[StructDef],
+                 functions: list[FunctionDef], globals: list[VarDecl]):
+        self.unit = unit
+        self.structs = structs
+        self.functions = functions
+        self.globals = globals
 
     def function(self, name: str) -> FunctionDef:
         for fn in self.functions:
@@ -433,13 +541,13 @@ class _Parser:
         return node
 
     def loc(self, tok: Token) -> Loc:
-        return Loc(tok.line, tok.column)
+        return _tuple_new(Loc, (tok.line, tok.column))
 
     # -- type recognition --
 
     def at_type(self, ahead: int = 0) -> bool:
         tok = self.peek(ahead)
-        if tok.lexeme in ("int", "void", "char", "struct"):
+        if tok.lexeme in _TYPE_KEYWORDS:
             return True
         return tok.kind == "IDENT" and tok.lexeme in self.struct_names
 
@@ -557,53 +665,55 @@ class _Parser:
     def parse_block(self) -> list:
         self.expect("{")
         stmts: list = []
-        while not self.check("}"):
+        tokens = self.tokens
+        while tokens[self.pos].lexeme != "}":
             stmts.append(self.parse_stmt())
-        self.expect("}")
+        self.pos += 1
         return stmts
 
     def parse_stmt_or_block(self) -> list:
-        if self.check("{"):
+        if self.tokens[self.pos].lexeme == "{":
             return self.nested(self.parse_block)
         return [self.nested(self.parse_stmt)]
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.lexeme in ("for", "switch", "do", "goto", "break", "continue"):
-            raise self.error(f"{tok.lexeme!r} statements are outside the subset",
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        lexeme = tok.lexeme
+        if lexeme in ("for", "switch", "do", "goto", "break", "continue"):
+            raise self.error(f"{lexeme!r} statements are outside the subset",
                              unsupported=True)
-        if tok.lexeme == "if":
+        if lexeme == "if":
             return self.parse_if()
-        if tok.lexeme == "while":
+        if lexeme == "while":
             return self.parse_while()
-        if tok.lexeme == "return":
-            self.advance()
-            expr = None if self.check(";") else self.parse_expr()
-            self.expect(";")
-            return Return(self.loc(tok), expr)
-        if self.at_type() and not self._looks_like_expression_start():
+        # A struct-typedef name followed by '(' or an operator starts an
+        # expression (e.g. a call), not a declaration.
+        nxt = tokens[self.pos + 1]
+        if lexeme in _TYPE_KEYWORDS or lexeme in self.struct_names and (
+                nxt.kind == "IDENT" or nxt.kind == "EOF" or nxt.lexeme == "*"):
             ctype = self.parse_type()
             name = self.name()
             self.declared.add(name)
             return self.parse_decl_rest(ctype, name, tok)
+        loc = _tuple_new(Loc, (tok.line, tok.column))
+        if lexeme == "return":
+            self.pos += 1
+            expr = None if tokens[self.pos].lexeme == ";" else self.parse_expr()
+            self.expect(";")
+            return Return(loc, expr)
         expr = self.parse_expr()
-        if self.accept("="):
+        if tokens[self.pos].lexeme == "=":
+            self.pos += 1
             if not isinstance(expr, (Ident, Deref, FieldAccess)):
                 raise ParseError("invalid assignment target", tok.line, tok.column)
             value = self.parse_expr()
             self.expect(";")
-            return Assign(self.loc(tok), expr, value)
+            return Assign(loc, expr, value)
         self.expect(";")
         if not isinstance(expr, Call):
             raise ParseError("expression statement must be a call", tok.line, tok.column)
-        return ExprStmt(self.loc(tok), expr)
-
-    def _looks_like_expression_start(self) -> bool:
-        # A struct-typedef name followed by '(' or an operator is an
-        # expression (e.g. a call), not the start of a declaration.
-        tok, nxt = self.peek(), self.peek(1)
-        return tok.kind == "IDENT" and tok.lexeme in self.struct_names \
-            and nxt.kind not in ("IDENT", "EOF") and nxt.lexeme != "*"
+        return ExprStmt(loc, expr)
 
     def parse_if(self) -> If:
         # The `else if` arms of a chain are read in this loop, so an arm is
@@ -639,17 +749,24 @@ class _Parser:
 
     def parse_expr(self, min_level: int = 1) -> Expr:
         """An expression whose binary operators bind at least `min_level`
-        tightly (see `BINARY_LEVELS`), each level left-associative."""
-        left = self.parse_unary()
+        tightly (see `BINARY_LEVELS`), each level left-associative.  An
+        operand that no prefix operator, `sizeof` or cast starts goes
+        straight to `parse_postfix`."""
+        tokens = self.tokens
+        left = (self.parse_unary() if tokens[self.pos].lexeme in _UNARY_STARTS
+                else self.parse_postfix())
         while True:
-            op = self.peek()
+            op = tokens[self.pos]
             level = BINARY_LEVELS.get(op.lexeme)
             if level is None or level < min_level:
                 return left
             self.pos += 1
-            right = (self.parse_unary() if level == _TIGHTEST_LEVEL
-                     else self.parse_expr(level + 1))
-            left = BinOp(Loc(op.line, op.column), op.lexeme, left, right)
+            if level == _TIGHTEST_LEVEL:
+                right = (self.parse_unary() if tokens[self.pos].lexeme in _UNARY_STARTS
+                         else self.parse_postfix())
+            else:
+                right = self.parse_expr(level + 1)
+            left = BinOp(_tuple_new(Loc, (op.line, op.column)), op.lexeme, left, right)
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
@@ -700,13 +817,22 @@ class _Parser:
         return SizeofExpr(self.loc(start), inner, star_of_ident)
 
     def parse_postfix(self) -> Expr:
-        expr = self.parse_primary()
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind == "IDENT":
+            self.pos += 1
+            expr = Ident(_tuple_new(Loc, (tok.line, tok.column)), tok.lexeme)
+        elif tok.kind == "INT":
+            self.pos += 1
+            expr = IntLit(_tuple_new(Loc, (tok.line, tok.column)), int(tok.lexeme))
+        else:
+            expr = self.parse_primary()
         while True:
-            tok = self.peek()
+            tok = tokens[self.pos]
             if tok.lexeme == "(" and isinstance(expr, Ident):
-                self.advance()
+                self.pos += 1
                 args: list = []
-                if not self.check(")"):
+                if tokens[self.pos].lexeme != ")":
                     while True:
                         args.append(self.nested(self.parse_expr))
                         if not self.accept(","):
@@ -716,21 +842,18 @@ class _Parser:
                 self.calls.add(expr.name)
                 continue
             if tok.lexeme in (".", "->"):
-                self.advance()
+                self.pos += 1
                 expr = FieldAccess(self.loc(tok), expr, self.name(), tok.lexeme == "->")
                 continue
             return expr
 
     def parse_primary(self) -> Expr:
+        """A string, `NULL` or parenthesized operand of `parse_postfix`."""
         tok = self.advance()
-        if tok.kind == "INT":
-            return IntLit(self.loc(tok), int(tok.lexeme))
         if tok.kind == "STRING":
             return StrLit(self.loc(tok), tok.lexeme)
         if tok.lexeme == "NULL":
             return NullLit(self.loc(tok))
-        if tok.kind == "IDENT":
-            return Ident(self.loc(tok), tok.lexeme)
         if tok.lexeme == "(":
             expr = self.nested(self.parse_expr)
             self.expect(")")

@@ -1,5 +1,6 @@
 """Lexer and parser tests for the supported C subset."""
 
+import dataclasses
 import glob
 import random
 import re
@@ -317,6 +318,37 @@ class TestTokenize:
                             "unterminated string literal",
                             "illegal character"}
 
+    # Shapes a lexer that folds blanks into the next match and counts lines
+    # itself can get wrong, each with its tokens as (lexeme, line, column)
+    # or its error.
+    @pytest.mark.parametrize("text,want", [
+        ("x; \t ", [("x", 1, 1), (";", 1, 2)]),
+        ("x;\n \t\r", [("x", 1, 1), (";", 1, 2)]),
+        ("x; // c", [("x", 1, 1), (";", 1, 2)]),
+        ("a//b", [("a", 1, 1)]),
+        ("a / b", [("a", 1, 1), ("/", 1, 3), ("b", 1, 5)]),
+        ("x;\r\n\r\n  \t\r\n   y;\r\n",
+         [("x", 1, 1), (";", 1, 2), ("y", 4, 4), (";", 4, 5)]),
+        ("f(\n  \n\t\n  )",
+         [("f", 1, 1), ("(", 1, 2), (")", 4, 3)]),
+        ('s = "a\nbc" d;\ne',
+         [("s", 1, 1), ("=", 1, 3), ('"a\nbc"', 1, 5), ("d", 2, 5),
+          (";", 2, 6), ("e", 3, 1)]),
+        ("/* a\n b */ c", [("c", 2, 7)]),
+        ("/*/", "1:1: unterminated block comment"),
+        ("x /* c */ /", [("x", 1, 1), ("/", 1, 11)]),
+    ], ids=["trailing-blanks", "trailing-blank-line", "line-comment-at-end",
+            "slashes-adjacent", "slashes-apart", "crlf-blank-lines",
+            "indented-blank-lines", "multiline-string", "multiline-comment",
+            "comment-slash", "slash-after-comment"])
+    def test_edge_cases_lex_as_the_reference_does(self, text, want):
+        got = _lex_outcome(tokenize, text)
+        assert got == _lex_outcome(reference_tokenize, text)
+        if isinstance(want, str):
+            assert got[0] == want
+        else:
+            assert [(t.lexeme, t.line, t.column) for t in got] == want
+
     def test_line_col_round_trip(self):
         assert line_col("ab\ncd\n", 0) == (1, 1)
         assert line_col("ab\ncd\n", 3) == (2, 1)
@@ -512,7 +544,7 @@ class TestParser:
     @pytest.mark.parametrize("nest,frames", [
         (lambda n: "c == c + c * (" * n + "1" + ")" * n, 7),
         (lambda n: "(" * n + "1" + ")" * n, 5),
-        (lambda n: "c == c + c * g(" * n + "1" + ")" * n, 6),
+        (lambda n: "c == c + c * g(" * n + "1" + ")" * n, 5),
         (lambda n: "sizeof(" * n + "c" + ")" * n, 4),
         (lambda n: "(int *) " * n + "c", 2),
         (lambda n: "1; " + "if (c) {" * n + "c = 1;" + "}" * n + " c = 1", 5),
@@ -547,3 +579,75 @@ class TestParser:
         for path in sorted(glob.glob(f"{CORPUS}/*.c")):
             tu = parse_source(path, open(path, encoding="utf-8").read())
             assert tu.functions
+
+
+# One node of each AST class with its repr: plain classes whose repr,
+# equality and hashing are those the dataclasses they replaced had.
+_L = frontend.Loc(1, 2)
+_X = frontend.Ident(_L, "x")
+_P = frontend.CType("int", None, 1)
+LOC = "loc=Loc(line=1, column=2)"
+X = f"Ident({LOC}, name='x')"
+P = "CType(base='int', struct_name=None, pointer_depth=1)"
+AST_NODES = [
+    (lambda: frontend.Node(_L), f"Node({LOC})"),
+    (lambda: frontend.Ident(_L, "x"), X),
+    (lambda: frontend.IntLit(_L, 3), f"IntLit({LOC}, value=3)"),
+    (lambda: frontend.StrLit(_L, '"s"'), f"StrLit({LOC}, value='\"s\"')"),
+    (lambda: frontend.NullLit(_L), f"NullLit({LOC})"),
+    (lambda: frontend.Deref(_L, _X), f"Deref({LOC}, expr={X})"),
+    (lambda: frontend.AddressOf(_L, _X), f"AddressOf({LOC}, expr={X})"),
+    (lambda: frontend.FieldAccess(_L, _X, "f", True),
+     f"FieldAccess({LOC}, expr={X}, fieldname='f', via_pointer=True)"),
+    (lambda: frontend.Call(_L, "g", [_X]), f"Call({LOC}, name='g', args=[{X}])"),
+    (lambda: frontend.SizeofType(_L, _P), f"SizeofType({LOC}, ctype={P})"),
+    (lambda: frontend.SizeofExpr(_L, _X),
+     f"SizeofExpr({LOC}, expr={X}, star_of_ident=False)"),
+    (lambda: frontend.BinOp(_L, "+", _X, _X),
+     f"BinOp({LOC}, op='+', left={X}, right={X})"),
+    (lambda: frontend.UnaryNot(_L, _X), f"UnaryNot({LOC}, expr={X})"),
+    (lambda: frontend.Cast(_L, _P, _X), f"Cast({LOC}, ctype={P}, expr={X})"),
+    (lambda: frontend.VarDecl(_L, "v", _P, None),
+     f"VarDecl({LOC}, name='v', ctype={P}, init=None)"),
+    (lambda: frontend.Assign(_L, _X, _X), f"Assign({LOC}, target={X}, value={X})"),
+    (lambda: frontend.ExprStmt(_L, _X), f"ExprStmt({LOC}, expr={X})"),
+    (lambda: frontend.If(_L, _X, [], None), f"If({LOC}, cond={X}, then=[], els=None)"),
+    (lambda: frontend.While(_L, _X, []), f"While({LOC}, cond={X}, body=[])"),
+    (lambda: frontend.Return(_L, None), f"Return({LOC}, expr=None)"),
+    (lambda: frontend.FunctionDef(_L, "f", [("x", _P)], _P, [], frozenset(),
+                                  frozenset(), frozenset({"x"})),
+     f"FunctionDef({LOC}, name='f', params=[('x', {P})], return_type={P}, "
+     "body=[], calls=frozenset(), addr_taken=frozenset(), "
+     "declared=frozenset({'x'}))"),
+    (lambda: frontend.StructDef(_L, "s", [("f", _P)]),
+     f"StructDef({LOC}, name='s', fields=[('f', {P})])"),
+    (lambda: frontend.TranslationUnit(SourceUnit("a.c", ""), [], [], []),
+     "TranslationUnit(unit=SourceUnit(path='a.c', text=''), structs=[], "
+     "functions=[], globals=[])"),
+]
+
+
+class TestAstNodes:
+    @pytest.mark.parametrize("make,text", AST_NODES,
+                             ids=[text.split("(")[0] for _, text in AST_NODES])
+    def test_plain_class_with_dataclass_behaviour(self, make, text):
+        node = make()
+        # No class generated at import time; walkers read `vars(node)`.
+        assert not dataclasses.is_dataclass(node)
+        assert list(vars(node)) == list(type(node)._fields)
+        assert repr(node) == text
+        assert make() == node and not make() != node
+        with pytest.raises(TypeError):
+            hash(node)
+
+    def test_equality_is_by_class_and_fields(self):
+        assert frontend.Deref(_L, _X) != frontend.AddressOf(_L, _X)
+        assert frontend.Ident(_L, "x") != frontend.Ident(_L, "y")
+        assert frontend.Ident(_L, "x") != frontend.Ident(frontend.Loc(1, 3), "x")
+        assert frontend.SizeofExpr(_L, _X) == frontend.SizeofExpr(_L, _X, False)
+
+    def test_every_ast_class_is_pinned(self):
+        classes = {cls for cls in vars(frontend).values() if isinstance(cls, type)
+                   and (issubclass(cls, frontend.Node)
+                        or cls is frontend.TranslationUnit)}
+        assert classes == {type(make()) for make, _ in AST_NODES}
