@@ -36,6 +36,11 @@ dropped path as one when the exploration it repeats counted any.  A
 dropped path stands for at least one path of the full walk, so a function
 with no more paths than the budget is always explored completely.
 
+A variable is the slot the parser bound its uses to, and the environment a
+list indexed by slot: the globals the function sees, then its parameters
+and locals.  A local's slot holds None until its declaration runs, which
+every use in its scope comes after, so no name is ever compared.
+
 Dead stores come from the same liveness, as in the Clang static analyzer
 and Infer, not from the paths: a store that an explored path executed is
 dead when no path of the CFG from it reads the variable before writing it
@@ -208,8 +213,9 @@ class PtrValue(NamedTuple):
     kind: null | block | stack | unknown | uninit.
     For null values, origin records why the pointer may be null
     ("literal", "alloc_failure", "refined") and line where it was assigned.
-    param_index marks values flowing in unchanged from a parameter, which
-    the summary uses to detect parameter frees.
+    A stack value points to the variable of slot `var`.  param_index marks
+    values flowing in unchanged from a parameter, which the summary uses to
+    detect parameter frees.
     """
 
     kind: str
@@ -217,7 +223,7 @@ class PtrValue(NamedTuple):
     line: int = 0
     site: int = -1
     offset: int = 0
-    var: str = ""
+    var: int = -1
     param_index: int = -1
 
     @staticmethod
@@ -229,7 +235,7 @@ class PtrValue(NamedTuple):
         return PtrValue("block", site=site, offset=offset)
 
     @staticmethod
-    def stack(var: str) -> "PtrValue":
+    def stack(var: int) -> "PtrValue":
         return PtrValue("stack", var=var)
 
 
@@ -305,7 +311,8 @@ class SiteInfo:
 class AbstractHeap:
     """State carried along one explored path."""
 
-    env: dict = field(default_factory=dict)
+    # slot -> value; None before the variable's declaration runs
+    env: list
     # A site's id is its index.  Sites are never removed, and a block value
     # names a site of the state it is in, so `sites[v.site]` always exists.
     sites: list = field(default_factory=list)
@@ -313,7 +320,7 @@ class AbstractHeap:
 
     def clone(self) -> "AbstractHeap":
         return AbstractHeap(
-            env=dict(self.env),
+            env=self.env.copy(),
             sites=[SiteInfo(s.line, s.status, s.escaped, dict(s.fields),
                             s.default_field, s.hint) for s in self.sites],
             ret_line=self.ret_line,
@@ -326,7 +333,7 @@ class AbstractHeap:
     def reachable_sites(self, roots=None) -> set:
         """Sites reachable from env values (or the given root values)."""
         if roots is None:
-            roots = self.env.values()
+            roots = self.env
         work = [v.site for v in roots if _is_block(v)]
         seen = set()
         while work:
@@ -369,43 +376,34 @@ _DEAD = "dead"
 
 
 def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
-               interned: dict, keep: frozenset) -> tuple:
+               dead: list) -> tuple:
     """The entry into a block, with the state in canonical form, as tuples.
 
     Freed and leaked sites that nothing refers to are dropped; live sites
     stay, referenced or not, because a leak is reported at the statement
     after it happens.  Sites are renumbered in order of first reference:
-    env by name, then each numbered site's fields, then any live site
+    env by slot, then each numbered site's fields, then any live site
     nothing refers to.  Transfer is deterministic, so two entries with
     equal keys explore the same continuations and report the same things.
     `ret_line` is left out: it is 0 at every merge, since a block that
-    returns leaves only for the exit.  The variable names repeat across
-    many keys; `interned` keeps one copy of each tuple of them, and where
-    in such a tuple the dead variables are for each `keep`.
+    returns leaves only for the exit.
 
-    `keep` (see `_FunctionAnalysis._merge_key`) holds what the
-    continuation may read.  A variable outside it is dead: every path
-    writes it before any read, so its value becomes `_DEAD`.  Its value
-    stays when it points to a live site, because it still keeps the site
-    reachable, and the statement that drops the last reference is the line
-    a leak is reported at.
+    `dead` (see `_FunctionAnalysis._merge_key`) holds the slots the
+    continuation cannot read: every path writes them before any read, so
+    their values become `_DEAD`.  A value stays when it points to a live
+    site, because it still keeps the site reachable, and the statement
+    that drops the last reference is the line a leak is reported at.
     """
-    env = state.env
-    names, values = zip(*sorted(env.items())) if env else ((), ())
-    names = interned.setdefault(names, names)
+    values = state.env
     sites = state.sites
-    if not env.keys() <= keep:
-        dead = interned.get((names, keep))
-        if dead is None:
-            dead = interned[names, keep] = [
-                i for i, name in enumerate(names) if name not in keep]
-        values = list(values)
+    if dead:
+        values = values.copy()
         for i in dead:
             v = values[i]
             if not (_is_block(v) and sites[v.site].status == "live"):
                 values[i] = _DEAD
     if not sites:
-        return (block_id, names, tuple(values), back_counts, ())
+        return (block_id, tuple(values), back_counts, ())
 
     renum: dict = {}
     order: list = []
@@ -434,7 +432,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
             return ("block", renum[v.site], v.offset)
         return v
 
-    return (block_id, names, tuple(map(canon, values)), back_counts,
+    return (block_id, tuple(map(canon, values)), back_counts,
             tuple([(s.line, s.status, s.escaped,
                     tuple([(f, canon(v)) for f, v in s.fields.items()]),
                     s.default_field, s.hint)
@@ -469,9 +467,8 @@ class _FunctionAnalysis:
         # _state_key of each merge-block entry explored -> 1 if the paths
         # from it counted any, else 0
         self.seen: dict = {}
-        self.interned: dict = {}
-        # merge block -> (what its key keeps, whether that is every back
-        # edge); see _merge_key
+        # merge block -> (what some path from it may read, the slots its
+        # key leaves out, whether it keeps every back edge); see _merge_key
         self.keeps: dict = {}
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
@@ -479,14 +476,15 @@ class _FunctionAnalysis:
         self.has_user_calls = any(
             name not in BUILTIN_FUNCTIONS for name in fn.calls)
 
-        # A parameter or a local shadows a global of its name; a user call
-        # may reassign a pointer global.
-        self.global_names = {g.name for g in tu.globals} - fn.declared
-        self.pointer_globals = [g.name for g in tu.globals
-                                if g.name in self.global_names
-                                and g.ctype.is_pointer]
+        # The globals the function sees, by slot, and which of them hold a
+        # pointer, as the last declaration of each says: a user call may
+        # reassign those.
+        self.global_types = {g.slot: g.ctype for g in tu.globals
+                             if g.slot < fn.global_count}
+        self.pointer_globals = [slot for slot, ctype in
+                                self.global_types.items() if ctype.is_pointer]
 
-        # The stores some explored path executed: (var, line) ->
+        # The stores some explored path executed: (slot, line) ->
         # "null-or-zero" if every value written there was null or zero,
         # else "other"
         self.stores: dict = {}
@@ -503,15 +501,14 @@ class _FunctionAnalysis:
     # -- entry point --
 
     def run(self) -> None:
-        state = AbstractHeap()
-        for g in self.tu.globals:
-            state.env[g.name] = PTR_UNKNOWN if g.ctype.is_pointer else UNKNOWN
-        for idx, (name, ctype) in enumerate(self.fn.params):
-            if ctype.is_pointer:
-                state.env[name] = PtrValue("unknown", param_index=idx)
-            else:
-                state.env[name] = UNKNOWN
-        self._exec(self.cfg.entry, state, ())
+        fn = self.fn
+        env = [None] * len(fn.names)
+        for slot, ctype in self.global_types.items():
+            env[slot] = PTR_UNKNOWN if ctype.is_pointer else UNKNOWN
+        for idx, (_, ctype) in enumerate(fn.params):
+            env[fn.global_count + idx] = PtrValue("unknown", param_index=idx) \
+                if ctype.is_pointer else UNKNOWN
+        self._exec(self.cfg.entry, AbstractHeap(env), ())
         self.check_dead_store()
 
     def summary(self) -> FunctionSummary:
@@ -606,38 +603,39 @@ class _FunctionAnalysis:
         """
         kept = self.keeps.get(block_id)
         if kept is None:
-            keep = self.cfg.live(block_id) | self.fn.addr_taken \
-                | self.global_names
-            kept = self.keeps[block_id] = (keep, self.cfg.back_edges <= keep)
-        keep, every_loop = kept
+            live, fn = self.cfg.live(block_id), self.fn
+            dead = [slot for slot in range(fn.global_count, len(fn.names))
+                    if slot not in live and slot not in fn.addr_taken]
+            kept = self.keeps[block_id] = (live, dead,
+                                           self.cfg.back_edges <= live)
+        live, dead, every_loop = kept
         if back_counts and not every_loop:
-            back_counts = tuple([c for c in back_counts if c[0] in keep])
-        return _state_key(block_id, state, back_counts, self.interned,
-                          keep)
+            back_counts = tuple([c for c in back_counts if c[0] in live])
+        return _state_key(block_id, state, back_counts, dead)
 
     def _refine(self, state: AbstractHeap, cond, branch: bool) -> None:
         """Narrow a pointer tested by the condition on the taken branch."""
         target = self._null_test_target(cond)
         if target is None:
             return
-        var, null_when_true = target
+        slot, null_when_true = target
         null_branch = (branch == null_when_true)
-        value = state.env.get(var)
+        value = state.env[slot]
         if null_branch and isinstance(value, PtrValue) and value.kind == "unknown":
-            state.env[var] = PtrValue.null("refined", cond.loc.line)
+            state.env[slot] = PtrValue.null("refined", cond.loc.line)
 
     @staticmethod
     def _null_test_target(cond):
-        """Return (var, true-branch-means-null) for recognized null tests."""
+        """Return (slot, true-branch-means-null) for recognized null tests."""
         if isinstance(cond, ast.Ident):
-            return cond.name, False
+            return cond.slot, False
         if isinstance(cond, ast.UnaryNot) and isinstance(cond.expr, ast.Ident):
-            return cond.expr.name, True
+            return cond.expr.slot, True
         if isinstance(cond, ast.BinOp) and cond.op in ("==", "!="):
             sides = (cond.left, cond.right)
             for ident, other in (sides, sides[::-1]):
                 if isinstance(ident, ast.Ident) and _is_null_expr(other):
-                    return ident.name, cond.op == "=="
+                    return ident.slot, cond.op == "=="
         return None
 
     # -- statement transfer --
@@ -645,19 +643,20 @@ class _FunctionAnalysis:
     def transfer(self, stmt, state: AbstractHeap) -> list:
         out: list[AbstractHeap] = []
         if isinstance(stmt, ast.VarDecl):
+            # The variable is uninitialized until its initializer runs.
+            state.env[stmt.slot] = \
+                PTR_UNINIT if stmt.ctype.is_pointer else SCALAR_UNINIT
             if stmt.init is None:
-                state.env[stmt.name] = \
-                    PTR_UNINIT if stmt.ctype.is_pointer else SCALAR_UNINIT
                 out.append(state)
             else:
-                self._check_realloc_overwrite(stmt.name, stmt.init, stmt.loc)
+                self._check_realloc_overwrite(stmt.slot, stmt.init, stmt.loc)
                 cls = "null-or-zero" if _is_null_expr(stmt.init) else "other"
                 for s, v in self.eval(stmt.init, state):
-                    self._store_var(s, stmt.name, v, stmt.loc.line, cls)
+                    self._store_var(s, stmt.slot, v, stmt.loc.line, cls)
                     out.append(s)
         elif isinstance(stmt, ast.Assign):
             if isinstance(stmt.target, ast.Ident):
-                self._check_realloc_overwrite(stmt.target.name, stmt.value, stmt.loc)
+                self._check_realloc_overwrite(stmt.target.slot, stmt.value, stmt.loc)
             for s, v in self.eval(stmt.value, state):
                 out.extend(self._assign(stmt.target, v, s, stmt.loc))
         elif isinstance(stmt, ast.ExprStmt):
@@ -680,23 +679,23 @@ class _FunctionAnalysis:
             self.check_memory_leak_at(s, stmt.loc.line)
         return out
 
-    def _store_var(self, state: AbstractHeap, name: str, value,
+    def _store_var(self, state: AbstractHeap, slot: int, value,
                    line: int, cls: str) -> None:
-        key = (name, line)
+        key = (slot, line)
         # "other" wins over "null-or-zero" whatever order paths write in,
         # so which duplicate paths are skipped cannot change the checker.
         if cls != "null-or-zero" or key not in self.stores:
             self.stores[key] = cls
-        state.env[name] = value
+        state.env[slot] = value
         if _is_block(value):
             info = state.sites[value.site]
             if not info.hint:
-                info.hint = name
+                info.hint = self.fn.names[slot]
 
     def _assign(self, target, value, state: AbstractHeap, loc) -> list:
         if isinstance(target, ast.Ident):
             cls = "null-or-zero" if _is_null_expr_value(value) else "other"
-            self._store_var(state, target.name, value, loc.line, cls)
+            self._store_var(state, target.slot, value, loc.line, cls)
             return [state]
         if isinstance(target, ast.Deref):
             results = []
@@ -735,19 +734,20 @@ class _FunctionAnalysis:
             return results
         return [state]
 
-    def _check_realloc_overwrite(self, target_name: str, rhs, loc) -> None:
-        """`p = realloc(p, n)`: the old block is lost if realloc fails."""
+    def _check_realloc_overwrite(self, target: int, rhs, loc) -> None:
+        """`p = realloc(p, n)`, `target` the slot of `p`: the old block is
+        lost if realloc fails."""
         expr = rhs.expr if isinstance(rhs, ast.Cast) else rhs
         if not (isinstance(expr, ast.Call) and expr.name == "realloc"):
             return
         if not expr.args or not isinstance(expr.args[0], ast.Ident):
             return
-        if expr.args[0].name != target_name:
+        if expr.args[0].slot != target:
             return
         if not self.config.realloc_with_calls and self.has_user_calls:
             return
         self.emit(CHECKER_REALLOC_LEAK, loc.line,
-                  f"Common realloc mistake: '{target_name}' nulled "
+                  f"Common realloc mistake: '{self.fn.names[target]}' nulled "
                   f"but not freed upon failure")
 
     # -- expression evaluation --
@@ -763,11 +763,11 @@ class _FunctionAnalysis:
         if isinstance(expr, (ast.SizeofType, ast.SizeofExpr)):
             return [(state, NONZERO)]  # the operand is not evaluated
         if isinstance(expr, ast.Ident):
-            return [(state, self._read_var(state, expr.name, expr.loc))]
+            return [(state, self._read_var(state, expr.slot, expr.loc))]
         if isinstance(expr, ast.AddressOf):
             target = expr.expr
             if isinstance(target, ast.Ident):
-                return [(state, PtrValue.stack(target.name))]
+                return [(state, PtrValue.stack(target.slot))]
             # `&s.f` is an address inside s, read from nothing; `&p->f` and
             # `&*p` read the pointer p but do not dereference it.
             while isinstance(target, ast.FieldAccess) and not target.via_pointer:
@@ -798,12 +798,12 @@ class _FunctionAnalysis:
             return self.eval_call(expr, state)
         return [(state, UNKNOWN)]
 
-    def _read_var(self, state: AbstractHeap, name: str, loc):
-        value = state.env.get(name, UNKNOWN)
+    def _read_var(self, state: AbstractHeap, slot: int, loc):
+        value = state.env[slot]
         if is_uninit(value):
-            self.check_uninit_use(name, loc)
+            self.check_uninit_use(self.fn.names[slot], loc)
             value = PTR_UNKNOWN if type(value) is PtrValue else UNKNOWN
-            state.env[name] = value
+            state.env[slot] = value
         return value
 
     def _read_through(self, state: AbstractHeap, base, fieldname: str, loc):
@@ -951,9 +951,9 @@ class _FunctionAnalysis:
         results = []
         for s, vals in self._eval_args(call.args, state):
             # The callee may reassign a pointer global, or keep its block.
-            for name in self.pointer_globals:
-                s.escape_value(s.env[name])
-                s.env[name] = PTR_UNKNOWN
+            for slot in self.pointer_globals:
+                s.escape_value(s.env[slot])
+                s.env[slot] = PTR_UNKNOWN
             if summary is None:
                 for v in vals:
                     s.escape_value(v)
@@ -993,7 +993,7 @@ class _FunctionAnalysis:
                       f"at line {loc.line}")
         # Error recovery: continue the path as if the pointer were valid.
         if isinstance(expr, ast.Ident):
-            state.env[expr.name] = PTR_UNKNOWN
+            state.env[expr.slot] = PTR_UNKNOWN
         return PTR_UNKNOWN
 
     def check_invalid_free(self, state: AbstractHeap, value, call: ast.Call) -> None:
@@ -1006,7 +1006,7 @@ class _FunctionAnalysis:
             self.frees_params.add(value.param_index)
         if value.kind == "stack":
             self.emit(CHECKER_INVALID_FREE, line,
-                      f"free of stack address `&{value.var}`")
+                      f"free of stack address `&{self.fn.names[value.var]}`")
             return
         if value.kind != "block":
             return  # free(NULL) and free(unknown) are no-ops here
@@ -1068,7 +1068,7 @@ class _FunctionAnalysis:
         # Only globals survive the function; locals go out of scope.
         self.check_memory_leak_at(
             state, state.ret_line or self.fn.loc.line,
-            [state.env[g] for g in self.global_names])
+            state.env[:self.fn.global_count])
 
     def check_uninit_use(self, name: str, loc) -> None:
         self.emit(CHECKER_UNINIT_USE, loc.line,
@@ -1081,14 +1081,14 @@ class _FunctionAnalysis:
         if self.incomplete or CHECKER_DEAD_STORE not in self.config.enabled:
             return
         read = self.cfg.live_stores()
-        for (var, line), cls in sorted(self.stores.items()):
-            if (var, line) in read or var in self.fn.addr_taken \
-                    or var in self.global_names:
+        for (slot, line), cls in self.stores.items():
+            if (slot, line) in read or slot in self.fn.addr_taken \
+                    or slot < self.fn.global_count:
                 continue
             checker = CHECKER_DEAD_STORE_NULL_INIT if cls == "null-or-zero" \
                 else CHECKER_DEAD_STORE
-            self.emit(checker, line,
-                      f"The value written to &{var} is never used")
+            self.emit(checker, line, f"The value written to "
+                      f"&{self.fn.names[slot]} is never used")
 
 
 # The library functions the analyzer models itself, each by the method that

@@ -10,7 +10,10 @@ Each graph also answers, per block, what a path from the block's entry may
 still read (``Cfg.live``), so that the engine can leave the rest out of the
 states it compares where paths meet; and, from the same liveness, which
 stores some path may read (``Cfg.live_stores``): the dead-store checker
-reports the others that a path executed.
+reports the others that a path executed.  Variables are the slots the
+parser gives them.  A declaration ends its variable's value, as the engine
+makes it uninitialized there: with an initializer, it is a store; without,
+no path reads the value it ends.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ class Cfg:
     # The LOOP_BACK edges, as (src, dst).
     back_edges: frozenset = field(init=False, repr=False, compare=False)
     # Per block, a frozenset of what some path from its entry may read
-    # before writing it: the variables, and the back edges (src, dst) that
+    # before writing it: variable slots, and the back edges (src, dst) that
     # it may still take, since the unrolling bound reads an edge's trip
     # count where the edge leaves and nothing resets it.  Only the engine
     # asks, at merges and for dead stores, so the fixpoint runs on first
@@ -82,7 +85,7 @@ class Cfg:
 
     def live(self, block_id: int) -> frozenset:
         """What some path from the block's entry may read before writing
-        it: variable names and back edges, as in ``_live``."""
+        it: variable slots and back edges, as in ``_live``."""
         if self._live is None:
             self._live = self._liveness()
         return self._live[block_id]
@@ -100,8 +103,8 @@ class Cfg:
             for stmt in reversed(blk.statements):
                 _read_before(stmt, read)
             live.append(read)
-            writes.append({name for name in map(_stored, blk.statements)
-                           if name is not None})
+            writes.append({slot for slot in map(_written, blk.statements)
+                           if slot is not None})
         for edge in self.back_edges:  # read where it leaves, never written
             live[edge[0]].add(edge)
         preds: list = [[] for _ in self.blocks]
@@ -127,7 +130,7 @@ class Cfg:
         return [frozenset(entry) for entry in live]
 
     def live_stores(self) -> set:
-        """The stores (var, line) that some path from them may read: one
+        """The stores (slot, line) that some path from them may read: one
         statement on the line writes the variable, and some path from
         there reads it before writing it again."""
         stores = set()
@@ -138,53 +141,58 @@ class Cfg:
             written: set = set()
             _expr_reads(blk.branch_cond, read)
             for stmt in reversed(blk.statements):
-                name = _stored(stmt)
-                if name is not None:
-                    if name in read or (name not in written and any(
-                            name in self.live(dst)
-                            for dst, _ in self._succs[blk.id])):
-                        stores.add((name, stmt.loc.line))
-                    written.add(name)
+                slot = _written(stmt)
+                if slot is not None:
+                    # `int x;` ends x's value but stores none.
+                    stored = type(stmt) is Assign or stmt.init is not None
+                    if stored and (slot in read or (slot not in written and any(
+                            slot in self.live(dst)
+                            for dst, _ in self._succs[blk.id]))):
+                        stores.add((slot, stmt.loc.line))
+                    written.add(slot)
                 _read_before(stmt, read)
         return stores
 
 
-def _stored(stmt) -> str | None:
-    """The variable the statement stores to: an assignment to a name, or a
-    declaration with an initializer.  One without leaves the variable's
-    last store current, to be read again."""
+def _written(stmt) -> int | None:
+    """The slot the statement ends the value of: an assignment to a
+    variable, or a declaration."""
     cls = type(stmt)
     if cls is Assign:
-        return stmt.target.name if type(stmt.target) is Ident else None
-    if cls is VarDecl and stmt.init is not None:
-        return stmt.name
-    return None
+        return stmt.target.slot if type(stmt.target) is Ident else None
+    return stmt.slot if cls is VarDecl else None
 
 
 def _read_before(stmt, live: set) -> None:
     """Turn `live`, what a path may read after the statement before writing
     it, into what it may read before the statement."""
-    live.discard(_stored(stmt))
-    if type(stmt) is Assign:
-        if type(stmt.target) is not Ident:  # `*p = v` and `p->f = v` read `p`
+    cls = type(stmt)
+    if cls is Assign:
+        if type(stmt.target) is Ident:
+            live.discard(stmt.target.slot)
+        else:  # `*p = v` and `p->f = v` read `p`
             _expr_reads(stmt.target, live)
         _expr_reads(stmt.value, live)
-    else:  # a declaration, a call or a return, whose expression may be None
-        _expr_reads(stmt.init if type(stmt) is VarDecl else stmt.expr, live)
+    elif cls is VarDecl:
+        # The variable is uninitialized before its initializer runs.
+        _expr_reads(stmt.init, live)
+        live.discard(stmt.slot)
+    else:  # a call or a return, whose expression may be None
+        _expr_reads(stmt.expr, live)
 
 
 _UNARY = (Deref, AddressOf, FieldAccess, UnaryNot, Cast)
 
 
 def _expr_reads(expr, out: set) -> None:
-    """Add the variables that evaluating `expr` reads to `out`.  The
-    operand of `sizeof` is not evaluated, and None reads nothing."""
+    """Add the slots of the variables that evaluating `expr` reads to `out`.
+    The operand of `sizeof` is not evaluated, and None reads nothing."""
     work = [expr]
     while work:
         expr = work.pop()
         kind = type(expr)
         if kind is Ident:
-            out.add(expr.name)
+            out.add(expr.slot)
         elif kind is BinOp:
             work += (expr.left, expr.right)
         elif kind is Call:

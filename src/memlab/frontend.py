@@ -19,11 +19,22 @@ no rule asks whether a token is there, and a name it reads must be an
 identifier.  It reads binary operators by precedence climbing over one
 table of levels (``BINARY_LEVELS``) and the ``else if`` arms of a chain in a
 loop; an operand that no prefix operator starts goes straight to the
-postfix step, which builds identifier and integer leaves itself.  It
-records on each ``FunctionDef`` the functions its body calls, the
-variables it takes the address of and the names it declares, so the
-analyzer needs no second walk of the tree.  The AST nodes are plain
-classes, so importing the module generates no code.
+postfix step, which builds identifier and integer leaves itself.
+
+The parser resolves every variable name as it reads it, with the block
+scopes of C (C11 6.2.1): the globals, then the parameters and the body of a
+function, then one scope per ``{ }`` and per unbraced ``if`` or ``while``
+body.  A use binds to the innermost declaration in scope; one that binds to
+nothing is an error, and so is a second declaration of a name in one scope.
+Each variable of a function is a slot, a dense index: the globals first,
+the same in every function that sees them, then the parameters, then the
+locals in declaration order.  Each ``Ident`` and ``VarDecl`` holds its slot,
+and ``FunctionDef.names`` its spelling, so the analyzer never compares
+names.  Call, field and struct names are no variables.  The parser also
+records on each ``FunctionDef`` the functions its body calls and the slots
+it takes the address of, so the analyzer needs no second walk of the tree.
+The AST nodes are plain classes, so importing the module generates no
+code.
 """
 
 from __future__ import annotations
@@ -242,11 +253,12 @@ class Node:
 
 
 class Ident(Node):
-    _fields = ("loc", "name")
+    _fields = ("loc", "name", "slot")
 
-    def __init__(self, loc: Loc, name: str):
+    def __init__(self, loc: Loc, name: str, slot: int):
         self.loc = loc
         self.name = name
+        self.slot = slot  # of the declaration it binds to
 
 
 class IntLit(Node):
@@ -358,11 +370,13 @@ Expr = Ident | IntLit | StrLit | NullLit | Deref | AddressOf | FieldAccess | Cal
 
 
 class VarDecl(Node):
-    _fields = ("loc", "name", "ctype", "init")
+    _fields = ("loc", "name", "slot", "ctype", "init")
 
-    def __init__(self, loc: Loc, name: str, ctype: CType, init: Expr | None):
+    def __init__(self, loc: Loc, name: str, slot: int, ctype: CType,
+                 init: Expr | None):
         self.loc = loc
         self.name = name
+        self.slot = slot
         self.ctype = ctype
         self.init = init
 
@@ -416,19 +430,23 @@ Stmt = VarDecl | Assign | ExprStmt | If | While | Return
 
 class FunctionDef(Node):
     _fields = ("loc", "name", "params", "return_type", "body", "calls",
-               "addr_taken", "declared")
+               "addr_taken", "names", "global_count")
 
     def __init__(self, loc: Loc, name: str, params: list[tuple[str, CType]],
                  return_type: CType, body: list, calls: frozenset,
-                 addr_taken: frozenset, declared: frozenset):
+                 addr_taken: frozenset, names: list[str], global_count: int):
         self.loc = loc
         self.name = name
         self.params = params
         self.return_type = return_type
         self.body = body
         self.calls = calls  # names of the functions the body calls
-        self.addr_taken = addr_taken  # variables the body applies `&` to
-        self.declared = declared  # its parameters and local declarations
+        self.addr_taken = addr_taken  # slots the body applies `&` to
+        # slot -> spelling: the first `global_count` are the globals that
+        # precede the function, the next its parameters, the rest its
+        # locals in declaration order
+        self.names = names
+        self.global_count = global_count
 
 
 class StructDef(Node):
@@ -480,11 +498,16 @@ class _Parser:
         self.pos = 0
         self.struct_names: set[str] = set()
         self.depth = 0
-        # What the function being parsed calls, takes the address of and
-        # declares.
+        # What the function being parsed calls and takes the address of.
         self.calls: set[str] = set()
-        self.addr_taken: set[str] = set()
-        self.declared: set[str] = set()
+        self.addr_taken: set[int] = set()
+        # slot -> spelling: the globals, then, inside a function, its
+        # parameters and locals.
+        self.names: list[str] = []
+        # name -> slot of the innermost declaration in scope, and per open
+        # scope, innermost last, name -> the slot it shadows, or None.
+        self.bound: dict[str, int] = {}
+        self.scopes: list[dict] = [{}]
 
     # -- token helpers --
 
@@ -524,6 +547,28 @@ class _Parser:
             raise self.error(f"expected a name, got {tok.lexeme!r}")
         self.pos += 1
         return tok.lexeme
+
+    def declare(self, tok: Token) -> int:
+        """Bind the name `tok` declares to a new slot in the innermost
+        scope; the slot."""
+        name = tok.lexeme
+        scope = self.scopes[-1]
+        if name in scope:
+            raise ParseError(f"redefinition of {name!r}", tok.line, tok.column)
+        scope[name] = self.bound.get(name)
+        slot = self.bound[name] = len(self.names)
+        self.names.append(name)
+        return slot
+
+    def close_scope(self) -> None:
+        """Drop the innermost scope's names: each outer one it shadowed is
+        in scope again."""
+        bound = self.bound
+        for name, shadowed in self.scopes.pop().items():
+            if shadowed is None:
+                del bound[name]
+            else:
+                bound[name] = shadowed
 
     def error(self, message: str, unsupported: bool = False) -> ParseError:
         tok = self.tokens[self.pos]
@@ -583,11 +628,16 @@ class _Parser:
                                  unsupported=True)
             start = self.peek()
             ctype = self.parse_type()
+            name_tok = self.peek()
             name = self.name()
             if self.check("("):
                 functions.append(self.parse_function_rest(ctype, name, start))
             else:
-                globals_.append(self.parse_decl_rest(ctype, name, start))
+                # A global named twice is one variable.
+                slot = self.bound.get(name)
+                if slot is None:
+                    slot = self.declare(name_tok)
+                globals_.append(self.parse_decl_rest(ctype, name, slot, start))
         tu = TranslationUnit(self.unit, structs, functions, globals_)
         self._check_unique(tu)
         return tu
@@ -635,6 +685,10 @@ class _Parser:
 
     def parse_function_rest(self, ret: CType, name: str, start: Token) -> FunctionDef:
         self.calls, self.addr_taken = set(), set()
+        global_names = self.names
+        self.names = global_names.copy()
+        # The parameters and the outermost block of the body are one scope.
+        self.scopes.append({})
         self.expect("(")
         params: list[tuple[str, CType]] = []
         if not self.check(")"):
@@ -643,22 +697,28 @@ class _Parser:
             else:
                 while True:
                     ptype = self.parse_type()
+                    pname = self.peek()
                     params.append((self.name(), ptype))
+                    self.declare(pname)
                     if not self.accept(","):
                         break
         self.expect(")")
-        self.declared = {pname for pname, _ in params}
         body = self.parse_block()
+        self.close_scope()
+        names, self.names = self.names, global_names
         return FunctionDef(self.loc(start), name, params, ret, body,
                            frozenset(self.calls), frozenset(self.addr_taken),
-                           frozenset(self.declared))
+                           names, len(global_names))
 
-    def parse_decl_rest(self, ctype: CType, name: str, start: Token) -> VarDecl:
+    def parse_decl_rest(self, ctype: CType, name: str, slot: int,
+                        start: Token) -> VarDecl:
+        # The name is in scope in its own initializer, as in
+        # `int *p = malloc(sizeof(*p));`.
         init = None
         if self.accept("="):
             init = self.parse_expr()
         self.expect(";")
-        return VarDecl(self.loc(start), name, ctype, init)
+        return VarDecl(self.loc(start), name, slot, ctype, init)
 
     # -- statements --
 
@@ -672,9 +732,15 @@ class _Parser:
         return stmts
 
     def parse_stmt_or_block(self) -> list:
+        """The body of an `if`, `else` or `while`: a scope of its own, with
+        braces or without (C11 6.8.4, 6.8.5)."""
+        self.scopes.append({})
         if self.tokens[self.pos].lexeme == "{":
-            return self.nested(self.parse_block)
-        return [self.nested(self.parse_stmt)]
+            body = self.nested(self.parse_block)
+        else:
+            body = [self.nested(self.parse_stmt)]
+        self.close_scope()
+        return body
 
     def parse_stmt(self) -> Stmt:
         tokens = self.tokens
@@ -693,9 +759,10 @@ class _Parser:
         if lexeme in _TYPE_KEYWORDS or lexeme in self.struct_names and (
                 nxt.kind == "IDENT" or nxt.kind == "EOF" or nxt.lexeme == "*"):
             ctype = self.parse_type()
+            name_tok = tokens[self.pos]
             name = self.name()
-            self.declared.add(name)
-            return self.parse_decl_rest(ctype, name, tok)
+            return self.parse_decl_rest(ctype, name, self.declare(name_tok),
+                                        tok)
         loc = _tuple_new(Loc, (tok.line, tok.column))
         if lexeme == "return":
             self.pos += 1
@@ -777,7 +844,7 @@ class _Parser:
             self.advance()
             operand = self.nested(self.parse_unary)
             if isinstance(operand, Ident):
-                self.addr_taken.add(operand.name)
+                self.addr_taken.add(operand.slot)
             return AddressOf(self.loc(tok), operand)
         if tok.lexeme == "!":
             self.advance()
@@ -817,19 +884,16 @@ class _Parser:
         return SizeofExpr(self.loc(start), inner, star_of_ident)
 
     def parse_postfix(self) -> Expr:
+        """An identifier, a call, an integer or a `parse_primary` operand,
+        then any `.` and `->` accesses.  An identifier that no `(` follows
+        is a variable, bound to the innermost declaration of its name."""
         tokens = self.tokens
         tok = tokens[self.pos]
         if tok.kind == "IDENT":
             self.pos += 1
-            expr = Ident(_tuple_new(Loc, (tok.line, tok.column)), tok.lexeme)
-        elif tok.kind == "INT":
-            self.pos += 1
-            expr = IntLit(_tuple_new(Loc, (tok.line, tok.column)), int(tok.lexeme))
-        else:
-            expr = self.parse_primary()
-        while True:
-            tok = tokens[self.pos]
-            if tok.lexeme == "(" and isinstance(expr, Ident):
+            name = tok.lexeme
+            loc = _tuple_new(Loc, (tok.line, tok.column))
+            if tokens[self.pos].lexeme == "(":
                 self.pos += 1
                 args: list = []
                 if tokens[self.pos].lexeme != ")":
@@ -838,10 +902,21 @@ class _Parser:
                         if not self.accept(","):
                             break
                 self.expect(")")
-                expr = Call(expr.loc, expr.name, args)
-                self.calls.add(expr.name)
-                continue
-            if tok.lexeme in (".", "->"):
+                expr = Call(loc, name, args)
+                self.calls.add(name)
+            else:
+                slot = self.bound.get(name)
+                if slot is None:
+                    raise ParseError(f"undeclared name {name!r}", tok.line, tok.column)
+                expr = Ident(loc, name, slot)
+        elif tok.kind == "INT":
+            self.pos += 1
+            expr = IntLit(_tuple_new(Loc, (tok.line, tok.column)), int(tok.lexeme))
+        else:
+            expr = self.parse_primary()
+        while True:
+            tok = tokens[self.pos]
+            if tok.lexeme == "." or tok.lexeme == "->":
                 self.pos += 1
                 expr = FieldAccess(self.loc(tok), expr, self.name(), tok.lexeme == "->")
                 continue

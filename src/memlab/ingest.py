@@ -140,7 +140,7 @@ def parse_infer_report(text: str) -> list:
                           _first_line(text, 0)[1])
     if header.group(1) is None:
         return []
-    declared = int(header.group(1))
+    header_count = int(header.group(1))
 
     findings: list[Finding] = []
     counts: list[int] = []
@@ -161,10 +161,10 @@ def parse_infer_report(text: str) -> list:
                 if count.group(1):
                     counts.append(int(count.group(1)))
 
-    if len(findings) != declared:
+    if len(findings) != header_count:
         raise FormatError(
-            f"header declares {declared} issue(s), parsed {len(findings)}")
-    if counts and sum(counts) != declared:
+            f"header declares {header_count} issue(s), parsed {len(findings)}")
+    if counts and sum(counts) != header_count:
         raise FormatError("summary counts do not add up to the header count")
     return findings
 

@@ -603,6 +603,79 @@ class TestInterprocedural:
         assert 0 in summaries["release"].frees_params
 
 
+class TestScopes:
+    """Each use reads the variable of the innermost declaration in scope,
+    and a declaration ends its variable's previous value."""
+
+    def test_inner_declaration_leaves_the_global_alone(self):
+        # The global still holds the block after the block that declares a
+        # local of its name; only the local's store is dead.
+        assert run("""int *g;
+int f() {
+  g = malloc(4);
+  if (g) {
+    int *g = NULL;
+  }
+  return 0;
+}""") == [(5, CHECKER_DEAD_STORE_NULL_INIT)]
+
+    def test_sibling_blocks_declare_two_variables(self):
+        assert run("""int f(int c, int d) {
+  if (c) {
+    int x = 1;
+  }
+  if (d) {
+    int x;
+    g(x);
+  }
+  return 0;
+}""") == [(3, CHECKER_DEAD_STORE), (7, CHECKER_UNINIT_USE)]
+
+    def test_a_declaration_in_a_loop_ends_the_last_trip_s_store(self):
+        # The next trip's `int x;` ends the value `x = 1` stores, so no
+        # path reads it.
+        assert run("""int f(int c, int d) {
+  while (c) {
+    int x;
+    if (d) {
+      g(x);
+      x = 1;
+    }
+    c = c - 1;
+  }
+  return 0;
+}""") == [(5, CHECKER_UNINIT_USE), (6, CHECKER_DEAD_STORE)]
+
+    def test_a_shadowed_variable_is_read_after_the_inner_block(self):
+        assert run("""int f(int c) {
+  int *p = malloc(4);
+  if (c) {
+    int *p = NULL;
+    *p = 1;
+  }
+  free(p);
+  return 0;
+}""") == [(5, CHECKER_NULL_DEREF)]
+
+    def test_messages_spell_the_shadowing_variable(self):
+        found = run_full("""int f(int x) {
+  if (x) {
+    int x = 0;
+    x = 1;
+  }
+  return x;
+}""")
+        assert [(f.line, f.message) for f in found] == [
+            (3, "The value written to &x is never used"),
+            (4, "The value written to &x is never used")]
+
+    def test_a_variable_reads_itself_uninitialized_in_its_initializer(self):
+        assert run("""int f() {
+  int x = x + 1;
+  return x;
+}""") == [(2, CHECKER_UNINIT_USE)]
+
+
 class TestBudget:
     @staticmethod
     def _wide(n):
@@ -692,8 +765,8 @@ class TestValueTypes:
 
     def test_pointer_constructors(self):
         assert PtrValue.null("literal", 4) == PtrValue(
-            "null", "literal", 4, -1, 0, "", -1)
+            "null", "literal", 4, -1, 0, -1, -1)
         assert PtrValue.null("refined").line == 0
         assert PtrValue.block(5) == PtrValue("block", site=5, offset=0)
-        assert PtrValue.stack("x") == PtrValue(
-            "stack", "", 0, -1, 0, "x", -1)
+        assert PtrValue.stack(3) == PtrValue(
+            "stack", "", 0, -1, 0, 3, -1)

@@ -68,6 +68,21 @@ class TestAnalyze:
         assert code == 2
         assert "for" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("int f() {\n  *q = 5;\n  return y;\n}\n", "2:4: undeclared name 'q'"),
+        ("int f() {\n  int *p = malloc(4);\n  int *p = NULL;\n  return 0;\n}\n",
+         "3:8: redefinition of 'p'"),
+        ("int f(int p) {\n  int *p = NULL;\n  return 0;\n}\n",
+         "2:8: redefinition of 'p'"),
+    ], ids=["undeclared", "redefined", "parameter-redefined"])
+    def test_a_name_bound_to_no_declaration_or_two_exits_two(
+            self, capsys, tmp_path, text, message):
+        path = tmp_path / "n.c"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"memlab: error: {path}:{message}\n"
+
     def test_structured_output_is_jsonl(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "corpus/explicit_leak.c",
                                "--format", "structured")

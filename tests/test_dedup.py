@@ -328,10 +328,9 @@ def test_families_under_every_profile(source, monkeypatch):
 
 
 def unpruned_merge_key(self, block_id, state, back_counts):
-    """The key as it was before pruning: every variable and every loop trip
+    """The key as it was before pruning: every slot and every loop trip
     count."""
-    keep = frozenset(state.env) | self.cfg.back_edges
-    return _state_key(block_id, state, back_counts, self.interned, keep)
+    return _state_key(block_id, state, back_counts, ())
 
 
 def assert_same_as_unpruned(source, config, monkeypatch):
@@ -437,7 +436,7 @@ def test_escaped_blocks_reach_only_escaped_blocks(make, seeds, monkeypatch):
         nonlocal edges
         out = transfer(self, stmt, state)
         for s in out:
-            values = list(s.env.values())
+            values = list(s.env)
             for info in s.sites:
                 values += info.fields.values()
             for v in values:

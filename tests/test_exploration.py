@@ -9,7 +9,9 @@ programs with branches, loops, allocation, call chains and recursion.
 
 ``scan_body_reference`` keeps the tree walk that found what each function
 calls and takes the address of; the calls and address-taken sets the
-parser records must equal it.
+parser records must equal it, and so must the slots it gives variables:
+the globals that precede the function, its parameters, then its local
+declarations in source order, with each use the slot of its spelling.
 """
 
 import glob
@@ -44,27 +46,29 @@ from memlab.frontend import (
 # ---------------------------------------------------------------------------
 
 
-def scan_body_reference(fn) -> tuple[set, set, set]:
-    """The names a function calls, the variables whose address it takes,
-    and its parameters and local declarations."""
+def scan_body_reference(fn) -> tuple[set, set, list, list]:
+    """The names a function calls, the slots whose address it takes, its
+    local declarations in source order and the variables it uses."""
     calls: set[str] = set()
-    addr_taken: set[str] = set()
-    declared = {name for name, _ in fn.params}
+    addr_taken: set[int] = set()
+    decls, uses = [], []
     work = list(fn.body)
     while work:
         node = work.pop()
         if isinstance(node, Call):
             calls.add(node.name)
         elif isinstance(node, AddressOf) and isinstance(node.expr, Ident):
-            addr_taken.add(node.expr.name)
+            addr_taken.add(node.expr.slot)
         elif isinstance(node, VarDecl):
-            declared.add(node.name)
+            decls.append(node)
+        elif isinstance(node, Ident):
+            uses.append(node)
         for value in vars(node).values():
             if isinstance(value, Node):
                 work.append(value)
             elif isinstance(value, list):
                 work.extend(v for v in value if isinstance(v, Node))
-    return calls, addr_taken, declared
+    return calls, addr_taken, sorted(decls, key=lambda d: d.loc), uses
 
 
 def _summarize(tu, fn, cfg, config, summaries) -> FunctionSummary:
@@ -258,8 +262,18 @@ def test_random_programs_cover_the_interesting_cases():
 
 def _assert_records_match_walk(tu):
     for fn in tu.functions:
-        assert (fn.calls, fn.addr_taken, fn.declared) \
-            == scan_body_reference(fn), fn.name
+        calls, addr_taken, decls, uses = scan_body_reference(fn)
+        # A global named twice is one slot, at its first declaration.
+        seen = list(dict.fromkeys(g.name for g in tu.globals
+                                  if g.loc < fn.loc))
+        params = [name for name, _ in fn.params]
+        first_local = len(seen) + len(params)
+        assert (fn.calls, fn.addr_taken, fn.global_count) \
+            == (calls, addr_taken, len(seen)), fn.name
+        assert fn.names == seen + params + [d.name for d in decls], fn.name
+        assert [d.slot for d in decls] \
+            == list(range(first_local, len(fn.names))), fn.name
+        assert all(fn.names[use.slot] == use.name for use in uses), fn.name
 
 
 def test_parser_records_match_walk_on_random_programs():
@@ -288,7 +302,8 @@ def test_parser_records_calls_inside_sizeof_and_address_of_parens():
     """)
     _assert_records_match_walk(tu)
     g = tu.function("g")
-    assert (g.calls, g.addr_taken) == ({"malloc", "f", "free"}, {"y"})
+    assert (g.calls, g.addr_taken) == ({"malloc", "f", "free"}, {0})
+    assert g.names[0] == "y"
 
 
 def test_global_initializer_after_a_function_is_in_no_function():
@@ -296,17 +311,18 @@ def test_global_initializer_after_a_function_is_in_no_function():
         int *g = malloc(4);
         int f(int x) { int *p = &x; return *p; }
         int *h = malloc(4);
-        int *k = &x;
+        int *k = &h;
         int main() { return f(1); }
     """)
     _assert_records_match_walk(tu)
+    # x is f's slot 1, after the global g.
     assert (tu.function("f").calls, tu.function("f").addr_taken) \
-        == (frozenset(), {"x"})
+        == (frozenset(), {1})
     assert (tu.function("main").calls, tu.function("main").addr_taken) \
         == ({"f"}, frozenset())
-    # The globals are declared in no function.
-    assert tu.function("f").declared == {"x", "p"}
-    assert tu.function("main").declared == frozenset()
+    # A function's slots start with the globals that precede it.
+    assert tu.function("f").names == ["g", "x", "p"]
+    assert tu.function("main").names == ["g", "h", "k"]
 
 
 # ---------------------------------------------------------------------------

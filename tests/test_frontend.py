@@ -201,11 +201,14 @@ def reference_parse_expr(text):
 
 
 def _expr_outcome(parser_cls, text):
-    """The expression parsed from the start of `text`, with how far the
-    parser got and what it recorded, or the error."""
+    """The expression parsed from the start of `text`, with the variables
+    `a`, `b` and `p` in scope, how far the parser got and what it recorded,
+    or the error."""
     unit = SourceUnit.from_text("<e>", text)
     parser = parser_cls(tokenize(unit), unit)
     parser.struct_names.add("st")
+    for name in ("a", "b", "p"):
+        parser.declare(Token("IDENT", name, 1, 1, 0))
     try:
         expr = parser.parse_expr()
     except ParseError as exc:
@@ -482,6 +485,77 @@ class TestParser:
                          % keyword)
         assert str(err.value) == f"2:7: expected a name, got {keyword!r}"
 
+    def test_each_use_binds_the_innermost_declaration(self):
+        fn = parse_source("<t>", """int g;
+            int f(int p) {
+                int x = g;
+                if (p) {
+                    int g = x;
+                    x = g;
+                }
+                while (p) p = g;
+                return x;
+            }""").function("f")
+        # The global, the parameter, then the locals in declaration order.
+        assert (fn.names, fn.global_count) == (["g", "p", "x", "g"], 1)
+        outer_x, branch, loop, ret = fn.body
+        inner_g, assign = branch.then
+        assert (outer_x.slot, outer_x.init.slot) == (2, 0)
+        assert (inner_g.slot, inner_g.init.slot) == (3, 2)
+        assert (assign.target.slot, assign.value.slot) == (2, 3)
+        assert (loop.cond.slot, loop.body[0].value.slot, ret.expr.slot) \
+            == (1, 0, 2)
+
+    def test_globals_keep_their_slots_in_every_function(self):
+        tu = parse_source("<t>", """int *a;
+            int f(int c) { int y = c; return y; }
+            int b;
+            int *a;
+            int h() { int y = b; return y; }""")
+        assert [g.slot for g in tu.globals] == [0, 1, 0]
+        f, h = tu.function("f"), tu.function("h")
+        assert (f.names, f.global_count) == (["a", "c", "y"], 1)
+        assert (h.names, h.global_count) == (["a", "b", "y"], 2)
+        assert h.body[0].init.slot == 1
+
+    @pytest.mark.parametrize("source,message", [
+        ("int f() {\n  *q = 5;\n  return 0;\n}", "2:4: undeclared name 'q'"),
+        ("int f() { return g; }\nint g;", "1:18: undeclared name 'g'"),
+        ("int g = h;", "1:9: undeclared name 'h'"),
+        ("int f(int c) {\n  if (c) {\n    int x = 1;\n  }\n  return x;\n}",
+         "5:10: undeclared name 'x'"),
+        ("int f(int c) {\n  while (c) int x = 1;\n  return x;\n}",
+         "3:10: undeclared name 'x'"),
+        ("int f(int c) {\n  int x = 0;\n  int *x = NULL;\n  return 0;\n}",
+         "3:8: redefinition of 'x'"),
+        ("int f(int a, int *a) { return 0; }", "1:19: redefinition of 'a'"),
+        ("int f(int a) { int a = 1; return a; }", "1:20: redefinition of 'a'"),
+        ("int f(int c) { if (c) { int y; int y; } return 0; }",
+         "1:36: redefinition of 'y'"),
+    ], ids=["undeclared", "global-after-use", "global-initializer",
+            "out-of-block", "unbraced-body", "local", "parameter",
+            "parameter-in-body", "inner-block"])
+    def test_a_name_binds_to_one_declaration_in_scope(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse_source("<t>", source)
+        assert str(err.value) == message
+
+    def test_calls_fields_and_shadowing_need_no_new_names(self):
+        # A callee, a field and a struct are no variables; an inner block
+        # may redeclare an outer name, and a global may be declared twice.
+        tu = parse_source("<t>", """typedef struct st { int v; } st;
+            int n;
+            int n;
+            int f(st *p) {
+                if (p) {
+                    st *p = make(n);
+                    p->v = sink(p->v);
+                }
+                return p->v;
+            }""")
+        fn = tu.function("f")
+        assert (fn.names, fn.calls) == (["n", "p", "p"], {"make", "sink"})
+
     def test_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             parse_source("<t>", "int main() {\n    int x = ;\n}")
@@ -584,14 +658,14 @@ class TestParser:
 # One node of each AST class with its repr: plain classes whose repr,
 # equality and hashing are those the dataclasses they replaced had.
 _L = frontend.Loc(1, 2)
-_X = frontend.Ident(_L, "x")
+_X = frontend.Ident(_L, "x", 0)
 _P = frontend.CType("int", None, 1)
 LOC = "loc=Loc(line=1, column=2)"
-X = f"Ident({LOC}, name='x')"
+X = f"Ident({LOC}, name='x', slot=0)"
 P = "CType(base='int', struct_name=None, pointer_depth=1)"
 AST_NODES = [
     (lambda: frontend.Node(_L), f"Node({LOC})"),
-    (lambda: frontend.Ident(_L, "x"), X),
+    (lambda: frontend.Ident(_L, "x", 0), X),
     (lambda: frontend.IntLit(_L, 3), f"IntLit({LOC}, value=3)"),
     (lambda: frontend.StrLit(_L, '"s"'), f"StrLit({LOC}, value='\"s\"')"),
     (lambda: frontend.NullLit(_L), f"NullLit({LOC})"),
@@ -607,18 +681,18 @@ AST_NODES = [
      f"BinOp({LOC}, op='+', left={X}, right={X})"),
     (lambda: frontend.UnaryNot(_L, _X), f"UnaryNot({LOC}, expr={X})"),
     (lambda: frontend.Cast(_L, _P, _X), f"Cast({LOC}, ctype={P}, expr={X})"),
-    (lambda: frontend.VarDecl(_L, "v", _P, None),
-     f"VarDecl({LOC}, name='v', ctype={P}, init=None)"),
+    (lambda: frontend.VarDecl(_L, "v", 1, _P, None),
+     f"VarDecl({LOC}, name='v', slot=1, ctype={P}, init=None)"),
     (lambda: frontend.Assign(_L, _X, _X), f"Assign({LOC}, target={X}, value={X})"),
     (lambda: frontend.ExprStmt(_L, _X), f"ExprStmt({LOC}, expr={X})"),
     (lambda: frontend.If(_L, _X, [], None), f"If({LOC}, cond={X}, then=[], els=None)"),
     (lambda: frontend.While(_L, _X, []), f"While({LOC}, cond={X}, body=[])"),
     (lambda: frontend.Return(_L, None), f"Return({LOC}, expr=None)"),
     (lambda: frontend.FunctionDef(_L, "f", [("x", _P)], _P, [], frozenset(),
-                                  frozenset(), frozenset({"x"})),
+                                  frozenset(), ["g", "x"], 1),
      f"FunctionDef({LOC}, name='f', params=[('x', {P})], return_type={P}, "
      "body=[], calls=frozenset(), addr_taken=frozenset(), "
-     "declared=frozenset({'x'}))"),
+     "names=['g', 'x'], global_count=1)"),
     (lambda: frontend.StructDef(_L, "s", [("f", _P)]),
      f"StructDef({LOC}, name='s', fields=[('f', {P})])"),
     (lambda: frontend.TranslationUnit(SourceUnit("a.c", ""), [], [], []),
@@ -642,8 +716,10 @@ class TestAstNodes:
 
     def test_equality_is_by_class_and_fields(self):
         assert frontend.Deref(_L, _X) != frontend.AddressOf(_L, _X)
-        assert frontend.Ident(_L, "x") != frontend.Ident(_L, "y")
-        assert frontend.Ident(_L, "x") != frontend.Ident(frontend.Loc(1, 3), "x")
+        assert frontend.Ident(_L, "x", 0) != frontend.Ident(_L, "y", 0)
+        assert frontend.Ident(_L, "x", 0) != frontend.Ident(_L, "x", 1)
+        assert frontend.Ident(_L, "x", 0) \
+            != frontend.Ident(frontend.Loc(1, 3), "x", 0)
         assert frontend.SizeofExpr(_L, _X) == frontend.SizeofExpr(_L, _X, False)
 
     def test_every_ast_class_is_pinned(self):

@@ -1,0 +1,166 @@
+"""Metamorphic relations on `analyze_unit`: two programs that differ only in
+how their variables are spelled give the same reports, spelling aside.
+
+Renaming one spelling of variables consistently, in its declarations and in
+every use, to a fresh name changes the findings only in that spelling; the
+corpus and seeded programs of the test generators are checked.  A
+shadowing declaration is the same relation seen from the inside: an arm
+that redeclares an outer name in its block reports what the same arm
+reports with the inner variable given a fresh name, so the inner variable
+is a variable of its own and the outer one is untouched.
+"""
+
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from memlab.analysis import PROFILES, analyze_unit
+from memlab.frontend import SourceUnit, VarDecl, parse_source, tokenize
+from test_dedup import branching_loop, dying_program, escaping_program, \
+    store_program
+from test_exploration import random_program
+from test_properties import generate_program
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = sorted(ROOT.glob("corpus/*.c"))
+FRESH = "zq_fresh"
+GENERATORS = {
+    "branching_loop": branching_loop,
+    "dying_program": dying_program,
+    "escaping_program": escaping_program,
+    "generate_program": lambda rng: generate_program(rng)[0],
+    "random_program": random_program,
+    "store_program": store_program,
+}
+
+
+def report(text, profile):
+    """(incomplete, sorted findings) of `text` under `profile`."""
+    result = analyze_unit(parse_source("m.c", text), config=PROFILES[profile])
+    return result.incomplete, sorted(result)
+
+
+def spelled(outcome, new, old):
+    """`outcome` with `new` spelled `old` in every message."""
+    incomplete, findings = outcome
+    return incomplete, sorted(f._replace(message=f.message.replace(new, old))
+                              for f in findings)
+
+
+def variable_tokens(text):
+    """The identifier tokens of `text` whose spelling names only variables:
+    no callee, field or struct has it."""
+    toks = tokenize(SourceUnit("m.c", text))
+    variables, others = [], set()
+    for prev, tok, nxt in zip([None, *toks], toks, [*toks[1:], None]):
+        if tok.kind != "IDENT":
+            continue
+        if (prev is not None and prev.lexeme in (".", "->", "struct")) \
+                or (nxt is not None and nxt.lexeme == "("):
+            others.add(tok.lexeme)
+        else:
+            variables.append(tok)
+    tu = parse_source("m.c", text)
+    others |= {st.name for st in tu.structs}
+    others |= {name for st in tu.structs for name, _ in st.fields}
+    return [tok for tok in variables if tok.lexeme not in others]
+
+
+def rename(text, old, new):
+    """`text` with every variable token spelled `old` spelled `new`."""
+    out, last = [], 0
+    for tok in variable_tokens(text):
+        if tok.lexeme == old:
+            out += [text[last:tok.offset], new]
+            last = tok.offset + len(old)
+    return "".join(out) + text[last:]
+
+
+def assert_renaming_changes_only_the_spelling(text, old):
+    renamed = rename(text, old, FRESH)
+    assert renamed != text
+    for profile in sorted(PROFILES):
+        assert spelled(report(renamed, profile), FRESH, old) \
+            == report(text, profile), (old, profile, text)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[p.name for p in CORPUS])
+def test_renaming_a_corpus_variable(path):
+    text = path.read_text(encoding="utf-8")
+    names = sorted({tok.lexeme for tok in variable_tokens(text)})
+    assert names
+    for old in names:
+        assert_renaming_changes_only_the_spelling(text, old)
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_renaming_a_generated_variable(gen):
+    for seed in range(20):
+        rng = random.Random(seed)
+        text = GENERATORS[gen](rng)
+        names = sorted({tok.lexeme for tok in variable_tokens(text)})
+        for old in rng.sample(names, min(2, len(names))):
+            assert_renaming_changes_only_the_spelling(text, old)
+
+
+# An arm on a line of its own, with no block inside it.
+ARM = re.compile(r"^(?P<head>(?:if \([^{}]*\) |else )\{ )(?P<body>[^{}]*)"
+                 r"(?P<tail> \})$")
+
+
+def _use(name):
+    """A use of the variable `name`, not of a field of its spelling."""
+    return rf"(?<![.>\w]){name}\b"
+
+
+def shadowing_pair(text, rng):
+    """(shadowed, renamed, name): `text` with one arm's block opened by a
+    declaration of an outer variable `name`, and the same with the inner
+    variable spelled FRESH; None if no arm uses a variable."""
+    tu = parse_source("m.c", text)
+    types = {g.name: g.ctype for g in tu.globals}
+    for fn in tu.functions:
+        types.update(fn.params)
+        types.update((d.name, d.ctype) for d in fn.body
+                     if isinstance(d, VarDecl))
+    lines = text.split("\n")
+    arms = []
+    for k, line in enumerate(lines):
+        m = ARM.match(line)
+        if m:
+            arms += [(k, m, name) for name in sorted(types)
+                     if re.search(_use(name), m["body"])]
+    if not arms:
+        return None
+    k, m, name = rng.choice(arms)
+    ctype = types[name]
+    init = rng.choice(("NULL", "malloc(8)") if ctype.is_pointer
+                      else ("0", "1"))
+
+    def arm(spelling, body):
+        return f"{m['head']}{ctype} {spelling} = {init}; {body}{m['tail']}"
+
+    fresh_body = re.sub(_use(name), FRESH, m["body"])
+    shadowed = lines[:k] + [arm(name, m["body"])] + lines[k + 1:]
+    renamed = lines[:k] + [arm(FRESH, fresh_body)] + lines[k + 1:]
+    return "\n".join(shadowed), "\n".join(renamed), name
+
+
+@pytest.mark.parametrize("gen", ["branching_loop", "dying_program",
+                                 "escaping_program"])
+def test_a_shadowing_declaration_is_a_variable_of_its_own(gen):
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        pair = shadowing_pair(GENERATORS[gen](rng), rng)
+        if pair is None:
+            continue
+        shadowed, renamed, name = pair
+        for profile in sorted(PROFILES):
+            assert report(shadowed, profile) \
+                == spelled(report(renamed, profile), FRESH, name), \
+                (profile, shadowed)
+        checked += 1
+    assert checked >= 20

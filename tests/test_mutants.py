@@ -165,10 +165,10 @@ def test_token_mutants_exit_cleanly_with_a_located_error(tmp_path, inputs):
     ("int x", "1:5: expected ';', got 'end of input'"),
     ("int f() { int 3 = 1; return 0; }", "1:15: expected a name, got '3'"),
     # Cuts where the parser looks up to two tokens past the last one; no
-    # corpus cut does.
+    # corpus cut does.  No variable is named `st`.
     ("struct", "1:1: expected a name, got 'end of input'"),
     ("typedef struct { int a; } st; int *p = (st",
-     "1:41: expected ')', got 'end of input'"),
+     "1:41: undeclared name 'st'"),
 ])
 def test_cut_and_misnamed_inputs_name_the_place(tmp_path, text, message):
     path = tmp_path / "m.c"
