@@ -1,33 +1,40 @@
 """The corpus reports, and those of seeded generated programs, pinned byte
-for byte.
+for byte, and the work each exploration of those programs took.
 
 ``tests/golden/corpus.json`` holds, for each ``corpus/*.c`` under each
 profile, the ``render_text`` and ``emit_structured`` of ``analyze_unit``.
 ``tests/golden/generated.json`` holds one sha256 of the two, joined, for
 each program of the differential generators at a few seeds, under each
-profile.  A change meant to keep the output must keep both files; one meant
-to change it regenerates them and shows the difference in review:
+profile.  ``tests/golden/explored.json`` holds, for the same programs and
+for a few loop families, each exploration's function, paths counted, merge
+entries recorded and ``incomplete`` flag, in order, in clear text: a change
+to how states are keyed that keeps the reports must keep these too.  A
+change meant to keep the output must keep all three files; one meant to
+change it regenerates them and shows the difference in review:
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
 
+import functools
 import hashlib
 import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
-from memlab.analysis import PROFILES, analyze_unit
+from memlab.analysis import PROFILES, _FunctionAnalysis, analyze_unit
 from memlab.diagnostics import emit_structured, render_text
 from memlab.frontend import parse_source
-from test_dedup import branching_loop, dying_program, escaping_program, \
-    store_program
+from test_dedup import SIX_IF_LOOP, branching_loop, dying_program, \
+    escaping_program, loop_nest, loops_in_a_row, store_program
 from test_exploration import random_program
 from test_properties import generate_program
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "corpus.json"
 GENERATED = ROOT / "tests" / "golden" / "generated.json"
+EXPLORED = ROOT / "tests" / "golden" / "explored.json"
 
 # Each generator maps a seeded random.Random to a C source text.
 GENERATORS = {
@@ -39,15 +46,36 @@ GENERATORS = {
     "store_program": store_program,
 }
 GENERATED_SEEDS = range(10)
+# Loop families whose exploration counts are pinned beside the generators'.
+FAMILIES = {
+    **{f"loops_in_a_row/{n}": loops_in_a_row(n) for n in (1, 2, 4, 8)},
+    **{f"loop_nest/{ifs}{'-leak' * leak}": loop_nest(ifs, leak)
+       for ifs, leak in ((1, False), (2, False), (2, True))},
+    "six_if_loop": SIX_IF_LOOP,
+}
 
 
-def _reports(name: str, text: str) -> dict:
-    """{profile: (render_text, emit_structured)} of one source text."""
+def _reports(name: str, text: str, explored: dict | None = None) -> dict:
+    """{profile: (render_text, emit_structured)} of one source text.  With
+    `explored`, also {profile: ["function paths-counted merge-entries
+    complete|incomplete", ...]}, one per exploration in order, into it."""
     tu = parse_source(name, text)
     out = {}
+    run = _FunctionAnalysis.run
     for profile in sorted(PROFILES):
-        report = analyze_unit(tu, config=PROFILES[profile])
+        runs = []
+
+        def recording_run(self):
+            run(self)
+            runs.append(f"{self.fn.name} {self.paths_counted} "
+                        f"{len(self.seen)} "
+                        f"{'incomplete' if self.incomplete else 'complete'}")
+
+        with mock.patch.object(_FunctionAnalysis, "run", recording_run):
+            report = analyze_unit(tu, config=PROFILES[profile])
         out[profile] = (render_text(report), emit_structured(report))
+        if explored is not None:
+            explored[profile] = runs
     return out
 
 
@@ -63,17 +91,24 @@ def corpus_reports() -> dict:
     return out
 
 
-def generated_digests() -> dict:
-    """{"generator/seed/profile": sha256 of render_text + emit_structured}."""
-    out = {}
-    for gen, make in GENERATORS.items():
-        for seed in GENERATED_SEEDS:
-            text = make(random.Random(seed))
-            reports = _reports(f"{gen}-{seed}.c", text)
-            for profile, (rendered, structured) in reports.items():
-                out[f"{gen}/{seed}/{profile}"] = hashlib.sha256(
+@functools.cache
+def generated_digests() -> tuple[dict, dict]:
+    """({"generator/seed/profile": sha256 of render_text +
+    emit_structured}, {"generator/seed/profile" or "family/profile": the
+    explorations of `_reports`}), from one analysis of each program."""
+    digests, explored = {}, {}
+    programs = [(f"{gen}/{seed}", make(random.Random(seed)))
+                for gen, make in GENERATORS.items()
+                for seed in GENERATED_SEEDS]
+    for key, text in programs + list(FAMILIES.items()):
+        runs: dict = {}
+        reports = _reports(f"{key.replace('/', '-')}.c", text, runs)
+        for profile, (rendered, structured) in reports.items():
+            if key not in FAMILIES:
+                digests[f"{key}/{profile}"] = hashlib.sha256(
                     (rendered + structured).encode("utf-8")).hexdigest()
-    return out
+            explored[f"{key}/{profile}"] = runs[profile]
+    return digests, explored
 
 
 def test_corpus_reports_match_the_golden_file():
@@ -87,8 +122,18 @@ def test_corpus_reports_match_the_golden_file():
 
 def test_generated_reports_match_the_golden_file():
     want = json.loads(GENERATED.read_text(encoding="utf-8"))
-    got = generated_digests()
+    got = generated_digests()[0]
     assert len(got) == len(GENERATORS) * len(GENERATED_SEEDS) * len(PROFILES)
+    assert sorted(got) == sorted(want)
+    for key in sorted(want):
+        assert got[key] == want[key], key
+
+
+def test_exploration_counts_match_the_golden_file():
+    want = json.loads(EXPLORED.read_text(encoding="utf-8"))
+    got = generated_digests()[1]
+    assert len(got) == (len(GENERATORS) * len(GENERATED_SEEDS)
+                        + len(FAMILIES)) * len(PROFILES)
     assert sorted(got) == sorted(want)
     for key in sorted(want):
         assert got[key] == want[key], key
@@ -104,4 +149,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_golden.py --write")
     _write(GOLDEN, corpus_reports())
-    _write(GENERATED, generated_digests())
+    digests, explored = generated_digests()
+    _write(GENERATED, digests)
+    _write(EXPLORED, explored)
