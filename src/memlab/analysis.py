@@ -22,24 +22,25 @@ that calls itself is one): that function is explored while a callee still
 lacks a summary, keeps the summary from that exploration, and is explored
 once more for its findings after every summary exists.
 
-A path that enters a join or a loop head in a state already explored from
-there (same heap up to site numbering, same loop trip counts) is dropped:
-transfer is deterministic and everything an exploration collects is a set,
-so it would only repeat what was found.  The state leaves out what no path
-from the block can read (`Cfg.live`): the value of a dead variable, one
-that every path writes before reading, and the trip counts of loops that no
-path from there can take again.  A dead variable that points to a live
-site keeps its value, since it keeps the site reachable and the statement
-that overwrites it is the line of a leak; one whose address is taken, or a
-global, is never dead.  The path budget counts finished paths, and a
-dropped path as one when the exploration it repeats counted any.  A
-dropped path stands for at least one path of the full walk, so a function
-with no more paths than the budget is always explored completely.
-
 A variable is the slot the parser bound its uses to, and the environment a
-list indexed by slot: the globals the function sees, then its parameters
-and locals.  A local's slot holds None until its declaration runs, which
-every use in its scope comes after, so no name is ever compared.
+list indexed by slot: the globals the function sees, its parameters and
+locals, then the loops' trip counts (see `cfg`).  A local's slot holds None
+until its declaration runs, which every use in its scope comes after, so
+no name is ever compared.  A trip count starts at 0; a path that would go
+round its loop more than `unroll_bound` times is abandoned.
+
+A path that enters a join or a loop head in a state already explored from
+there, up to site numbering, is dropped: transfer is deterministic and
+everything an exploration collects is a set, so it would only repeat what
+was found.  The state blanks the slots no path from the block can read
+(`Cfg.dead`): a variable every path writes before reading, and the trip
+count of a loop no path from there goes round again.  A dead variable that
+points to a live site keeps its value, since it keeps the site reachable
+and the statement that overwrites it is the line of a leak.  The path
+budget counts finished paths, and a dropped path as one when the
+exploration it repeats counted any.  A dropped path stands for at least one
+path of the full walk, so a function with no more paths than the budget is
+always explored completely.
 
 Dead stores come from the same liveness, as in the Clang static analyzer
 and Infer, not from the paths: a store that an explored path executed is
@@ -375,8 +376,7 @@ def _is_block(value) -> bool:
 _DEAD = "dead"
 
 
-def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
-               dead: list) -> tuple:
+def _state_key(block_id: int, state: AbstractHeap, dead: list) -> tuple:
     """The entry into a block, with the state in canonical form, as tuples.
 
     Freed and leaked sites that nothing refers to are dropped; live sites
@@ -388,11 +388,11 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
     `ret_line` is left out: it is 0 at every merge, since a block that
     returns leaves only for the exit.
 
-    `dead` (see `_FunctionAnalysis._merge_key`) holds the slots the
-    continuation cannot read: every path writes them before any read, so
-    their values become `_DEAD`.  A value stays when it points to a live
-    site, because it still keeps the site reachable, and the statement
-    that drops the last reference is the line a leak is reported at.
+    `dead` (`Cfg.dead` of the block) holds the slots the continuation
+    cannot read, so their values, trip counts included, become `_DEAD`.  A
+    value stays when it points to a live site, because it still keeps the
+    site reachable, and the statement that drops the last reference is the
+    line a leak is reported at.
     """
     values = state.env
     sites = state.sites
@@ -403,7 +403,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
             if not (_is_block(v) and sites[v.site].status == "live"):
                 values[i] = _DEAD
     if not sites:
-        return (block_id, tuple(values), back_counts, ())
+        return (block_id, tuple(values), ())
 
     renum: dict = {}
     order: list = []
@@ -432,7 +432,7 @@ def _state_key(block_id: int, state: AbstractHeap, back_counts: tuple,
             return ("block", renum[v.site], v.offset)
         return v
 
-    return (block_id, tuple(map(canon, values)), back_counts,
+    return (block_id, tuple(map(canon, values)),
             tuple([(s.line, s.status, s.escaped,
                     tuple([(f, canon(v)) for f, v in s.fields.items()]),
                     s.default_field, s.hint)
@@ -467,9 +467,6 @@ class _FunctionAnalysis:
         # _state_key of each merge-block entry explored -> 1 if the paths
         # from it counted any, else 0
         self.seen: dict = {}
-        # merge block -> (what some path from it may read, the slots its
-        # key leaves out, whether it keeps every back edge); see _merge_key
-        self.keeps: dict = {}
         self.returns: list = []  # (value, fresh_live_block: bool) snapshots
         self.frees_params: set[int] = set()
 
@@ -502,13 +499,13 @@ class _FunctionAnalysis:
 
     def run(self) -> None:
         fn = self.fn
-        env = [None] * len(fn.names)
+        env = [None] * len(fn.names) + [0] * (self.cfg.slots - len(fn.names))
         for slot, ctype in self.global_types.items():
             env[slot] = PTR_UNKNOWN if ctype.is_pointer else UNKNOWN
         for idx, (_, ctype) in enumerate(fn.params):
             env[fn.global_count + idx] = PtrValue("unknown", param_index=idx) \
                 if ctype.is_pointer else UNKNOWN
-        self._exec(self.cfg.entry, AbstractHeap(env), ())
+        self._exec(self.cfg.entry, AbstractHeap(env))
         self.check_dead_store()
 
     def summary(self) -> FunctionSummary:
@@ -525,23 +522,22 @@ class _FunctionAnalysis:
 
     # -- path walking --
 
-    def _exec(self, block_id: int, state: AbstractHeap,
-              back_counts: tuple) -> None:
+    def _exec(self, block_id: int, state: AbstractHeap) -> None:
         """Explore every path from the block, depth first, on a stack of
-        (block, state, back_counts) entries pushed in reverse, so that they
-        are entered in order.  A merge entry puts its close entry, (None,
-        key, paths counted before it), under its successors.
+        (block, state) entries pushed in reverse, so that they are entered
+        in order.  A merge entry puts its close entry, (None, (key, paths
+        counted before it)), under its successors.
         """
-        stack = [(block_id, state, back_counts)]
+        stack = [(block_id, state)]
         while stack:
-            block_id, state, back_counts = stack.pop()
+            block_id, state = stack.pop()
             if block_id is None:  # every path from the merge entry is done
-                key, before = state, back_counts
+                key, before = state
                 self.seen[key] = int(self.paths_counted > before)
                 continue
             key = None
             if block_id in self.cfg.merges:
-                key = self._merge_key(block_id, state, back_counts)
+                key = _state_key(block_id, state, self.cfg.dead(block_id))
                 weight = self.seen.get(key)
                 if weight is not None:
                     # Explored from here already: the paths it found stand
@@ -554,7 +550,7 @@ class _FunctionAnalysis:
             if key is not None:
                 # weight 0 until the paths from here are explored
                 self.seen[key] = 0
-                stack.append((None, key, self.paths_counted))
+                stack.append((None, (key, self.paths_counted)))
             blk = self.cfg.blocks[block_id]
             states = [state]
             for stmt in blk.statements:
@@ -581,37 +577,12 @@ class _FunctionAnalysis:
                         self._refine(cstate, cond, branch=False)
                         nexts.append((*else_exit, cstate))
             for dst, kind, s in reversed(nexts):
-                edge_counts = back_counts
                 if kind == LOOP_BACK:
-                    counts = dict(back_counts)
-                    taken = counts.get((block_id, dst), 0)
+                    taken = s.env[blk.trip]
                     if taken >= self.config.unroll_bound:
                         continue  # bounded unrolling: abandon this path
-                    counts[(block_id, dst)] = taken + 1
-                    edge_counts = tuple(sorted(counts.items()))
-                stack.append((dst, s, edge_counts))
-
-    def _merge_key(self, block_id: int, state: AbstractHeap,
-                   back_counts: tuple) -> tuple:
-        """The `_state_key` of an entry into a merge block.
-
-        It keeps what some path from the block may read (`Cfg.live`), and
-        the variables read through pointers or after the function returns:
-        those whose address is taken and the globals.  Of the loop trip
-        counts, only those of the back edges it may still take stay; the
-        path keeps them all.
-        """
-        kept = self.keeps.get(block_id)
-        if kept is None:
-            live, fn = self.cfg.live(block_id), self.fn
-            dead = [slot for slot in range(fn.global_count, len(fn.names))
-                    if slot not in live and slot not in fn.addr_taken]
-            kept = self.keeps[block_id] = (live, dead,
-                                           self.cfg.back_edges <= live)
-        live, dead, every_loop = kept
-        if back_counts and not every_loop:
-            back_counts = tuple([c for c in back_counts if c[0] in live])
-        return _state_key(block_id, state, back_counts, dead)
+                    s.env[blk.trip] = taken + 1
+                stack.append((dst, s))
 
     def _refine(self, state: AbstractHeap, cond, branch: bool) -> None:
         """Narrow a pointer tested by the condition on the taken branch."""
@@ -1076,14 +1047,12 @@ class _FunctionAnalysis:
 
     def check_dead_store(self) -> None:
         """Report each store an explored path executed that no path of the
-        CFG reads.  A variable whose address is taken, and a global, may be
-        read where the function cannot see.  A run cut short reports none."""
+        CFG reads.  A run cut short reports none."""
         if self.incomplete or CHECKER_DEAD_STORE not in self.config.enabled:
             return
         read = self.cfg.live_stores()
         for (slot, line), cls in self.stores.items():
-            if (slot, line) in read or slot in self.fn.addr_taken \
-                    or slot < self.fn.global_count:
+            if (slot, line) in read:
                 continue
             checker = CHECKER_DEAD_STORE_NULL_INIT if cls == "null-or-zero" \
                 else CHECKER_DEAD_STORE

@@ -6,14 +6,18 @@ with labeled true/false edges, and ``while`` adds a loop-back edge.  Early
 ``return`` statements get an edge straight to the single exit block.  Code
 after a ``return`` is kept in an unreachable block that is never explored.
 
-Each graph also answers, per block, what a path from the block's entry may
-still read (``Cfg.live``), so that the engine can leave the rest out of the
-states it compares where paths meet; and, from the same liveness, which
-stores some path may read (``Cfg.live_stores``): the dead-store checker
-reports the others that a path executed.  Variables are the slots the
-parser gives them.  A declaration ends its variable's value, as the engine
-makes it uninitialized there: with an initializer, it is a store; without,
-no path reads the value it ends.
+Slots are the variables, as the parser numbers them, then one trip count
+per loop that can go round, ``len(fn.names) + i`` in lowering order: only
+the loop's back edge reads and writes it, where it leaves its block.  Each
+graph also answers, per block, which slots a path from its entry may still
+read (``Cfg.live``), and so which the engine blanks in the states it
+compares where paths meet (``Cfg.dead``); and which stores some path may
+read (``Cfg.live_stores``): the dead-store checker reports the others that
+a path executed.  A global, or a variable whose address is taken, may be
+read through a pointer or after the function returns: it is never dead and
+its stores are all read.  A declaration ends its variable's value, as the
+engine makes it uninitialized there: with an initializer, it is a store;
+without, no path reads the value it ends.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ class BasicBlock:
     # successors are [(then, TRUE_BRANCH), (else or after, FALSE_BRANCH)].
     # Any other block has at most one successor.
     branch_cond: object | None = None
+    # The trip slot of the LOOP_BACK edge the block leaves by, if it does.
+    trip: int | None = None
 
 
 @dataclass
@@ -46,6 +52,11 @@ class Cfg:
     entry: int
     exit: int
     edges: list[tuple[int, int, str]]
+    # The environment's length: the variables' slots, then the trip slots.
+    slots: int = 0
+    # The slots that are never dead: the globals the function sees and the
+    # variables whose address is taken.
+    never_dead: frozenset = frozenset()
     # (dst, kind) per block, in edge insertion order; built once because the
     # engine asks for a block's successors on every step of every path.
     _succs: list = field(init=False, repr=False, compare=False)
@@ -53,42 +64,44 @@ class Cfg:
     # paths meet, and so where the engine looks for a state it has already
     # explored.  The exit is left out: no block follows it.
     merges: set = field(init=False, repr=False, compare=False)
-    # The LOOP_BACK edges, as (src, dst).
-    back_edges: frozenset = field(init=False, repr=False, compare=False)
-    # Per block, a frozenset of what some path from its entry may read
-    # before writing it: variable slots, and the back edges (src, dst) that
-    # it may still take, since the unrolling bound reads an edge's trip
-    # count where the edge leaves and nothing resets it.  Only the engine
-    # asks, at merges and for dead stores, so the fixpoint runs on first
-    # use.
+    # Per block, a frozenset of the slots some path from its entry may read
+    # before writing them.  Only the engine asks, at merges and for dead
+    # stores, so the fixpoint runs on first use; ``dead`` caches likewise.
     _live: list | None = field(init=False, repr=False, compare=False)
+    _dead: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._live = None
+        self._dead = {}
         succs = self._succs = [[] for _ in self.blocks]
         entered = set()
         merges = self.merges = set()
-        back_edges = []
         for src, dst, kind in self.edges:
             succs[src].append((dst, kind))
-            if kind == LOOP_BACK:
-                back_edges.append((src, dst))
             if dst in entered:
                 merges.add(dst)
             else:
                 entered.add(dst)
         merges.discard(self.exit)
-        self.back_edges = frozenset(back_edges)
 
     def successors(self, block_id: int) -> list[tuple[int, str]]:
         return self._succs[block_id]
 
     def live(self, block_id: int) -> frozenset:
-        """What some path from the block's entry may read before writing
-        it: variable slots and back edges, as in ``_live``."""
+        """The slots some path from the block's entry may read before
+        writing them."""
         if self._live is None:
             self._live = self._liveness()
         return self._live[block_id]
+
+    def dead(self, block_id: int) -> list:
+        """The slots no path from the block's entry can read, in order:
+        those neither live there nor never dead."""
+        if block_id not in self._dead:
+            kept = self.live(block_id) | self.never_dead
+            self._dead[block_id] = [slot for slot in range(self.slots)
+                                    if slot not in kept]
+        return self._dead[block_id]
 
     def _liveness(self) -> list:
         # A block's entry reads what the block reads before writing it,
@@ -102,11 +115,11 @@ class Cfg:
                 _expr_reads(blk.branch_cond, read)
             for stmt in reversed(blk.statements):
                 _read_before(stmt, read)
+            if blk.trip is not None:  # read where the back edge leaves
+                read.add(blk.trip)
             live.append(read)
             writes.append({slot for slot in map(_written, blk.statements)
                            if slot is not None})
-        for edge in self.back_edges:  # read where it leaves, never written
-            live[edge[0]].add(edge)
         preds: list = [[] for _ in self.blocks]
         for src, dst, _ in self.edges:
             preds[dst].append(src)
@@ -131,8 +144,9 @@ class Cfg:
 
     def live_stores(self) -> set:
         """The stores (slot, line) that some path from them may read: one
-        statement on the line writes the variable, and some path from
-        there reads it before writing it again."""
+        statement on the line writes the variable, and the variable is
+        never dead or some path from there reads it before writing it
+        again."""
         stores = set()
         for blk in self.blocks:
             # What the rest of the block reads before writing it, and what
@@ -145,9 +159,10 @@ class Cfg:
                 if slot is not None:
                     # `int x;` ends x's value but stores none.
                     stored = type(stmt) is Assign or stmt.init is not None
-                    if stored and (slot in read or (slot not in written and any(
-                            slot in self.live(dst)
-                            for dst, _ in self._succs[blk.id]))):
+                    if stored and (slot in read or slot in self.never_dead
+                                   or (slot not in written and any(
+                                       slot in self.live(dst)
+                                       for dst, _ in self._succs[blk.id]))):
                         stores.add((slot, stmt.loc.line))
                     written.add(slot)
                 _read_before(stmt, read)
@@ -205,6 +220,7 @@ class _Builder:
     def __init__(self):
         self.blocks: list[BasicBlock] = []
         self.edges: list[tuple[int, int, str]] = []
+        self.slots = 0  # the next trip slot, once build() sets it
 
     def new_block(self) -> BasicBlock:
         blk = BasicBlock(id=len(self.blocks))
@@ -217,12 +233,15 @@ class _Builder:
     def build(self, fn: FunctionDef) -> Cfg:
         # No edge enters the first block, since every loop head is a block
         # of its own, so the first block is the entry.
+        self.slots = len(fn.names)
         entry = self.new_block()
         exit_blk = self.new_block()
         last = self.lower_stmts(fn.body, entry, exit_blk)
         if last is not None:
             self.edge(last.id, exit_blk.id, FALLTHROUGH)
-        return Cfg(self.blocks, entry.id, exit_blk.id, self.edges)
+        never_dead = frozenset(range(fn.global_count)) | fn.addr_taken
+        return Cfg(self.blocks, entry.id, exit_blk.id, self.edges,
+                   self.slots, never_dead)
 
     def lower_stmts(self, stmts: list, current: BasicBlock,
                     exit_blk: BasicBlock) -> BasicBlock | None:
@@ -282,6 +301,8 @@ class _Builder:
             self.edge(cond_blk.id, body_blk.id, TRUE_BRANCH)
             body_end = self.lower_stmts(stmt.body, body_blk, exit_blk)
             if body_end is not None:
+                body_end.trip = self.slots
+                self.slots += 1
                 self.edge(body_end.id, cond_blk.id, LOOP_BACK)
             after = self.new_block()
             self.edge(cond_blk.id, after.id, FALSE_BRANCH)

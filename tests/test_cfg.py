@@ -249,3 +249,82 @@ class TestPaths:
                 assert 1 <= len(paths) <= 2 ** max(branches, 1)
                 for p in paths:
                     assert p[0] == cfg.entry and p[-1] == cfg.exit
+
+
+def _function_cfg(source):
+    """(function, CFG) of the last function of `source`."""
+    fn = parse_source("<t>", source).functions[-1]
+    return fn, build_cfg(fn)
+
+
+def _loops(cfg):
+    """(head, trip slot) of each loop that goes round, in lowering order:
+    an inner loop before the loop round it."""
+    return [(dst, cfg.blocks[src].trip) for src, dst, kind in cfg.edges
+            if kind == LOOP_BACK]
+
+
+def _exit_of(cfg, head):
+    """The block a loop's head leaves to when its condition is false."""
+    return next(dst for dst, kind in cfg.successors(head)
+                if kind == FALSE_BRANCH)
+
+
+class TestSlots:
+    def test_trip_slots_follow_the_variables(self):
+        fn, cfg = _function_cfg(
+            "int f(int c) {\n  int i = 0;\n  while (i < c) {\n"
+            "    int j = 0;\n    while (j < c) { j = j + 1; }\n"
+            "    i = i + 1;\n  }\n  while (c) { return 1; }\n  return i;\n}\n")
+        # The third loop returns from its body: it never goes round.
+        assert [slot for _, slot in _loops(cfg)] == \
+            [len(fn.names), len(fn.names) + 1]
+        assert cfg.slots == len(fn.names) + 2
+        assert [blk.trip for blk in cfg.blocks
+                if blk.trip is not None] == [len(fn.names), len(fn.names) + 1]
+
+    def test_an_inner_trip_count_lives_until_its_outer_loop_ends(self):
+        _, cfg = _function_cfg(
+            "int f(int c) {\n  int i = 0;\n  while (i < c) {\n"
+            "    int j = 0;\n    while (j < c) { j = j + 1; }\n"
+            "    i = i + 1;\n  }\n  if (c) { i = 1; }\n  return i;\n}\n")
+        (inner_head, inner), (outer_head, outer) = _loops(cfg)
+        # Nothing resets the inner count when the outer body enters the
+        # inner loop again, so it is read on the outer loop's next trip.
+        outer_body = cfg.successors(outer_head)[0][0]
+        for block in (outer_head, outer_body, inner_head):
+            assert {inner, outer} <= cfg.live(block)
+            assert inner not in cfg.dead(block)
+        after = _exit_of(cfg, outer_head)
+        join = max(cfg.merges)
+        for block in (after, join):
+            assert inner not in cfg.live(block)
+            assert {inner, outer} <= set(cfg.dead(block))
+
+    def test_a_loop_trip_count_is_dead_at_the_next_loop(self):
+        _, cfg = _function_cfg(
+            "int f(int c, int m) {\n  int x = 0;\n"
+            "  while (x < m) { x = x + 1; }\n"
+            "  while (x < c) { x = x + 1; }\n  return x;\n}\n")
+        (first_head, first), (second_head, second) = _loops(cfg)
+        assert first_head in cfg.merges and second_head in cfg.merges
+        assert first not in cfg.dead(first_head)
+        assert first in cfg.dead(second_head)
+        assert second not in cfg.dead(second_head)
+        assert {first, second} <= set(cfg.dead(_exit_of(cfg, second_head)))
+
+    def test_globals_and_address_taken_slots_are_never_dead(self):
+        fn, cfg = _function_cfg(
+            "int g;\nint f(int c) {\n  int x = 0;\n  int *p = &x;\n"
+            "  int y = 0;\n  g = 1;\n  x = 2;\n  y = 3;\n"
+            "  if (c) { y = 4; }\n  return 0;\n}\n")
+        g, x, y = (fn.names.index(name) for name in ("g", "x", "y"))
+        assert g < fn.global_count and x in fn.addr_taken
+        assert cfg.never_dead == {g, x}
+        for blk in cfg.blocks:
+            assert not cfg.never_dead & set(cfg.dead(blk.id))
+        # y is dead at the join, where nothing reads it again.
+        assert y in cfg.dead(max(cfg.merges))
+        stores = cfg.live_stores()
+        assert {(g, 6), (x, 3), (x, 7)} <= stores
+        assert not {(y, 5), (y, 8), (y, 9)} & stores

@@ -7,9 +7,10 @@ must give the same findings, ``incomplete`` flags and summaries on every
 input that both finish within the budget, and the deduplicated walk must
 finish within every budget the full walk finishes within.
 
-The key leaves out what the continuation cannot read: dead variables and
-the trip counts of loops that cannot be reached again.  ``unpruned_merge_key``
-keeps all of it, as the key did before, and is the reference for that.
+The key blanks the slots the continuation cannot read (``Cfg.dead``): dead
+variables and the trip counts of loops that cannot be gone round again.
+With ``Cfg.dead`` patched to give no slot, the key keeps every slot, as it
+did before, and is the reference for that.
 """
 
 import random
@@ -18,9 +19,8 @@ from dataclasses import replace
 import pytest
 
 from memlab import analysis
-from memlab.analysis import PROFILES, _FunctionAnalysis, _state_key, \
-    analyze_unit, compute_summaries
-from memlab.cfg import build_cfg
+from memlab.analysis import PROFILES, _FunctionAnalysis, analyze_unit
+from memlab.cfg import Cfg, build_cfg
 from memlab.frontend import parse_source
 from test_cli import _own_var_ifs
 from test_exploration import random_program
@@ -226,10 +226,12 @@ SIX_IF_LOOP = ("int f(int c, int i) {\n    int x = 0;\n    while (c > 0) {\n"
 
 
 def outcome(source, config):
+    """(sorted findings, incomplete, summaries), each function explored as
+    `analyze_unit` explores it."""
     tu = parse_source("t.c", source)
     cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
-    result = analyze_unit(tu, cfgs, config)
-    return list(result), result.incomplete, compute_summaries(tu, cfgs, config)
+    summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
+    return sorted(findings), incomplete, summaries
 
 
 def counted_outcome(source, config, monkeypatch, dedup=True):
@@ -327,10 +329,10 @@ def test_families_under_every_profile(source, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def unpruned_merge_key(self, block_id, state, back_counts):
-    """The key as it was before pruning: every slot and every loop trip
-    count."""
-    return _state_key(block_id, state, back_counts, ())
+def no_dead_slots(self, block_id):
+    """The key as it was before pruning: every variable and every loop trip
+    count stays."""
+    return ()
 
 
 def assert_same_as_unpruned(source, config, monkeypatch):
@@ -340,7 +342,7 @@ def assert_same_as_unpruned(source, config, monkeypatch):
     config = replace(config, path_budget=NO_LIMIT)
     pruned, counts = counted_outcome(source, config, monkeypatch)
     with monkeypatch.context() as m:
-        m.setattr(_FunctionAnalysis, "_merge_key", unpruned_merge_key)
+        m.setattr(Cfg, "dead", no_dead_slots)
         unpruned, unpruned_counts = counted_outcome(source, config,
                                                     monkeypatch)
     assert pruned == unpruned, source

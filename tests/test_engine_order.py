@@ -25,6 +25,7 @@ from memlab.analysis import (
     PROFILES,
     AbstractHeap,
     _FunctionAnalysis,
+    _state_key,
     truthiness,
 )
 from memlab.cfg import LOOP_BACK, build_cfg
@@ -39,11 +40,10 @@ from test_exploration import random_program
 # ---------------------------------------------------------------------------
 
 
-def _exec(self, block_id: int, state: AbstractHeap,
-          back_counts: tuple) -> None:
+def _exec(self, block_id: int, state: AbstractHeap) -> None:
     key = None
     if block_id in self.cfg.merges:
-        key = self._merge_key(block_id, state, back_counts)
+        key = _state_key(block_id, state, self.cfg.dead(block_id))
         weight = self.seen.get(key)
         if weight is not None:
             self.paths_counted += weight
@@ -69,29 +69,27 @@ def _exec(self, block_id: int, state: AbstractHeap,
             self.finish_path(s)
     elif blk.branch_cond is not None:
         for s in states:
-            self._branch(block_id, blk.branch_cond, s, back_counts, succs)
+            self._branch(block_id, blk.branch_cond, s, succs)
     else:
         for s in states:
             for dst, kind in succs:
-                self._follow(dst, s, back_counts, kind, block_id)
+                self._follow(dst, s, kind, block_id)
     if key is not None:
         self.seen[key] = int(self.paths_counted > before)
 
 
-def _follow(self, dst: int, state: AbstractHeap, back_counts: tuple,
-            edge_kind: str, src: int) -> None:
+def _follow(self, dst: int, state: AbstractHeap, edge_kind: str,
+            src: int) -> None:
     if edge_kind == LOOP_BACK:
-        counts = dict(back_counts)
-        taken = counts.get((src, dst), 0)
+        trip = self.cfg.blocks[src].trip
+        taken = state.env[trip]
         if taken >= self.config.unroll_bound:
             return
-        counts[(src, dst)] = taken + 1
-        back_counts = tuple(sorted(counts.items()))
-    self._exec(dst, state, back_counts)
+        state.env[trip] = taken + 1
+    self._exec(dst, state)
 
 
-def _branch(self, block_id: int, cond, state: AbstractHeap,
-            back_counts: tuple, succs) -> None:
+def _branch(self, block_id: int, cond, state: AbstractHeap, succs) -> None:
     true_edges = [(d, k) for d, k in succs if k == "true-branch"]
     false_edges = [(d, k) for d, k in succs if k == "false-branch"]
     for cstate, value in self.eval(cond, state):
@@ -100,11 +98,11 @@ def _branch(self, block_id: int, cond, state: AbstractHeap,
             tstate = cstate.clone() if truth == "unknown" else cstate
             self._refine(tstate, cond, branch=True)
             for dst, kind in true_edges:
-                self._follow(dst, tstate, back_counts, kind, block_id)
+                self._follow(dst, tstate, kind, block_id)
         if truth != "true":
             self._refine(cstate, cond, branch=False)
             for dst, kind in false_edges:
-                self._follow(dst, cstate, back_counts, kind, block_id)
+                self._follow(dst, cstate, kind, block_id)
 
 
 def recursive_reference(m) -> None:

@@ -28,7 +28,6 @@ from memlab.analysis import (
     PtrValue,
     _FunctionAnalysis,
     analyze_unit,
-    compute_summaries,
 )
 from memlab.cfg import build_cfg
 from memlab.frontend import (
@@ -229,10 +228,10 @@ def test_single_pass_matches_two_pass(seed, profile, budget):
     if budget is not None:
         config = replace(config, path_budget=budget)
     want, want_incomplete, want_summaries = two_pass_reference(tu, config)
-    got = analyze_unit(tu, config=config)
-    assert (list(got), got.incomplete) == (want, want_incomplete), source
     cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
-    assert compute_summaries(tu, cfgs, config) == want_summaries, source
+    summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
+    assert (sorted(findings), incomplete) == (want, want_incomplete), source
+    assert summaries == want_summaries, source
 
 
 def test_random_programs_cover_the_interesting_cases():

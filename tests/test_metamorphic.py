@@ -8,8 +8,13 @@ shadowing declaration is the same relation seen from the inside: an arm
 that redeclares an outer name in its block reports what the same arm
 reports with the inner variable given a fresh name, so the inner variable
 is a variable of its own and the outer one is untouched.
+
+The order in which a unit defines its functions is not part of what it
+means either: with no call cycle, defining the callees after their callers
+gives the same reports, each line counted from its function's first line.
 """
 
+import graphlib
 import random
 import re
 from pathlib import Path
@@ -164,3 +169,100 @@ def test_a_shadowing_declaration_is_a_variable_of_its_own(gen):
                 (profile, shadowed)
         checked += 1
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# Definition order
+# ---------------------------------------------------------------------------
+
+
+def functions_of(text):
+    """The source text of each function of `text`, which holds nothing
+    else, in order, and whether the unit's calls form a cycle."""
+    tu = parse_source("m.c", text)
+    lines = text.splitlines(keepends=True)
+    starts = [fn.loc.line - 1 for fn in tu.functions] + [len(lines)]
+    names = {fn.name for fn in tu.functions}
+    try:
+        graphlib.TopologicalSorter(
+            {fn.name: fn.calls & names for fn in tu.functions}).prepare()
+        cyclic = False
+    except graphlib.CycleError:
+        cyclic = True
+    return ["".join(lines[a:b]) for a, b in zip(starts, starts[1:])], cyclic
+
+
+def relative_report(text, profile):
+    """report(), with every line, in a finding or its message, counted from
+    the first line of the finding's function."""
+    tu = parse_source("m.c", text)
+    first = {fn.name: fn.loc.line - 1 for fn in tu.functions}
+    incomplete, findings = report(text, profile)
+
+    def shift(f):
+        base = first[f.function]
+        message = re.sub(r"line (\d+)", lambda m: f"line {int(m[1]) - base}",
+                         f.message)
+        return f._replace(line=f.line - base, message=message)
+
+    return incomplete, sorted(map(shift, findings))
+
+
+def assert_order_keeps_the_reports(functions):
+    forward = "".join(functions)
+    backward = "".join(reversed(functions))
+    for profile in sorted(PROFILES):
+        assert relative_report(backward, profile) \
+            == relative_report(forward, profile), (profile, forward)
+
+
+# A caller and its callee, each of whose summaries the caller reads: a
+# fresh block returned, a parameter freed.
+CALLEE_PAIR = [
+    "int *mk(int c) {\n  if (c) {\n    return NULL;\n  }\n"
+    "  return malloc(4);\n}\n",
+    "void rel(int *p) {\n  free(p);\n}\n",
+    "int f(int c) {\n  int *q = mk(c);\n  int *r = mk(c);\n  rel(r);\n"
+    "  rel(r);\n  return 0;\n}\n",
+]
+
+
+def test_a_callee_defined_after_its_caller():
+    _, cyclic = functions_of("".join(CALLEE_PAIR))
+    assert not cyclic
+    assert report("".join(CALLEE_PAIR), "union")[1], "the pair reports nothing"
+    assert_order_keeps_the_reports(CALLEE_PAIR)
+
+
+def test_random_programs_in_reverse_definition_order():
+    checked = 0
+    for seed in range(60):
+        functions, cyclic = functions_of(random_program(random.Random(seed)))
+        if not cyclic:
+            assert_order_keeps_the_reports(functions)
+            checked += 1
+    assert checked >= 30
+
+
+# `a` and `b` call each other; `f` calls `b`.  In the order a, b, f, `b` is
+# explored while `a` has no summary yet and keeps that summary, so `f` does
+# not see the block `a` returns.
+CALL_CYCLE = [
+    "int *a(int c) {\n  if (c) {\n    return b(c - 1);\n  }\n"
+    "  return malloc(4);\n}\n",
+    "int *b(int c) {\n  return a(c);\n}\n",
+    "int f(int c) {\n  int *p = b(c);\n  return 0;\n}\n",
+]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 9: a function on a call cycle keeps the summary of its "
+    "first exploration, so the order of definitions decides what a caller "
+    "of the cycle reads"))
+def test_a_call_cycle_in_either_order():
+    ab = "".join(CALL_CYCLE)
+    ba = "".join([CALL_CYCLE[1], CALL_CYCLE[0], CALL_CYCLE[2]])
+    assert functions_of(ab)[1]
+    for profile in sorted(PROFILES):
+        assert relative_report(ab, profile) == relative_report(ba, profile), \
+            profile
