@@ -16,7 +16,14 @@ Layers:
 ``import memlab`` loads the four analysis layers only.  The triage names
 in ``__all__`` (from ``ingest`` and ``benchlab``) and the attributes
 ``memlab.ingest`` and ``memlab.benchlab`` import their module on first
-access (PEP 562), so an analysis never compiles or runs them.
+access (PEP 562), so an analysis never compiles or runs them.  The four
+analysis layers define no dataclasses, so neither ``import memlab`` nor an
+analysis imports ``dataclasses``.
+
+A ``CheckerConfig`` is an immutable named tuple: derive one from a profile
+with ``PROFILES["union"].replace(path_budget=64)`` or ``with_checkers``,
+which check it as its constructor does.  ``dataclasses.replace`` does not
+accept it.
 """
 
 import importlib

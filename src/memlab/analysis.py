@@ -14,13 +14,15 @@ flags as they stand and sweep the heap once.
 
 Each function is explored once, callees first, and that one exploration
 yields both its findings and its FunctionSummary, the depth-1 shape that
-callers read at call sites.  Emitting a finding never changes the abstract
-state, so a function whose defined callees all had their summaries when its
-exploration began reports exactly what a later exploration would.  The walk
-breaks a call cycle at the function that calls back into it (a function
-that calls itself is one): that function is explored while a callee still
-lacks a summary, keeps the summary from that exploration, and is explored
-once more for its findings after every summary exists.
+callers read at call sites.  A call frees each argument whose parameter
+the summary frees, with the checks of a direct `free`.  Emitting a finding
+never changes the abstract state, so a function whose defined callees all
+had their summaries when its exploration began reports exactly what a
+later exploration would.  The walk breaks a call cycle at the function
+that calls back into it (a function that calls itself is one): that
+function is explored while a callee still lacks a summary, keeps the
+summary from that exploration, and is explored once more for its findings
+after every summary exists.
 
 A variable is the slot the parser bound its uses to, and the environment a
 list indexed by slot: the globals the function sees, its parameters and
@@ -55,13 +57,14 @@ calls keeps a stack of its own too.  So neither the length of a function,
 nor its nesting depth, nor the depth of a call chain meets Python's
 recursion limit.
 
-Checkers are toggled through a CheckerConfig; named profiles emulate the
-detection columns of the tools compared in the benchmark corpus.
+Checkers are toggled through a CheckerConfig, an immutable named tuple
+that `replace` derives from and every constructor checks; named profiles
+emulate the detection columns of the tools compared in the benchmark
+corpus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import frontend as ast
@@ -114,10 +117,7 @@ ALL_KINDS = ANALYZER_KINDS | frozenset({
 })
 
 
-@dataclass(frozen=True)
-class CheckerConfig:
-    """An enabled-checker set plus the capability flags of a tool profile."""
-
+class _Settings(NamedTuple):
     profile: str
     enabled: frozenset
     interprocedural: bool = True
@@ -135,7 +135,19 @@ class CheckerConfig:
     # Paths per function; one dropped as already explored counts one at most.
     path_budget: int = 4096
 
-    def __post_init__(self):
+
+class CheckerConfig(_Settings):
+    """An enabled-checker set plus the capability flags of a tool profile.
+
+    Immutable, and equal and hashed by its fields.  `replace` derives a
+    config with some settings changed; it, `_replace`, `_make` and
+    unpickling all build through the constructor, which rejects an invalid
+    config with an InputError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         unknown = self.enabled - ALL_CHECKERS
         if unknown:
             raise ast.InputError(f"unknown checker ids: {sorted(unknown)}")
@@ -148,10 +160,21 @@ class CheckerConfig:
         if self.unroll_bound < 0:
             raise ast.InputError(
                 f"unroll bound must be at least 0, got {self.unroll_bound}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "CheckerConfig":
+        return cls(*iterable)
+
+    def replace(self, **settings) -> "CheckerConfig":
+        """This config with the named fields set to new values."""
+        return type(self)(**{**self._asdict(), **settings})
+
+    _replace = replace
 
     def with_checkers(self, enable=(), disable=()) -> "CheckerConfig":
         enabled = (self.enabled | frozenset(enable)) - frozenset(disable)
-        return replace(self, enabled=enabled)
+        return self.replace(enabled=enabled)
 
 
 PROFILES = {c.profile: c for c in (
@@ -186,9 +209,10 @@ PROFILES = {c.profile: c for c in (
 )}
 
 # The settings a user may override, each "bool" or "int" as its default is:
-# every field of CheckerConfig but the profile name and the checker set.
-SETTINGS = {f.name: type(f.default).__name__ for f in fields(CheckerConfig)
-            if f.name not in ("profile", "enabled")}
+# every field of CheckerConfig but the profile name and the checker set,
+# the two without a default.
+SETTINGS = {name: type(default).__name__
+            for name, default in CheckerConfig._field_defaults.items()}
 
 
 class Finding(NamedTuple):
@@ -298,33 +322,42 @@ def value_eq(left, right) -> bool | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SiteInfo:
-    line: int          # allocation line
-    status: str        # live | freed | leaked (leak already reported)
-    escaped: bool
-    fields: dict
-    default_field: object
-    hint: str = ""     # variable name for messages
+    __slots__ = ("line", "status", "escaped", "fields", "default_field",
+                 "hint")
+
+    def __init__(self, line: int, status: str, escaped: bool, fields: dict,
+                 default_field, hint: str = ""):
+        self.line = line  # allocation line
+        # live | freed | leaked (leak already reported)
+        self.status = status
+        self.escaped = escaped
+        self.fields = fields
+        self.default_field = default_field
+        self.hint = hint  # variable name for messages
 
 
-@dataclass
 class AbstractHeap:
     """State carried along one explored path."""
 
-    # slot -> value; None before the variable's declaration runs
-    env: list
-    # A site's id is its index.  Sites are never removed, and a block value
-    # names a site of the state it is in, so `sites[v.site]` always exists.
-    sites: list = field(default_factory=list)
-    ret_line: int = 0
+    __slots__ = ("env", "sites", "ret_line")
+
+    def __init__(self, env: list, sites: list | None = None,
+                 ret_line: int = 0):
+        # slot -> value; None before the variable's declaration runs
+        self.env = env
+        # A site's id is its index.  Sites are never removed, and a block
+        # value names a site of the state it is in, so `sites[v.site]`
+        # always exists.
+        self.sites = [] if sites is None else sites
+        self.ret_line = ret_line
 
     def clone(self) -> "AbstractHeap":
         return AbstractHeap(
-            env=self.env.copy(),
-            sites=[SiteInfo(s.line, s.status, s.escaped, dict(s.fields),
-                            s.default_field, s.hint) for s in self.sites],
-            ret_line=self.ret_line,
+            self.env.copy(),
+            [SiteInfo(s.line, s.status, s.escaped, dict(s.fields),
+                      s.default_field, s.hint) for s in self.sites],
+            self.ret_line,
         )
 
     def new_site(self, line: int, default_field) -> int:
@@ -911,8 +944,7 @@ class _FunctionAnalysis:
     def _eval_free(self, call: ast.Call, state: AbstractHeap) -> list:
         results = []
         for s, vals in self._eval_args(call.args, state):
-            v = vals[0] if vals else UNKNOWN
-            self.check_invalid_free(s, v, call)
+            self.check_invalid_free(s, vals[0] if vals else UNKNOWN, call)
             results.append((s, UNKNOWN))
         return results
 
@@ -930,13 +962,10 @@ class _FunctionAnalysis:
                     s.escape_value(v)
                 results.append((s, UNKNOWN))
                 continue
-            for idx in summary.frees_params:
+            # The callee frees these arguments: check each as a free here.
+            for idx in sorted(summary.frees_params):
                 if idx < len(vals):
-                    v = vals[idx]
-                    if _is_block(v):
-                        info = s.sites[v.site]
-                        if info.status == "live":
-                            info.status = "freed"
+                    self.check_invalid_free(s, vals[idx], call, idx)
             if summary.returns_fresh:
                 sid = s.new_site(call.loc.line, UNKNOWN)
                 s.sites[sid].hint = call.name
@@ -967,12 +996,15 @@ class _FunctionAnalysis:
             state.env[expr.slot] = PTR_UNKNOWN
         return PTR_UNKNOWN
 
-    def check_invalid_free(self, state: AbstractHeap, value, call: ast.Call) -> None:
-        line = call.loc.line
-        arg = call.args[0] if call.args else None
-        name = arg.name if isinstance(arg, ast.Ident) else "pointer"
+    def check_invalid_free(self, state: AbstractHeap, value, call: ast.Call,
+                           idx: int = 0) -> None:
+        """Free `value`, the argument at `idx` of `call`: `free` itself, or
+        a callee whose summary frees that parameter."""
         if not isinstance(value, PtrValue):
             return
+        line = call.loc.line
+        arg = call.args[idx] if idx < len(call.args) else None
+        name = arg.name if isinstance(arg, ast.Ident) else "pointer"
         if value.param_index >= 0:
             self.frees_params.add(value.param_index)
         if value.kind == "stack":

@@ -22,8 +22,6 @@ without, no path reads the value it ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .frontend import (AddressOf, Assign, BinOp, Call, Cast, Deref,
                        FieldAccess, FunctionDef, Ident, If, Return, Stmt,
                        UnaryNot, VarDecl, While)
@@ -34,55 +32,55 @@ FALSE_BRANCH = "false-branch"
 LOOP_BACK = "loop-back"
 
 
-@dataclass
 class BasicBlock:
-    id: int
-    statements: list = field(default_factory=list)
-    # The condition of an `if` or `while`: the block ends in it, and its
-    # successors are [(then, TRUE_BRANCH), (else or after, FALSE_BRANCH)].
-    # Any other block has at most one successor.
-    branch_cond: object | None = None
-    # The trip slot of the LOOP_BACK edge the block leaves by, if it does.
-    trip: int | None = None
+    def __init__(self, id: int):
+        self.id = id
+        self.statements: list = []
+        # The condition of an `if` or `while`: the block ends in it, and its
+        # successors are [(then, TRUE_BRANCH), (else or after,
+        # FALSE_BRANCH)].  Any other block has at most one successor.
+        self.branch_cond = None
+        # The trip slot of the LOOP_BACK edge the block leaves by, if it
+        # does.
+        self.trip: int | None = None
 
 
-@dataclass
 class Cfg:
-    blocks: list[BasicBlock]
-    entry: int
-    exit: int
-    edges: list[tuple[int, int, str]]
-    # The environment's length: the variables' slots, then the trip slots.
-    slots: int = 0
-    # The slots that are never dead: the globals the function sees and the
-    # variables whose address is taken.
-    never_dead: frozenset = frozenset()
-    # (dst, kind) per block, in edge insertion order; built once because the
-    # engine asks for a block's successors on every step of every path.
-    _succs: list = field(init=False, repr=False, compare=False)
-    # Blocks with two or more incoming edges, joins and loop heads: where
-    # paths meet, and so where the engine looks for a state it has already
-    # explored.  The exit is left out: no block follows it.
-    merges: set = field(init=False, repr=False, compare=False)
-    # Per block, a frozenset of the slots some path from its entry may read
-    # before writing them.  Only the engine asks, at merges and for dead
-    # stores, so the fixpoint runs on first use; ``dead`` caches likewise.
-    _live: list | None = field(init=False, repr=False, compare=False)
-    _dead: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._live = None
-        self._dead = {}
-        succs = self._succs = [[] for _ in self.blocks]
-        entered = set()
+    def __init__(self, blocks: list[BasicBlock], entry: int, exit: int,
+                 edges: list[tuple[int, int, str]], slots: int = 0,
+                 never_dead: frozenset = frozenset()):
+        self.blocks = blocks
+        self.entry = entry
+        self.exit = exit
+        self.edges = edges
+        # The environment's length: the variables' slots, then the trip
+        # slots.
+        self.slots = slots
+        # The slots that are never dead: the globals the function sees and
+        # the variables whose address is taken.
+        self.never_dead = never_dead
+        # (dst, kind) per block, in edge insertion order; built once
+        # because the engine asks for a block's successors on every step of
+        # every path.
+        succs = self._succs = [[] for _ in blocks]
+        # Blocks with two or more incoming edges, joins and loop heads:
+        # where paths meet, and so where the engine looks for a state it
+        # has already explored.  The exit is left out: no block follows it.
         merges = self.merges = set()
-        for src, dst, kind in self.edges:
+        entered = set()
+        for src, dst, kind in edges:
             succs[src].append((dst, kind))
             if dst in entered:
                 merges.add(dst)
             else:
                 entered.add(dst)
-        merges.discard(self.exit)
+        merges.discard(exit)
+        # Per block, a frozenset of the slots some path from its entry may
+        # read before writing them.  Only the engine asks, at merges and
+        # for dead stores, so the fixpoint runs on first use; ``dead``
+        # caches likewise.
+        self._live = None
+        self._dead = {}
 
     def successors(self, block_id: int) -> list[tuple[int, str]]:
         return self._succs[block_id]
@@ -223,7 +221,7 @@ class _Builder:
         self.slots = 0  # the next trip slot, once build() sets it
 
     def new_block(self) -> BasicBlock:
-        blk = BasicBlock(id=len(self.blocks))
+        blk = BasicBlock(len(self.blocks))
         self.blocks.append(blk)
         return blk
 

@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .analysis import ALL_CHECKERS, PROFILES, SETTINGS, CheckerConfig, \
     analyze_unit
@@ -119,7 +118,7 @@ def resolve_config(args) -> CheckerConfig:
     if args.disable:
         enabled = enabled - _split_checkers(args.disable)
     # Only the result is checked, so a flag may mend what the file set.
-    return replace(config, enabled=enabled, **settings)
+    return config.replace(enabled=enabled, **settings)
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,28 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 INCOMPLETE_WARNING = "warning: analysis incomplete (path budget exceeded)"
 
 
-@dataclass
 class Report:
     """Findings in sorted order, and whether the analysis behind them was
-    cut short; iterates like the finding list."""
+    cut short; iterates like the finding list.  Two reports are equal when
+    both fields are."""
 
-    findings: list
-    incomplete: bool = False
+    def __init__(self, findings, incomplete: bool = False):
+        self.findings = sorted(findings)
+        self.incomplete = incomplete
 
-    def __post_init__(self):
-        self.findings = sorted(self.findings)
+    def __repr__(self):
+        return (f"Report(findings={self.findings!r}, "
+                f"incomplete={self.incomplete!r})")
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return (self.findings, self.incomplete) == \
+            (other.findings, other.incomplete)
 
     def __iter__(self):
         return iter(self.findings)

@@ -1,6 +1,8 @@
 """Checker-level tests for the path-sensitive analysis engine."""
 
-from dataclasses import replace
+import copy
+import pickle
+import re
 
 import pytest
 
@@ -18,6 +20,7 @@ from memlab.analysis import (
     FunctionSummary,
     PROFILES,
     PtrValue,
+    SETTINGS,
     analyze_unit,
     compute_summaries,
 )
@@ -247,7 +250,7 @@ class TestMemoryLeak:
         assert [(f.line, f.checker) for f in found] == \
             [(8, CHECKER_MEMORY_LEAK)]
         assert "Memory leak: s.value" in found[0].message
-        no_flag = replace(UNION, struct_field_leak=False)
+        no_flag = UNION.replace(struct_field_leak=False)
         assert run(src, no_flag) == []
 
     def test_nested_struct_field_leak_flag_differential(self):
@@ -281,7 +284,7 @@ class TestMemoryLeak:
             (15, "memory dynamically allocated at line 12 is not "
                  "reachable after line 15")]
         assert leaks(PROFILES["clang-like"]) == []
-        assert leaks(replace(UNION, struct_field_leak=False)) == []
+        assert leaks(UNION.replace(struct_field_leak=False)) == []
 
 
 class TestReallocLeak:
@@ -331,7 +334,7 @@ class TestReallocLeak:
             return 0;
         }"""
         assert run(src) == [(10, CHECKER_REALLOC_LEAK)]
-        gated = replace(UNION, realloc_with_calls=False)
+        gated = UNION.replace(realloc_with_calls=False)
         assert run(src, gated) == []
 
 
@@ -523,6 +526,49 @@ class TestInterprocedural:
             return 0;
         }""") == []
 
+    # A callee whose summary frees a parameter: the call frees the argument
+    # as `free` would, so the caller reports what the callee, inlined,
+    # would report at the call's line.
+    REL = "void rel(int *p) {\n  free(p);\n}\n"
+
+    @staticmethod
+    def _findings(src):
+        return [(f.line, f.checker, f.message) for f in run_full(src)]
+
+    def test_a_block_freed_twice_through_a_callee_is_a_double_free(self):
+        body = ("int f(int c) {\n  int *r = malloc(4);\n"
+                "  if (r == NULL) {\n    return 0;\n  }\n"
+                "  %s;\n  %s;\n  return 0;\n}\n")
+        want = [(10, CHECKER_INVALID_FREE,
+                 "double free of `r` (allocated at line 5)")]
+        assert self._findings(self.REL + body % ("rel(r)", "rel(r)")) == \
+            self._findings(self.REL + body % ("free(r)", "free(r)")) == want
+
+    def test_a_stack_address_freed_through_a_callee_is_an_invalid_free(self):
+        body = "int f() {\n  int x = 1;\n  %s;\n  return x;\n}\n"
+        want = [(6, CHECKER_INVALID_FREE, "free of stack address `&x`")]
+        assert self._findings(self.REL + body % "rel(&x)") == \
+            self._findings(self.REL + body % "free(&x)") == want
+
+    def test_a_parameter_freed_through_a_callee_is_freed_by_the_caller(self):
+        src = self.REL + """void rel2(int *p) {
+          rel(p);
+        }
+        int f() {
+          int *r = malloc(4);
+          if (r == NULL) {
+            return 0;
+          }
+          %s(r);
+          return 0;
+        }"""
+        assert self._findings(src % "rel") == self._findings(src % "rel2") \
+            == []
+        tu = parse_source("<t>", src % "rel2")
+        cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
+        assert compute_summaries(tu, cfgs, UNION)["rel2"].frees_params == \
+            frozenset({0})
+
     def test_parameter_shadows_a_global_of_its_name(self):
         # `release` frees its argument, not the global `p`.
         assert run("""int *p;
@@ -683,7 +729,7 @@ class TestBudget:
         return "int f(int a) {\n%s\n}" % body
 
     def test_budget_marks_incomplete_and_mutes_dead_store(self):
-        small = replace(UNION, path_budget=8)
+        small = UNION.replace(path_budget=8)
         result = analyze_unit(parse_source("<t>", self._wide(15)),
                               config=small)
         assert result.incomplete
@@ -694,7 +740,69 @@ class TestBudget:
         assert not result.incomplete
 
 
+# A setting that makes a config invalid, and the InputError it raises.
+INVALID_SETTINGS = [
+    ({"enabled": frozenset({"NOT_A_CHECKER"})},
+     "unknown checker ids: ['NOT_A_CHECKER']"),
+    ({"enabled": frozenset({CHECKER_DEAD_STORE_NULL_INIT})},
+     "DEAD_STORE_NULL_INIT requires DEAD_STORE"),
+    ({"path_budget": 0}, "path budget must be at least 1, got 0"),
+    ({"unroll_bound": -1}, "unroll bound must be at least 0, got -1"),
+]
+
+
+def _unchecked(**settings):
+    """UNION with the settings changed, built without the checks."""
+    return tuple.__new__(CheckerConfig,
+                         {**UNION._asdict(), **settings}.values())
+
+
+# Every way to build a config from settings.
+CONFIG_BUILDERS = {
+    "constructor": lambda s: CheckerConfig(
+        **{**UNION._asdict(), "profile": "p", **s}),
+    "replace": lambda s: UNION.replace(**s),
+    "_replace": lambda s: UNION._replace(**s),
+    "_make": lambda s: CheckerConfig._make({**UNION._asdict(), **s}.values()),
+    "unpickle": lambda s: pickle.loads(pickle.dumps(_unchecked(**s))),
+    "copy": lambda s: copy.copy(_unchecked(**s)),
+}
+
+
 class TestConfig:
+    @pytest.mark.parametrize("build", CONFIG_BUILDERS)
+    @pytest.mark.parametrize("settings,message", INVALID_SETTINGS,
+                             ids=["checker-id", "null-init", "budget",
+                                  "unroll"])
+    def test_every_way_to_build_a_config_checks_it(self, build, settings,
+                                                   message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            CONFIG_BUILDERS[build](settings)
+
+    @pytest.mark.parametrize("enable,disable,message", [
+        ({"NOT_A_CHECKER"}, (), "unknown checker ids: ['NOT_A_CHECKER']"),
+        ((), {CHECKER_DEAD_STORE}, "DEAD_STORE_NULL_INIT requires DEAD_STORE"),
+    ], ids=["checker-id", "null-init"])
+    def test_with_checkers_checks_the_config(self, enable, disable, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            UNION.with_checkers(enable=enable, disable=disable)
+
+    def test_replace_changes_only_the_named_settings(self):
+        small = UNION.replace(path_budget=8, struct_field_leak=False)
+        assert type(small) is CheckerConfig
+        assert small._asdict() == {**UNION._asdict(), "path_budget": 8,
+                                   "struct_field_leak": False}
+        assert UNION.replace() == UNION
+        with pytest.raises(TypeError):
+            UNION.replace(no_such_setting=1)
+
+    def test_settings_are_the_fields_with_a_default(self):
+        assert SETTINGS == {
+            "interprocedural": "bool", "sizeof_star_tracking": "bool",
+            "realloc_with_calls": "bool", "struct_field_leak": "bool",
+            "unroll_bound": "int", "path_budget": "int"}
+        assert list(SETTINGS) == list(CheckerConfig._fields[2:])
+
     def test_unknown_checker_rejected(self):
         with pytest.raises(ValueError):
             CheckerConfig("bad", frozenset({"NOT_A_CHECKER"}))
@@ -711,7 +819,7 @@ class TestConfig:
     def test_bounds_are_checked_where_the_config_is_built(self, bound,
                                                          message):
         with pytest.raises(InputError, match=f"^{message}$"):
-            replace(UNION, **bound)
+            UNION.replace(**bound)
 
     def test_findings_are_sorted_and_deduped(self):
         result = run_full("""int main() {
@@ -738,6 +846,10 @@ VALUES = [
     (FunctionSummary("f", frees_params=frozenset({0})),
      FunctionSummary("f", False, False, frozenset({0})),
      FunctionSummary("f")),
+    (CheckerConfig("p", frozenset({CHECKER_NULL_DEREF}), path_budget=8),
+     CheckerConfig("p", frozenset({CHECKER_NULL_DEREF}), True, True, True,
+                   True, 2, 8),
+     CheckerConfig("p", frozenset({CHECKER_NULL_DEREF}))),
 ]
 
 

@@ -3,12 +3,11 @@
 import json
 import subprocess
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from memlab.analysis import PROFILES, CheckerConfig, analyze_unit
+from memlab.analysis import PROFILES, SETTINGS, analyze_unit
 from memlab.benchlab import load_truth_manifest
 from memlab.cli import build_parser, main, resolve_config
 from memlab.diagnostics import render_text
@@ -217,7 +216,7 @@ class TestAnalyze:
         path = f"corpus/{fixture}"
         tu = parse_file(path)
         off = render_text(analyze_unit(
-            tu, config=replace(PROFILES["union"], **{field: False})))
+            tu, config=PROFILES["union"].replace(**{field: False})))
         assert off != render_text(analyze_unit(tu, config=PROFILES["union"]))
         cfg = tmp_path / "memlab.conf"
         cfg.write_text(f"{field} = false\n")
@@ -227,20 +226,19 @@ class TestAnalyze:
                                   *argv)
             assert (out, err) == (off, ""), argv
 
-    @pytest.mark.parametrize("setting", fields(CheckerConfig)[2:],
-                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("setting", SETTINGS)
     def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path, setting):
         union = PROFILES["union"]
-        default = getattr(union, setting.name)
-        value = type(default)(not default if setting.type == "bool"
+        default = getattr(union, setting)
+        value = type(default)(not default if SETTINGS[setting] == "bool"
                               else default + 1)
         cfg = tmp_path / "memlab.conf"
-        cfg.write_text(f"{setting.name} = {int(value)}\n")
-        flag = "--" + setting.name.replace("_", "-")
+        cfg.write_text(f"{setting} = {int(value)}\n")
+        flag = "--" + setting.replace("_", "-")
         for argv in ([flag, str(int(value))], ["--config", str(cfg)]):
             args = build_parser().parse_args(["analyze", "a.c", *argv])
             assert resolve_config(args) == \
-                replace(union, **{setting.name: value}), argv
+                union.replace(**{setting: value}), argv
 
     def test_capability_config_key_must_be_a_boolean(self, capsys, tmp_path):
         cfg = tmp_path / "memlab.conf"

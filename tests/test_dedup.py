@@ -14,7 +14,6 @@ did before, and is the reference for that.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -262,7 +261,7 @@ def assert_same_without_dedup(source, config, monkeypatch):
     """Same results with and without dedup, and a budget never tighter: no
     exploration counts more paths than the full walk, so a budget the full
     walk fits in is one the deduplicated walk fits in."""
-    config = replace(config, path_budget=NO_LIMIT)
+    config = config.replace(path_budget=NO_LIMIT)
     deduped, counts = counted_outcome(source, config, monkeypatch)
     every_path, full_counts = counted_outcome(source, config, monkeypatch,
                                               dedup=False)
@@ -272,8 +271,8 @@ def assert_same_without_dedup(source, config, monkeypatch):
     assert all(n <= full for (_, n), (_, full) in zip(counts, full_counts))
     # A budget is at least 1: a function whose every path is abandoned at
     # the unroll bound counts none.
-    tight = replace(config,
-                    path_budget=max(1, *(full for _, full in full_counts)))
+    tight = config.replace(
+        path_budget=max(1, *(full for _, full in full_counts)))
     if not counted_outcome(source, tight, monkeypatch, dedup=False)[0][1]:
         assert outcome(source, tight) == every_path, source
 
@@ -339,7 +338,7 @@ def assert_same_as_unpruned(source, config, monkeypatch):
     """Same results as the unpruned key, and no exploration counts more
     paths than it does, so every budget the unpruned key fits in is one
     the pruned key fits in."""
-    config = replace(config, path_budget=NO_LIMIT)
+    config = config.replace(path_budget=NO_LIMIT)
     pruned, counts = counted_outcome(source, config, monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(Cfg, "dead", no_dead_slots)
@@ -421,7 +420,7 @@ class TestDeadAtTheJoin:
 
 
 ESCAPE_CONFIGS = [PROFILES[profile] for profile in sorted(PROFILES)] + [
-    replace(PROFILES["union"], struct_field_leak=False)]
+    PROFILES["union"].replace(struct_field_leak=False)]
 
 @pytest.mark.parametrize("make,seeds", [
     (dying_program, range(150)), (random_program, range(60)),

@@ -65,6 +65,19 @@ class TestRenderText:
         assert render_text(Report([b, a])) == render_text(Report([a, b]))
 
 
+class TestReport:
+    def test_equal_by_sorted_findings_and_incomplete(self):
+        a, b = _finding(line=1), _finding(line=2)
+        assert Report([b, a]) == Report((a, b))
+        assert Report([a]) != Report([a], incomplete=True)
+        assert Report([a]) != Report([a, b])
+        assert Report([a]) != [a]
+
+    def test_repr_names_both_fields(self):
+        assert repr(Report([], incomplete=True)) == \
+            "Report(findings=[], incomplete=True)"
+
+
 class TestStructured:
     def test_round_trip_through_ingest(self):
         findings = [

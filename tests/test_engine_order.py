@@ -16,7 +16,6 @@ and ``recursive_eval_field_chain`` for a chain of ``.`` and ``->``.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -150,7 +149,7 @@ def assert_same_order(source, profiles, monkeypatch):
             == want, (profile, source)
         full = max(paths for _, paths, _, _ in want[3])
         for budget in (full, 1, 2, 3, 4, 5, 6):
-            tight = replace(config, path_budget=budget)
+            tight = config.replace(path_budget=budget)
             want = explore(source, tight, monkeypatch, recursive=True)
             got = explore(source, tight, monkeypatch, recursive=False)
             assert got == want, (profile, budget, source)
@@ -252,7 +251,7 @@ def test_operator_chains_fold_in_the_recursive_order(seed, monkeypatch):
         for budget in (None, 1, 2, 3, 4, 5, 6):
             config = PROFILES[profile]
             if budget is not None:
-                config = replace(config, path_budget=budget)
+                config = config.replace(path_budget=budget)
             got = explore(source, config, monkeypatch, recursive=False)
             with monkeypatch.context() as m:
                 m.setattr(_FunctionAnalysis, "_eval_binop",
@@ -318,7 +317,7 @@ def test_field_chains_fold_in_the_recursive_order(seed, monkeypatch):
         for budget in (None, 1, 2, 3, 4, 5, 6):
             config = PROFILES[profile]
             if budget is not None:
-                config = replace(config, path_budget=budget)
+                config = config.replace(path_budget=budget)
             got = explore(source, config, monkeypatch, recursive=False)
             with monkeypatch.context() as m:
                 m.setattr(_FunctionAnalysis, "_eval_field_chain",

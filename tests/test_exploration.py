@@ -16,7 +16,6 @@ declarations in source order, with each use the slot of its spelling.
 
 import glob
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -226,7 +225,7 @@ def test_single_pass_matches_two_pass(seed, profile, budget):
     tu = parse_source(f"r{seed}.c", source)
     config = PROFILES[profile]
     if budget is not None:
-        config = replace(config, path_budget=budget)
+        config = config.replace(path_budget=budget)
     want, want_incomplete, want_summaries = two_pass_reference(tu, config)
     cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
     summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
@@ -243,7 +242,7 @@ def test_random_programs_cover_the_interesting_cases():
         tu = parse_source("r.c", random_program(random.Random(seed)))
         config = PROFILES["union"]
         if budget is not None:
-            config = replace(config, path_budget=budget)
+            config = config.replace(path_budget=budget)
         result = analyze_unit(tu, config=config)
         kinds |= {f.kind for f in result}
         if result.incomplete:

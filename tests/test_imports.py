@@ -1,7 +1,8 @@
 """What `import memlab` and the `analyze` command load, and the lazy names.
 
 The triage modules, `ingest` and `benchlab`, are imported on first use: an
-analysis never compiles or runs them.
+analysis never compiles or runs them, nor `dataclasses`, which only they
+use.
 """
 
 import json
@@ -19,8 +20,8 @@ TRIAGE = {"memlab.benchlab", "memlab.ingest"}
 
 
 # Runs `python -m memlab ARGS` in-process the way `-m` does, or imports
-# memlab alone, then prints the memlab modules loaded.  (An `-X importtime`
-# trace would miss a submodule imported by `from . import name`.)
+# memlab alone, then prints the modules loaded.  (An `-X importtime` trace
+# would miss a submodule imported by `from . import name`.)
 _PROBE = """
 import json, runpy, sys
 if sys.argv[1:]:
@@ -31,8 +32,7 @@ if sys.argv[1:]:
         pass
 else:
     import memlab
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("memlab"))),
-      file=sys.stderr)
+print(json.dumps(sorted(sys.modules)), file=sys.stderr)
 """
 
 
@@ -41,8 +41,8 @@ def _env() -> dict:
 
 
 def loaded_modules(*args) -> set:
-    """The memlab modules a fresh interpreter loads to run `memlab ARGS`,
-    or, with no ARGS, to import memlab."""
+    """The modules a fresh interpreter loads to run `memlab ARGS`, or, with
+    no ARGS, to import memlab."""
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *args], cwd=ROOT, env=_env(),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -60,6 +60,9 @@ def test_analysis_loads_no_triage_module(args):
     assert {"memlab.analysis", "memlab.diagnostics"} <= loaded
     assert ("memlab.cli" in loaded) == bool(args)
     assert not loaded & TRIAGE
+    # `dataclasses` imports `inspect`, which imports `ast`, `dis` and
+    # `tokenize`: most of what a start of memlab would compile.
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("args,module", [
