@@ -342,14 +342,13 @@ class AbstractHeap:
 
     __slots__ = ("env", "sites", "ret_line")
 
-    def __init__(self, env: list, sites: list | None = None,
-                 ret_line: int = 0):
+    def __init__(self, env: list, sites: list, ret_line: int):
         # slot -> value; None before the variable's declaration runs
         self.env = env
         # A site's id is its index.  Sites are never removed, and a block
         # value names a site of the state it is in, so `sites[v.site]`
         # always exists.
-        self.sites = [] if sites is None else sites
+        self.sites = sites
         self.ret_line = ret_line
 
     def clone(self) -> "AbstractHeap":
@@ -538,7 +537,7 @@ class _FunctionAnalysis:
         for idx, (_, ctype) in enumerate(fn.params):
             env[fn.global_count + idx] = PtrValue("unknown", param_index=idx) \
                 if ctype.is_pointer else UNKNOWN
-        self._exec(self.cfg.entry, AbstractHeap(env))
+        self._exec(self.cfg.entry, AbstractHeap(env, [], 0))
         self.check_dead_store()
 
     def summary(self) -> FunctionSummary:
@@ -944,7 +943,8 @@ class _FunctionAnalysis:
     def _eval_free(self, call: ast.Call, state: AbstractHeap) -> list:
         results = []
         for s, vals in self._eval_args(call.args, state):
-            self.check_invalid_free(s, vals[0] if vals else UNKNOWN, call)
+            v = vals[0] if vals else UNKNOWN
+            self.check_invalid_free(s, v, call)
             results.append((s, UNKNOWN))
         return results
 
@@ -1003,7 +1003,7 @@ class _FunctionAnalysis:
         if not isinstance(value, PtrValue):
             return
         line = call.loc.line
-        arg = call.args[idx] if idx < len(call.args) else None
+        arg = call.args[idx]
         name = arg.name if isinstance(arg, ast.Ident) else "pointer"
         if value.param_index >= 0:
             self.frees_params.add(value.param_index)

@@ -47,8 +47,8 @@ class BasicBlock:
 
 class Cfg:
     def __init__(self, blocks: list[BasicBlock], entry: int, exit: int,
-                 edges: list[tuple[int, int, str]], slots: int = 0,
-                 never_dead: frozenset = frozenset()):
+                 edges: list[tuple[int, int, str]], slots: int,
+                 never_dead: frozenset):
         self.blocks = blocks
         self.entry = entry
         self.exit = exit
