@@ -29,7 +29,9 @@ list indexed by slot: the globals the function sees, its parameters and
 locals, then the loops' trip counts (see `cfg`).  A local's slot holds None
 until its declaration runs, which every use in its scope comes after, so
 no name is ever compared.  A trip count starts at 0; a path that would go
-round its loop more than `unroll_bound` times is abandoned.
+round its loop more than `unroll_bound` times is abandoned.  A path ends
+in a block with no successor, at its `return` or the body's closing brace:
+a block that no global reaches then is reported leaked at that line.
 
 A path that enters a join or a loop head in a state already explored from
 there, up to site numbering, is dropped: transfer is deterministic and
@@ -340,23 +342,21 @@ class SiteInfo:
 class AbstractHeap:
     """State carried along one explored path."""
 
-    __slots__ = ("env", "sites", "ret_line")
+    __slots__ = ("env", "sites")
 
-    def __init__(self, env: list, sites: list, ret_line: int):
+    def __init__(self, env: list, sites: list):
         # slot -> value; None before the variable's declaration runs
         self.env = env
         # A site's id is its index.  Sites are never removed, and a block
         # value names a site of the state it is in, so `sites[v.site]`
         # always exists.
         self.sites = sites
-        self.ret_line = ret_line
 
     def clone(self) -> "AbstractHeap":
         return AbstractHeap(
             self.env.copy(),
             [SiteInfo(s.line, s.status, s.escaped, dict(s.fields),
                       s.default_field, s.hint) for s in self.sites],
-            self.ret_line,
         )
 
     def new_site(self, line: int, default_field) -> int:
@@ -417,8 +417,6 @@ def _state_key(block_id: int, state: AbstractHeap, dead: list) -> tuple:
     env by slot, then each numbered site's fields, then any live site
     nothing refers to.  Transfer is deterministic, so two entries with
     equal keys explore the same continuations and report the same things.
-    `ret_line` is left out: it is 0 at every merge, since a block that
-    returns leaves only for the exit.
 
     `dead` (`Cfg.dead` of the block) holds the slots the continuation
     cannot read, so their values, trip counts included, become `_DEAD`.  A
@@ -537,7 +535,7 @@ class _FunctionAnalysis:
         for idx, (_, ctype) in enumerate(fn.params):
             env[fn.global_count + idx] = PtrValue("unknown", param_index=idx) \
                 if ctype.is_pointer else UNKNOWN
-        self._exec(self.cfg.entry, AbstractHeap(env, [], 0))
+        self._exec(self.cfg.entry, AbstractHeap(env, []))
         self.check_dead_store()
 
     def summary(self) -> FunctionSummary:
@@ -587,11 +585,14 @@ class _FunctionAnalysis:
             states = [state]
             for stmt in blk.statements:
                 states = [t for s in states for t in self.transfer(stmt, s)]
-            if block_id == self.cfg.exit:
-                for s in states:
-                    self.finish_path(s)
-                continue
             succs = self.cfg.successors(block_id)
+            if not succs:  # at the block's `return`, or the body's end
+                last = blk.statements[-1] if blk.statements else None
+                line = last.loc.line if type(last) is ast.Return \
+                    else self.fn.end_line
+                for s in states:
+                    self.finish_path(s, line)
+                continue
             cond = blk.branch_cond
             nexts = []  # (dst, edge kind, state), in the order to enter them
             for s in states:
@@ -667,14 +668,12 @@ class _FunctionAnalysis:
         elif isinstance(stmt, ast.Return):
             if stmt.expr is None:
                 self.returns.append((None, False))
-                state.ret_line = stmt.loc.line
                 out.append(state)
             else:
                 for s, v in self.eval(stmt.expr, state):
                     fresh = _is_block(v) and s.sites[v.site].status == "live"
                     self.returns.append((v, fresh))
                     s.escape_value(v)
-                    s.ret_line = stmt.loc.line
                     out.append(s)
         else:
             out.append(state)
@@ -1066,12 +1065,15 @@ class _FunctionAnalysis:
                       f"is not reachable after line {line}")
             info.status = "leaked"
 
-    def finish_path(self, state: AbstractHeap) -> None:
+    def finish_path(self, state: AbstractHeap, line: int) -> None:
+        """End the path at `line`, unless the path budget is spent."""
+        if self.paths_counted >= self.config.path_budget:
+            self.incomplete = True
+            return
         self.paths_counted += 1
         # Only globals survive the function; locals go out of scope.
-        self.check_memory_leak_at(
-            state, state.ret_line or self.fn.loc.line,
-            state.env[:self.fn.global_count])
+        self.check_memory_leak_at(state, line,
+                                  state.env[:self.fn.global_count])
 
     def check_uninit_use(self, name: str, loc) -> None:
         self.emit(CHECKER_UNINIT_USE, loc.line,

@@ -2,9 +2,10 @@
 
 Each function body becomes a directed graph of basic blocks.  Straight-line
 statements stay inside one block; ``if``/``while`` introduce branch blocks
-with labeled true/false edges, and ``while`` adds a loop-back edge.  Early
-``return`` statements get an edge straight to the single exit block.  Code
-after a ``return`` is kept in an unreachable block that is never explored.
+with labeled true/false edges, and ``while`` adds a loop-back edge.  A
+block that ends in a ``return``, and the block the body ends in, have no
+successor: a path ends there.  Code after a ``return`` is kept in an
+unreachable block that is never explored.
 
 Slots are the variables, as the parser numbers them, then one trip count
 per loop that can go round, ``len(fn.names) + i`` in lowering order: only
@@ -46,12 +47,11 @@ class BasicBlock:
 
 
 class Cfg:
-    def __init__(self, blocks: list[BasicBlock], entry: int, exit: int,
+    def __init__(self, blocks: list[BasicBlock], entry: int,
                  edges: list[tuple[int, int, str]], slots: int,
                  never_dead: frozenset):
         self.blocks = blocks
         self.entry = entry
-        self.exit = exit
         self.edges = edges
         # The environment's length: the variables' slots, then the trip
         # slots.
@@ -65,7 +65,7 @@ class Cfg:
         succs = self._succs = [[] for _ in blocks]
         # Blocks with two or more incoming edges, joins and loop heads:
         # where paths meet, and so where the engine looks for a state it
-        # has already explored.  The exit is left out: no block follows it.
+        # has already explored.
         merges = self.merges = set()
         entered = set()
         for src, dst, kind in edges:
@@ -74,7 +74,6 @@ class Cfg:
                 merges.add(dst)
             else:
                 entered.add(dst)
-        merges.discard(exit)
         # Per block, a frozenset of the slots some path from its entry may
         # read before writing them.  Only the engine asks, at merges and
         # for dead stores, so the fixpoint runs on first use; ``dead``
@@ -233,30 +232,24 @@ class _Builder:
         # of its own, so the first block is the entry.
         self.slots = len(fn.names)
         entry = self.new_block()
-        exit_blk = self.new_block()
-        last = self.lower_stmts(fn.body, entry, exit_blk)
-        if last is not None:
-            self.edge(last.id, exit_blk.id, FALLTHROUGH)
+        self.lower_stmts(fn.body, entry)
         never_dead = frozenset(range(fn.global_count)) | fn.addr_taken
-        return Cfg(self.blocks, entry.id, exit_blk.id, self.edges,
-                   self.slots, never_dead)
+        return Cfg(self.blocks, entry.id, self.edges, self.slots, never_dead)
 
-    def lower_stmts(self, stmts: list, current: BasicBlock,
-                    exit_blk: BasicBlock) -> BasicBlock | None:
+    def lower_stmts(self, stmts: list,
+                    current: BasicBlock) -> BasicBlock | None:
         """Lower statements into `current`; return the open trailing block,
         or None if every path has already returned."""
         for stmt in stmts:
             if current is None:
                 # Dead code after a return: park it in an unreachable block.
                 current = self.new_block()
-            current = self.lower_stmt(stmt, current, exit_blk)
+            current = self.lower_stmt(stmt, current)
         return current
 
-    def lower_stmt(self, stmt: Stmt, current: BasicBlock,
-                   exit_blk: BasicBlock) -> BasicBlock | None:
+    def lower_stmt(self, stmt: Stmt, current: BasicBlock) -> BasicBlock | None:
         if isinstance(stmt, Return):
             current.statements.append(stmt)
-            self.edge(current.id, exit_blk.id, FALLTHROUGH)
             return None
         if isinstance(stmt, If):
             # An `else` that is exactly one `If` goes round this loop instead
@@ -268,7 +261,7 @@ class _Builder:
                 current.branch_cond = stmt.cond
                 then_blk = self.new_block()
                 self.edge(current.id, then_blk.id, TRUE_BRANCH)
-                then_end = self.lower_stmts(stmt.then, then_blk, exit_blk)
+                then_end = self.lower_stmts(stmt.then, then_blk)
                 arms.append((current, then_end, stmt.els is not None))
                 if stmt.els is None:
                     break
@@ -277,7 +270,7 @@ class _Builder:
                 if len(stmt.els) == 1 and isinstance(stmt.els[0], If):
                     stmt, current = stmt.els[0], else_blk
                     continue
-                end = self.lower_stmts(stmt.els, else_blk, exit_blk)
+                end = self.lower_stmts(stmt.els, else_blk)
                 break
             for branch, then_end, has_else in reversed(arms):
                 if then_end is None and has_else and end is None:
@@ -297,7 +290,7 @@ class _Builder:
             cond_blk.branch_cond = stmt.cond
             body_blk = self.new_block()
             self.edge(cond_blk.id, body_blk.id, TRUE_BRANCH)
-            body_end = self.lower_stmts(stmt.body, body_blk, exit_blk)
+            body_end = self.lower_stmts(stmt.body, body_blk)
             if body_end is not None:
                 body_end.trip = self.slots
                 self.slots += 1

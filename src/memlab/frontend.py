@@ -429,17 +429,19 @@ Stmt = VarDecl | Assign | ExprStmt | If | While | Return
 
 
 class FunctionDef(Node):
-    _fields = ("loc", "name", "params", "return_type", "body", "calls",
-               "addr_taken", "names", "global_count")
+    _fields = ("loc", "name", "params", "return_type", "body", "end_line",
+               "calls", "addr_taken", "names", "global_count")
 
     def __init__(self, loc: Loc, name: str, params: list[tuple[str, CType]],
-                 return_type: CType, body: list, calls: frozenset,
-                 addr_taken: frozenset, names: list[str], global_count: int):
+                 return_type: CType, body: list, end_line: int,
+                 calls: frozenset, addr_taken: frozenset, names: list[str],
+                 global_count: int):
         self.loc = loc
         self.name = name
         self.params = params
         self.return_type = return_type
         self.body = body
+        self.end_line = end_line  # the line of the body's closing brace
         self.calls = calls  # names of the functions the body calls
         self.addr_taken = addr_taken  # slots the body applies `&` to
         # slot -> spelling: the first `global_count` are the globals that
@@ -704,9 +706,10 @@ class _Parser:
                         break
         self.expect(")")
         body = self.parse_block()
+        end_line = self.tokens[self.pos - 1].line  # the closing brace
         self.close_scope()
         names, self.names = self.names, global_names
-        return FunctionDef(self.loc(start), name, params, ret, body,
+        return FunctionDef(self.loc(start), name, params, ret, body, end_line,
                            frozenset(self.calls), frozenset(self.addr_taken),
                            names, len(global_names))
 

@@ -218,6 +218,16 @@ class TestMemoryLeak:
             return 0;
         }""") == [(6, CHECKER_MEMORY_LEAK)]
 
+    def test_leak_off_the_end_of_the_body_is_at_its_closing_brace(self):
+        # The path that does not return ends where the body ends, not at
+        # the function's first line.
+        found = run_full("int *f(int c) {\n  int *p = malloc(4);\n"
+                         "  if (c) {\n    return p;\n  }\n}\n")
+        assert [(f.line, f.checker) for f in found] == \
+            [(6, CHECKER_MEMORY_LEAK)]
+        assert found[0].message == ("memory dynamically allocated at line 2 "
+                                    "is not reachable after line 6")
+
     def test_free_on_every_path_is_clean(self):
         assert run("""int main() {
             int *p = malloc(4);
@@ -591,7 +601,7 @@ class TestInterprocedural:
         int g(int x) {
             x = 1;
             return 0;
-        }""") == [(3, CHECKER_MEMORY_LEAK), (4, CHECKER_DEAD_STORE),
+        }""") == [(4, CHECKER_DEAD_STORE), (5, CHECKER_MEMORY_LEAK),
                   (7, CHECKER_DEAD_STORE)]
 
     def test_local_that_shadows_a_global_is_a_local(self):

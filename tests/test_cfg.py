@@ -14,12 +14,13 @@ from memlab.cfg import (
     _Builder,
     build_cfg,
 )
-from memlab.frontend import If, While, parse_source
+from memlab.frontend import If, Return, While, parse_source
 from test_exploration import random_program
 
 
 def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
-    """Brute-force enumeration of entry->exit block paths.
+    """Brute-force enumeration of block paths from the entry to a block
+    with no successor, where a path ends.
 
     Loop-back edges are followed at most once per path, so this terminates.
     """
@@ -29,7 +30,7 @@ def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
         if len(paths) >= max_paths:
             return
         path = path + [block_id]
-        if block_id == cfg.exit:
+        if not cfg.successors(block_id):
             paths.append(path)
             return
         for dst, kind in cfg.successors(block_id):
@@ -49,18 +50,18 @@ class ReferenceBuilder(_Builder):
     """`_Builder` lowering every `if` by recursion, as it did before
     else-if chains were lowered in a loop."""
 
-    def lower_stmt(self, stmt, current, exit_blk):
+    def lower_stmt(self, stmt, current):
         if not isinstance(stmt, If):
-            return super().lower_stmt(stmt, current, exit_blk)
+            return super().lower_stmt(stmt, current)
         current.branch_cond = stmt.cond
         then_blk = self.new_block()
         self.edge(current.id, then_blk.id, TRUE_BRANCH)
-        then_end = self.lower_stmts(stmt.then, then_blk, exit_blk)
+        then_end = self.lower_stmts(stmt.then, then_blk)
         else_end = None
         if stmt.els is not None:
             else_blk = self.new_block()
             self.edge(current.id, else_blk.id, FALSE_BRANCH)
-            else_end = self.lower_stmts(stmt.els, else_blk, exit_blk)
+            else_end = self.lower_stmts(stmt.els, else_blk)
         if then_end is None and stmt.els is not None and else_end is None:
             return None
         join = self.new_block()
@@ -78,14 +79,41 @@ def _shape(cfg):
     block's statements and condition, by block number."""
     blocks = [(b.id, [id(stmt) for stmt in b.statements], id(b.branch_cond))
               for b in cfg.blocks]
-    return (cfg.edges, blocks, cfg.entry, cfg.exit)
+    return (cfg.edges, blocks, cfg.entry)
+
+
+def body_end(fn):
+    """The id of the block the body of `fn` ends in, as `build_cfg` numbers
+    it, or None when every path returns before the end."""
+    builder = _Builder()
+    end = builder.lower_stmts(fn.body, builder.new_block())
+    return None if end is None else end.id
+
+
+def ends_a_path(cfg, fn, block_id):
+    """Whether the block may end a path: it ends in a `return`, or it is
+    the block the body ends in."""
+    statements = cfg.blocks[block_id].statements
+    return (bool(statements) and isinstance(statements[-1], Return)) \
+        or block_id == body_end(fn)
+
+
+def reachable(cfg):
+    seen, work = {cfg.entry}, [cfg.entry]
+    while work:
+        for dst, _ in cfg.successors(work.pop()):
+            if dst not in seen:
+                seen.add(dst)
+                work.append(dst)
+    return seen
 
 
 def assert_lowered_as_the_reference_does(tu):
     """Lowered as the reference does, and in the shape the engine relies
     on: a block with a condition leaves by its true edge then its false
-    edge, any other block by at most one edge, no edge enters the entry,
-    and the statements hold no `if` or `while`."""
+    edge, any other block by at most one edge, and every reachable block
+    without one ends a path; no edge enters the entry, and the statements
+    hold no `if` or `while`."""
     for fn in tu.functions:
         cfg = build_cfg(fn)
         assert _shape(cfg) == _shape(ReferenceBuilder().build(fn)), fn.name
@@ -97,6 +125,8 @@ def assert_lowered_as_the_reference_does(tu):
                 assert len(kinds) <= 1, fn.name
             assert not any(isinstance(stmt, (If, While))
                            for stmt in blk.statements), fn.name
+        for bid in reachable(cfg):
+            assert cfg.successors(bid) or ends_a_path(cfg, fn, bid), fn.name
         assert all(dst != cfg.entry for _, dst, _ in cfg.edges), fn.name
 
 
@@ -173,14 +203,18 @@ class TestElseIfChains:
         tu = parse_source("e.c", "int f(int c) { int x = 0; %s return x; }"
                           % chain)
         cfg = build_cfg(tu.function("f"))
-        # Entry and exit, then per arm a then block, a join and, but for
-        # the last arm, an else block.
-        assert len(cfg.blocks) == 2 + 3 * 2000 - 1
+        # The entry, then per arm a then block, a join and, but for the
+        # last arm, an else block.
+        assert len(cfg.blocks) == 1 + 3 * 2000 - 1
         # Per arm its two branch edges, its then block into its join and,
-        # but for the first arm, its join into the join of the arm above;
-        # then the last join into the exit.
-        assert len(cfg.edges) == 4 * 2000
-        assert cfg.edges[-1] == (cfg.blocks[-1].id, cfg.exit, FALLTHROUGH)
+        # but for the first arm, its join into the join of the arm above.
+        assert len(cfg.edges) == 4 * 2000 - 1
+        # The first arm's join, made last, holds the `return` and leaves
+        # by no edge.
+        last = cfg.blocks[-1]
+        assert cfg.edges[-1][1] == last.id
+        assert isinstance(last.statements[-1], Return)
+        assert cfg.successors(last.id) == []
 
 
 def _cfg(body, name="main"):
@@ -191,7 +225,7 @@ def _cfg(body, name="main"):
 class TestShapes:
     def test_straight_line(self):
         cfg = _cfg("int x = 1; return x;")
-        assert cfg.edges == [(0, 1, FALLTHROUGH)]
+        assert len(cfg.blocks) == 1 and cfg.edges == []
 
     def test_if_without_else_has_false_edge_to_join(self):
         cfg = _cfg("int x = 1; if (x) { x = 2; } return x;")
@@ -214,6 +248,17 @@ class TestShapes:
         dead = {b.id for b in cfg.blocks} - {
             bid for path in enumerate_paths(cfg) for bid in path}
         assert dead
+
+    def test_a_path_ends_at_a_return_or_where_the_body_ends(self):
+        cfg = _cfg("int x = 1; if (x) { return 1; } "
+                   "while (x) { x = x - 1; }")
+        # The `if`'s then block, and the empty block after the loop.
+        then_blk, after = [blk for blk in cfg.blocks
+                           if not cfg.successors(blk.id)]
+        assert [type(stmt) for stmt in then_blk.statements] == [Return]
+        assert after.statements == []
+        assert then_blk.id not in cfg.merges and after.id not in cfg.merges
+        assert len(enumerate_paths(cfg)) == 3
 
     def test_every_edge_kind_is_known(self):
         cfg = _cfg("int x = 1; if (x) { while (x) { x = 0; } } return x;")
@@ -248,7 +293,7 @@ class TestPaths:
                 paths = enumerate_paths(cfg)
                 assert 1 <= len(paths) <= 2 ** max(branches, 1)
                 for p in paths:
-                    assert p[0] == cfg.entry and p[-1] == cfg.exit
+                    assert p[0] == cfg.entry and ends_a_path(cfg, fn, p[-1])
 
 
 def _function_cfg(source):

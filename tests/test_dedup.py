@@ -234,24 +234,18 @@ def outcome(source, config):
 
 
 def counted_outcome(source, config, monkeypatch, dedup=True):
-    """outcome() and, for each exploration in order, the paths it counted
-    or, without dedup, the paths it finished."""
+    """outcome() and, for each exploration in order, the paths it counted.
+    Without dedup no arrival repeats an entry, so every path counted is a
+    path finished."""
     counts = []
-    run, finish_path = _FunctionAnalysis.run, _FunctionAnalysis.finish_path
+    run = _FunctionAnalysis.run
 
     def counting_run(self):
-        self.finished = 0
         run(self)
-        counts.append((self.fn.name,
-                       self.paths_counted if dedup else self.finished))
-
-    def counting_finish_path(self, state):
-        self.finished += 1
-        finish_path(self, state)
+        counts.append((self.fn.name, self.paths_counted))
 
     with monkeypatch.context() as m:
         m.setattr(_FunctionAnalysis, "run", counting_run)
-        m.setattr(_FunctionAnalysis, "finish_path", counting_finish_path)
         if not dedup:
             m.setattr(analysis, "_state_key", lambda *args: object())
         return outcome(source, config), counts
@@ -522,6 +516,25 @@ class TestPathsCounted:
         result = analyze_unit(parse_source("t.c", SIX_IF_LOOP))
         assert paths["f"] == (27, False)
         assert not result.incomplete
+
+    @pytest.mark.parametrize("budget, counted, incomplete, found", [
+        (1, 2, True, []),
+        (2, 3, False, [(3, "DEAD_STORE")]),
+    ])
+    def test_budget_holds_where_a_path_ends(self, paths, budget, counted,
+                                            incomplete, found):
+        # The `return` forks on malloc, and both paths end there: under a
+        # budget of 1 the first counts and the second is cut.  The false
+        # arrival at the join, where c is dead, repeats the true one and
+        # counts the path it found.
+        source = ("int *f(int c) {\n  if (c) {\n    c = 1;\n  }\n"
+                  "  return malloc(4);\n}\n")
+        result = analyze_unit(parse_source("t.c", source),
+                              config=PROFILES["union"].replace(
+                                  path_budget=budget))
+        assert paths["f"] == (counted, incomplete)
+        assert result.incomplete == incomplete
+        assert [(f.line, f.kind) for f in result] == found
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_paths_that_never_meet_fit_the_budget_as_before(self, paths, n):

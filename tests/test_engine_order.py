@@ -28,7 +28,7 @@ from memlab.analysis import (
     truthiness,
 )
 from memlab.cfg import LOOP_BACK, build_cfg
-from memlab.frontend import parse_source
+from memlab.frontend import Return, parse_source
 from test_dedup import a_chain, branching_loop, loop_nest, p_chain, \
     store_program
 from test_exploration import random_program
@@ -63,9 +63,11 @@ def _exec(self, block_id: int, state: AbstractHeap) -> None:
         if not states:
             break
     succs = self.cfg.successors(block_id)
-    if block_id == self.cfg.exit:
+    if not succs:
+        last = blk.statements[-1] if blk.statements else None
+        line = last.loc.line if isinstance(last, Return) else self.fn.end_line
         for s in states:
-            self.finish_path(s)
+            self.finish_path(s, line)
     elif blk.branch_cond is not None:
         for s in states:
             self._branch(block_id, blk.branch_cond, s, succs)

@@ -688,10 +688,10 @@ AST_NODES = [
     (lambda: frontend.If(_L, _X, [], None), f"If({LOC}, cond={X}, then=[], els=None)"),
     (lambda: frontend.While(_L, _X, []), f"While({LOC}, cond={X}, body=[])"),
     (lambda: frontend.Return(_L, None), f"Return({LOC}, expr=None)"),
-    (lambda: frontend.FunctionDef(_L, "f", [("x", _P)], _P, [], frozenset(),
-                                  frozenset(), ["g", "x"], 1),
+    (lambda: frontend.FunctionDef(_L, "f", [("x", _P)], _P, [], 2,
+                                  frozenset(), frozenset(), ["g", "x"], 1),
      f"FunctionDef({LOC}, name='f', params=[('x', {P})], return_type={P}, "
-     "body=[], calls=frozenset(), addr_taken=frozenset(), "
+     "body=[], end_line=2, calls=frozenset(), addr_taken=frozenset(), "
      "names=['g', 'x'], global_count=1)"),
     (lambda: frontend.StructDef(_L, "s", [("f", _P)]),
      f"StructDef({LOC}, name='s', fields=[('f', {P})])"),

@@ -9,6 +9,10 @@ that redeclares an outer name in its block reports what the same arm
 reports with the inner variable given a fresh name, so the inner variable
 is a variable of its own and the outer one is untouched.
 
+Inserting a blank or comment line is no change of meaning either: every
+line from there on, of a finding or in its message, moves down by one, and
+nothing else changes.
+
 The order in which a unit defines its functions is not part of what it
 means either: with no call cycle, defining the callees after their callers
 gives the same reports, each line counted from its function's first line.
@@ -108,6 +112,70 @@ def test_renaming_a_generated_variable(gen):
         names = sorted({tok.lexeme for tok in variable_tokens(text)})
         for old in rng.sample(names, min(2, len(names))):
             assert_renaming_changes_only_the_spelling(text, old)
+
+
+# ---------------------------------------------------------------------------
+# Inserted lines
+# ---------------------------------------------------------------------------
+
+
+def shifted(outcome, at):
+    """`outcome` with every line from `at` on, of a finding or in its
+    message, one line further down."""
+    incomplete, findings = outcome
+
+    def down(line):
+        return line + 1 if line >= at else line
+
+    return incomplete, sorted(
+        f._replace(line=down(f.line), message=re.sub(
+            r"line (\d+)", lambda m: f"line {down(int(m[1]))}", f.message))
+        for f in findings)
+
+
+def assert_inserted_lines_shift_only_the_lines(text, rng):
+    """Insert a blank or a comment line before three lines of `text`, in
+    turn: the first line and the end of the text are among the places."""
+    lines = text.splitlines(keepends=True)
+    places = range(1, len(lines) + 2)
+    for at in rng.sample(places, min(3, len(places))):
+        filler = rng.choice(["\n", "// inserted\n"])
+        changed = "".join(lines[:at - 1]) + filler + "".join(lines[at - 1:])
+        for profile in sorted(PROFILES):
+            assert report(changed, profile) \
+                == shifted(report(text, profile), at), (at, profile, text)
+
+
+# A path that runs off the end of the body leaks at its closing brace.
+FALL_OFF_THE_END = ("int *f(int c) {\n  int *p = malloc(4);\n"
+                    "  if (c) {\n    return p;\n  }\n}\n")
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=[p.name for p in CORPUS])
+def test_a_line_inserted_in_a_corpus_file(path):
+    assert_inserted_lines_shift_only_the_lines(
+        path.read_text(encoding="utf-8"), random.Random(path.name))
+
+
+@pytest.mark.parametrize("gen", sorted(GENERATORS))
+def test_a_line_inserted_in_a_generated_program(gen):
+    for seed in range(20):
+        rng = random.Random(seed)
+        assert_inserted_lines_shift_only_the_lines(GENERATORS[gen](rng), rng)
+
+
+def test_a_line_inserted_before_the_closing_brace():
+    assert report(FALL_OFF_THE_END, "union")[1][0].line == 6
+    for at in range(1, 8):
+        changed = FALL_OFF_THE_END.splitlines(keepends=True)
+        changed.insert(at - 1, "\n")
+        assert report("".join(changed), "union") \
+            == shifted(report(FALL_OFF_THE_END, "union"), at), at
+
+
+# ---------------------------------------------------------------------------
+# Shadowing
+# ---------------------------------------------------------------------------
 
 
 # An arm on a line of its own, with no block inside it.
