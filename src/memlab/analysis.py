@@ -70,7 +70,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import frontend as ast
-from .cfg import Cfg, LOOP_BACK, build_cfg
+from .cfg import Cfg, build_cfg
 from .diagnostics import Report
 
 # ---------------------------------------------------------------------------
@@ -476,6 +476,16 @@ class FunctionSummary(NamedTuple):
     frees_params: frozenset = frozenset()
 
 
+class Exploration(NamedTuple):
+    """What one exploration of a function did: the paths it counted, the
+    merge entries it recorded, and whether the path budget cut it."""
+
+    function: str
+    paths: int
+    merge_entries: int
+    incomplete: bool
+
+
 # ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
@@ -527,7 +537,7 @@ class _FunctionAnalysis:
 
     # -- entry point --
 
-    def run(self) -> None:
+    def run(self) -> Exploration:
         fn = self.fn
         env = [None] * len(fn.names) + [0] * (self.cfg.slots - len(fn.names))
         for slot, ctype in self.global_types.items():
@@ -537,6 +547,8 @@ class _FunctionAnalysis:
                 if ctype.is_pointer else UNKNOWN
         self._exec(self.cfg.entry, AbstractHeap(env, []))
         self.check_dead_store()
+        return Exploration(fn.name, self.paths_counted, len(self.seen),
+                           self.incomplete)
 
     def summary(self) -> FunctionSummary:
         """The depth-1 summary of the paths explored by run()."""
@@ -594,27 +606,28 @@ class _FunctionAnalysis:
                     self.finish_path(s, line)
                 continue
             cond = blk.branch_cond
-            nexts = []  # (dst, edge kind, state), in the order to enter them
+            nexts = []  # (dst, state), in the order to enter them
             for s in states:
                 if cond is None:
-                    nexts += [(dst, kind, s) for dst, kind in succs]
+                    nexts += [(dst, s) for dst in succs]
                     continue
-                then_exit, else_exit = succs
+                then_dst, else_dst = succs
                 for cstate, value in self.eval(cond, s):
                     truth = truthiness(value)
                     if truth != "false":
                         tstate = cstate if truth == "true" else cstate.clone()
                         self._refine(tstate, cond, branch=True)
-                        nexts.append((*then_exit, tstate))
+                        nexts.append((then_dst, tstate))
                     if truth != "true":
                         self._refine(cstate, cond, branch=False)
-                        nexts.append((*else_exit, cstate))
-            for dst, kind, s in reversed(nexts):
-                if kind == LOOP_BACK:
-                    taken = s.env[blk.trip]
+                        nexts.append((else_dst, cstate))
+            trip = blk.trip  # set when the block leaves by a back edge
+            for dst, s in reversed(nexts):
+                if trip is not None:
+                    taken = s.env[trip]
                     if taken >= self.config.unroll_bound:
                         continue  # bounded unrolling: abandon this path
-                    s.env[blk.trip] = taken + 1
+                    s.env[trip] = taken + 1
                 stack.append((dst, s))
 
     def _refine(self, state: AbstractHeap, cond, branch: bool) -> None:
@@ -1123,8 +1136,9 @@ def _is_null_expr_value(value) -> bool:
 
 
 def _explore(tu: ast.TranslationUnit, cfgs: dict,
-             config: CheckerConfig) -> tuple[dict, set, bool]:
-    """Explore each function callees first: (summaries, findings, incomplete).
+             config: CheckerConfig) -> tuple[dict, set, bool, list]:
+    """Explore each function callees first: (summaries, findings,
+    incomplete, explorations), the last one Exploration per run, in order.
 
     A function's findings are kept from its first exploration when every
     function it calls that the unit defines, except one named like a
@@ -1142,6 +1156,13 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
     findings: set[Finding] = set()
     incomplete = False
     on_cycle: list[str] = []
+    explorations: list[Exploration] = []
+
+    def explored(name: str) -> _FunctionAnalysis:
+        fa = _FunctionAnalysis(tu, by_name[name], cfgs[name], config,
+                               summaries)
+        explorations.append(fa.run())
+        return fa
 
     def keep(fa: _FunctionAnalysis) -> None:
         nonlocal incomplete
@@ -1167,21 +1188,16 @@ def _explore(tu: ast.TranslationUnit, cfgs: dict,
                     break
             else:
                 stack.pop()
-                fn = by_name[name]
                 final = all(callee in summaries for callee in callees[name])
-                fa = _FunctionAnalysis(tu, fn, cfgs[name], config, summaries)
-                fa.run()
+                fa = explored(name)
                 summaries[name] = fa.summary()
                 if final:
                     keep(fa)
                 else:
                     on_cycle.append(name)
     for name in on_cycle:
-        fa = _FunctionAnalysis(tu, by_name[name], cfgs[name], config,
-                               summaries)
-        fa.run()
-        keep(fa)
-    return summaries, findings, incomplete
+        keep(explored(name))
+    return summaries, findings, incomplete, explorations
 
 
 def compute_summaries(tu: ast.TranslationUnit, cfgs: dict,
@@ -1201,10 +1217,10 @@ def analyze_unit(tu: ast.TranslationUnit, cfgs: dict | None = None,
     cycle (itself included) is explored once more after every summary in
     the unit exists, and keeps the findings of that second exploration.
     The report is marked incomplete when any kept exploration hit the path
-    budget.
+    budget, and lists every exploration's counts, in order.
     """
     config = config or PROFILES["union"]
     if cfgs is None:
         cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
-    _, findings, incomplete = _explore(tu, cfgs, config)
-    return Report(findings, incomplete)
+    _, findings, incomplete, explorations = _explore(tu, cfgs, config)
+    return Report(findings, incomplete, explorations)

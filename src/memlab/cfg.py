@@ -1,11 +1,11 @@
 """Per-function control-flow graph construction.
 
 Each function body becomes a directed graph of basic blocks.  Straight-line
-statements stay inside one block; ``if``/``while`` introduce branch blocks
-with labeled true/false edges, and ``while`` adds a loop-back edge.  A
-block that ends in a ``return``, and the block the body ends in, have no
-successor: a path ends there.  Code after a ``return`` is kept in an
-unreachable block that is never explored.
+statements stay inside one block; ``if``/``while`` introduce branch blocks,
+which leave by a true edge then a false edge, and ``while`` adds a back
+edge.  A block that ends in a ``return``, and the block the body ends in,
+have no successor: a path ends there.  Code after a ``return`` is kept in
+an unreachable block that is never explored.
 
 Slots are the variables, as the parser numbers them, then one trip count
 per loop that can go round, ``len(fn.names) + i`` in lowering order: only
@@ -27,28 +27,23 @@ from .frontend import (AddressOf, Assign, BinOp, Call, Cast, Deref,
                        FieldAccess, FunctionDef, Ident, If, Return, Stmt,
                        UnaryNot, VarDecl, While)
 
-FALLTHROUGH = "fallthrough"
-TRUE_BRANCH = "true-branch"
-FALSE_BRANCH = "false-branch"
-LOOP_BACK = "loop-back"
-
 
 class BasicBlock:
     def __init__(self, id: int):
         self.id = id
         self.statements: list = []
         # The condition of an `if` or `while`: the block ends in it, and its
-        # successors are [(then, TRUE_BRANCH), (else or after,
-        # FALSE_BRANCH)].  Any other block has at most one successor.
+        # successors are [then, else or after].  Any other block has at
+        # most one successor.
         self.branch_cond = None
-        # The trip slot of the LOOP_BACK edge the block leaves by, if it
-        # does.
+        # The trip slot of the loop whose back edge the block leaves by, if
+        # it does; such a block never branches.
         self.trip: int | None = None
 
 
 class Cfg:
     def __init__(self, blocks: list[BasicBlock], entry: int,
-                 edges: list[tuple[int, int, str]], slots: int,
+                 edges: list[tuple[int, int]], slots: int,
                  never_dead: frozenset):
         self.blocks = blocks
         self.entry = entry
@@ -59,7 +54,7 @@ class Cfg:
         # The slots that are never dead: the globals the function sees and
         # the variables whose address is taken.
         self.never_dead = never_dead
-        # (dst, kind) per block, in edge insertion order; built once
+        # The successors of each block, in edge insertion order; built once
         # because the engine asks for a block's successors on every step of
         # every path.
         succs = self._succs = [[] for _ in blocks]
@@ -68,8 +63,8 @@ class Cfg:
         # has already explored.
         merges = self.merges = set()
         entered = set()
-        for src, dst, kind in edges:
-            succs[src].append((dst, kind))
+        for src, dst in edges:
+            succs[src].append(dst)
             if dst in entered:
                 merges.add(dst)
             else:
@@ -81,7 +76,7 @@ class Cfg:
         self._live = None
         self._dead = {}
 
-    def successors(self, block_id: int) -> list[tuple[int, str]]:
+    def successors(self, block_id: int) -> list[int]:
         return self._succs[block_id]
 
     def live(self, block_id: int) -> frozenset:
@@ -118,7 +113,7 @@ class Cfg:
             writes.append({slot for slot in map(_written, blk.statements)
                            if slot is not None})
         preds: list = [[] for _ in self.blocks]
-        for src, dst, _ in self.edges:
+        for src, dst in self.edges:
             preds[dst].append(src)
         succs = self._succs
         # Highest ids first: blocks are numbered roughly in source order.
@@ -130,7 +125,7 @@ class Cfg:
             entry = live[bid]
             size = len(entry)
             written = writes[bid]
-            for dst, _ in succs[bid]:
+            for dst in succs[bid]:
                 entry.update(live[dst] - written if written else live[dst])
             if len(entry) != size:
                 for src in preds[bid]:
@@ -159,7 +154,7 @@ class Cfg:
                     if stored and (slot in read or slot in self.never_dead
                                    or (slot not in written and any(
                                        slot in self.live(dst)
-                                       for dst, _ in self._succs[blk.id]))):
+                                       for dst in self._succs[blk.id]))):
                         stores.add((slot, stmt.loc.line))
                     written.add(slot)
                 _read_before(stmt, read)
@@ -216,16 +211,13 @@ def _expr_reads(expr, out: set) -> None:
 class _Builder:
     def __init__(self):
         self.blocks: list[BasicBlock] = []
-        self.edges: list[tuple[int, int, str]] = []
+        self.edges: list[tuple[int, int]] = []
         self.slots = 0  # the next trip slot, once build() sets it
 
     def new_block(self) -> BasicBlock:
         blk = BasicBlock(len(self.blocks))
         self.blocks.append(blk)
         return blk
-
-    def edge(self, src: int, dst: int, kind: str) -> None:
-        self.edges.append((src, dst, kind))
 
     def build(self, fn: FunctionDef) -> Cfg:
         # No edge enters the first block, since every loop head is a block
@@ -260,13 +252,13 @@ class _Builder:
             while True:
                 current.branch_cond = stmt.cond
                 then_blk = self.new_block()
-                self.edge(current.id, then_blk.id, TRUE_BRANCH)
+                self.edges.append((current.id, then_blk.id))
                 then_end = self.lower_stmts(stmt.then, then_blk)
                 arms.append((current, then_end, stmt.els is not None))
                 if stmt.els is None:
                     break
                 else_blk = self.new_block()
-                self.edge(current.id, else_blk.id, FALSE_BRANCH)
+                self.edges.append((current.id, else_blk.id))
                 if len(stmt.els) == 1 and isinstance(stmt.els[0], If):
                     stmt, current = stmt.els[0], else_blk
                     continue
@@ -277,26 +269,26 @@ class _Builder:
                     continue
                 join = self.new_block()
                 if then_end is not None:
-                    self.edge(then_end.id, join.id, FALLTHROUGH)
+                    self.edges.append((then_end.id, join.id))
                 if not has_else:
-                    self.edge(branch.id, join.id, FALSE_BRANCH)
+                    self.edges.append((branch.id, join.id))
                 elif end is not None:
-                    self.edge(end.id, join.id, FALLTHROUGH)
+                    self.edges.append((end.id, join.id))
                 end = join
             return end
         if isinstance(stmt, While):
             cond_blk = self.new_block()
-            self.edge(current.id, cond_blk.id, FALLTHROUGH)
+            self.edges.append((current.id, cond_blk.id))
             cond_blk.branch_cond = stmt.cond
             body_blk = self.new_block()
-            self.edge(cond_blk.id, body_blk.id, TRUE_BRANCH)
+            self.edges.append((cond_blk.id, body_blk.id))
             body_end = self.lower_stmts(stmt.body, body_blk)
             if body_end is not None:
                 body_end.trip = self.slots
                 self.slots += 1
-                self.edge(body_end.id, cond_blk.id, LOOP_BACK)
+                self.edges.append((body_end.id, cond_blk.id))
             after = self.new_block()
-            self.edge(cond_blk.id, after.id, FALSE_BRANCH)
+            self.edges.append((cond_blk.id, after.id))
             return after
         current.statements.append(stmt)
         return current

@@ -11,11 +11,14 @@ INCOMPLETE_WARNING = "warning: analysis incomplete (path budget exceeded)"
 class Report:
     """Findings in sorted order, and whether the analysis behind them was
     cut short; iterates like the finding list.  Two reports are equal when
-    both fields are."""
+    both fields are.  `explorations` holds the counts of each exploration
+    behind them (`analysis.Exploration`), in order; they are not rendered,
+    and two reports that render the same are equal whatever their counts."""
 
-    def __init__(self, findings, incomplete: bool = False):
+    def __init__(self, findings, incomplete: bool = False, explorations=()):
         self.findings = sorted(findings)
         self.incomplete = incomplete
+        self.explorations = tuple(explorations)
 
     def __repr__(self):
         return (f"Report(findings={self.findings!r}, "

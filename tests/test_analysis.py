@@ -633,6 +633,24 @@ class TestInterprocedural:
         assert run(src, PROFILES["cppcheck-like"]) == []
         assert run(src) == []  # unknown callee: argument escapes
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 9: a summarized call escapes no argument, so a callee "
+        "that returns or stores its pointer argument leaves the caller "
+        "reporting the block leaked"))
+    @pytest.mark.parametrize("callee, use", [
+        ("int *id(int *p) {\n  return p;\n}\n",
+         "int *r = id(q);\n  free(r);"),
+        ("int *keep;\nvoid put(int *p) {\n  keep = p;\n}\n", "put(q);"),
+    ], ids=["returns", "stores"])
+    def test_a_callee_keeping_its_argument_leaks_nothing(self, callee, use):
+        src = callee + ("int main() {\n  int *q = malloc(4);\n"
+                        "  if (q == NULL) {\n    return 1;\n  }\n"
+                        "  %s\n  return 0;\n}\n" % use)
+        assert run(src, PROFILES["cppcheck-like"]) == []
+        for name, config in sorted(PROFILES.items()):
+            if config.interprocedural:
+                assert run(src, config) == [], name
+
     def test_recursion_terminates(self):
         assert run("""int fact(int n) {
             if (n == 0) return 1;

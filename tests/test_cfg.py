@@ -5,15 +5,7 @@ import random
 
 import pytest
 
-from memlab.cfg import (
-    Cfg,
-    FALLTHROUGH,
-    FALSE_BRANCH,
-    LOOP_BACK,
-    TRUE_BRANCH,
-    _Builder,
-    build_cfg,
-)
+from memlab.cfg import Cfg, _Builder, build_cfg
 from memlab.frontend import If, Return, While, parse_source
 from test_exploration import random_program
 
@@ -22,7 +14,8 @@ def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
     """Brute-force enumeration of block paths from the entry to a block
     with no successor, where a path ends.
 
-    Loop-back edges are followed at most once per path, so this terminates.
+    Each back edge, the one edge out of a block with a trip slot, is
+    followed at most once per path, so this terminates.
     """
     paths: list[list[int]] = []
 
@@ -33,14 +26,12 @@ def enumerate_paths(cfg: Cfg, max_paths: int = 100000) -> list[list[int]]:
         if not cfg.successors(block_id):
             paths.append(path)
             return
-        for dst, kind in cfg.successors(block_id):
-            if kind == LOOP_BACK:
-                key = (block_id, dst)
-                if key in used_back:
-                    continue
-                walk(dst, path, used_back | {key})
-            else:
-                walk(dst, path, used_back)
+        if cfg.blocks[block_id].trip is not None:
+            if block_id in used_back:
+                return
+            used_back |= {block_id}
+        for dst in cfg.successors(block_id):
+            walk(dst, path, used_back)
 
     walk(cfg.entry, [], frozenset())
     return paths
@@ -55,22 +46,22 @@ class ReferenceBuilder(_Builder):
             return super().lower_stmt(stmt, current)
         current.branch_cond = stmt.cond
         then_blk = self.new_block()
-        self.edge(current.id, then_blk.id, TRUE_BRANCH)
+        self.edges.append((current.id, then_blk.id))
         then_end = self.lower_stmts(stmt.then, then_blk)
         else_end = None
         if stmt.els is not None:
             else_blk = self.new_block()
-            self.edge(current.id, else_blk.id, FALSE_BRANCH)
+            self.edges.append((current.id, else_blk.id))
             else_end = self.lower_stmts(stmt.els, else_blk)
         if then_end is None and stmt.els is not None and else_end is None:
             return None
         join = self.new_block()
         if then_end is not None:
-            self.edge(then_end.id, join.id, FALLTHROUGH)
+            self.edges.append((then_end.id, join.id))
         if stmt.els is None:
-            self.edge(current.id, join.id, FALSE_BRANCH)
+            self.edges.append((current.id, join.id))
         elif else_end is not None:
-            self.edge(else_end.id, join.id, FALLTHROUGH)
+            self.edges.append((else_end.id, join.id))
         return join
 
 
@@ -101,7 +92,7 @@ def ends_a_path(cfg, fn, block_id):
 def reachable(cfg):
     seen, work = {cfg.entry}, [cfg.entry]
     while work:
-        for dst, _ in cfg.successors(work.pop()):
+        for dst in cfg.successors(work.pop()):
             if dst not in seen:
                 seen.add(dst)
                 work.append(dst)
@@ -110,24 +101,24 @@ def reachable(cfg):
 
 def assert_lowered_as_the_reference_does(tu):
     """Lowered as the reference does, and in the shape the engine relies
-    on: a block with a condition leaves by its true edge then its false
-    edge, any other block by at most one edge, and every reachable block
-    without one ends a path; no edge enters the entry, and the statements
-    hold no `if` or `while`."""
+    on: a block with a condition leaves by two edges, any other block by at
+    most one, a block with a trip slot by exactly one, and every reachable
+    block without one ends a path; no edge enters the entry, and the
+    statements hold no `if` or `while`."""
     for fn in tu.functions:
         cfg = build_cfg(fn)
         assert _shape(cfg) == _shape(ReferenceBuilder().build(fn)), fn.name
         for blk in cfg.blocks:
-            kinds = [kind for _, kind in cfg.successors(blk.id)]
+            succs = cfg.successors(blk.id)
             if blk.branch_cond is not None:
-                assert kinds == [TRUE_BRANCH, FALSE_BRANCH], fn.name
+                assert len(succs) == 2 and blk.trip is None, fn.name
             else:
-                assert len(kinds) <= 1, fn.name
+                assert len(succs) <= 1 and (succs or blk.trip is None), fn.name
             assert not any(isinstance(stmt, (If, While))
                            for stmt in blk.statements), fn.name
         for bid in reachable(cfg):
             assert cfg.successors(bid) or ends_a_path(cfg, fn, bid), fn.name
-        assert all(dst != cfg.entry for _, dst, _ in cfg.edges), fn.name
+        assert all(dst != cfg.entry for _, dst in cfg.edges), fn.name
 
 
 def _arm_body(rng, depth):
@@ -229,10 +220,10 @@ class TestShapes:
 
     def test_if_without_else_has_false_edge_to_join(self):
         cfg = _cfg("int x = 1; if (x) { x = 2; } return x;")
-        kinds = sorted(kind for _, _, kind in cfg.edges)
-        assert kinds.count(TRUE_BRANCH) == 1
-        assert kinds.count(FALSE_BRANCH) == 1
-        assert LOOP_BACK not in kinds
+        branch, then_blk, join = cfg.blocks
+        assert cfg.successors(branch.id) == [then_blk.id, join.id]
+        assert cfg.successors(then_blk.id) == [join.id]
+        assert all(blk.trip is None for blk in cfg.blocks)
 
     def test_if_else_both_returning_leaves_no_join(self):
         cfg = _cfg("int x = 1; if (x) { return 1; } else { return 2; }")
@@ -240,7 +231,8 @@ class TestShapes:
 
     def test_while_has_loop_back(self):
         cfg = _cfg("int x = 3; while (x) { x = x - 1; } return x;")
-        assert sum(1 for _, _, k in cfg.edges if k == LOOP_BACK) == 1
+        assert [(src, dst) for src, dst in cfg.edges
+                if cfg.blocks[src].trip is not None] == [(2, 1)]
 
     def test_dead_code_after_return_is_kept_not_reached(self):
         cfg = _cfg("return 0; int x = 1; return x;")
@@ -260,17 +252,12 @@ class TestShapes:
         assert then_blk.id not in cfg.merges and after.id not in cfg.merges
         assert len(enumerate_paths(cfg)) == 3
 
-    def test_every_edge_kind_is_known(self):
-        cfg = _cfg("int x = 1; if (x) { while (x) { x = 0; } } return x;")
-        for _, _, kind in cfg.edges:
-            assert kind in (FALLTHROUGH, TRUE_BRANCH, FALSE_BRANCH, LOOP_BACK)
-
     def test_successors_keep_edge_insertion_order(self):
         cfg = _cfg("int x = 1; if (x) { while (x) { x = 0; } } "
                    "else { if (x) { return 1; } } return x;")
         for blk in cfg.blocks:
             assert cfg.successors(blk.id) == [
-                (dst, kind) for src, dst, kind in cfg.edges if src == blk.id]
+                dst for src, dst in cfg.edges if src == blk.id]
 
 
 class TestPaths:
@@ -305,14 +292,8 @@ def _function_cfg(source):
 def _loops(cfg):
     """(head, trip slot) of each loop that goes round, in lowering order:
     an inner loop before the loop round it."""
-    return [(dst, cfg.blocks[src].trip) for src, dst, kind in cfg.edges
-            if kind == LOOP_BACK]
-
-
-def _exit_of(cfg, head):
-    """The block a loop's head leaves to when its condition is false."""
-    return next(dst for dst, kind in cfg.successors(head)
-                if kind == FALSE_BRANCH)
+    return [(dst, cfg.blocks[src].trip) for src, dst in cfg.edges
+            if cfg.blocks[src].trip is not None]
 
 
 class TestSlots:
@@ -336,11 +317,11 @@ class TestSlots:
         (inner_head, inner), (outer_head, outer) = _loops(cfg)
         # Nothing resets the inner count when the outer body enters the
         # inner loop again, so it is read on the outer loop's next trip.
-        outer_body = cfg.successors(outer_head)[0][0]
+        outer_body = cfg.successors(outer_head)[0]
         for block in (outer_head, outer_body, inner_head):
             assert {inner, outer} <= cfg.live(block)
             assert inner not in cfg.dead(block)
-        after = _exit_of(cfg, outer_head)
+        after = cfg.successors(outer_head)[1]
         join = max(cfg.merges)
         for block in (after, join):
             assert inner not in cfg.live(block)
@@ -356,7 +337,8 @@ class TestSlots:
         assert first not in cfg.dead(first_head)
         assert first in cfg.dead(second_head)
         assert second not in cfg.dead(second_head)
-        assert {first, second} <= set(cfg.dead(_exit_of(cfg, second_head)))
+        after = cfg.successors(second_head)[1]  # where the loop exits
+        assert {first, second} <= set(cfg.dead(after))
 
     def test_globals_and_address_taken_slots_are_never_dead(self):
         fn, cfg = _function_cfg(

@@ -226,29 +226,22 @@ SIX_IF_LOOP = ("int f(int c, int i) {\n    int x = 0;\n    while (c > 0) {\n"
 
 def outcome(source, config):
     """(sorted findings, incomplete, summaries), each function explored as
-    `analyze_unit` explores it."""
+    `analyze_unit` explores it, and for each exploration in order, the
+    function and the paths it counted."""
     tu = parse_source("t.c", source)
     cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
-    summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
-    return sorted(findings), incomplete, summaries
+    summaries, findings, incomplete, explorations = analysis._explore(
+        tu, cfgs, config)
+    return ((sorted(findings), incomplete, summaries),
+            [(e.function, e.paths) for e in explorations])
 
 
-def counted_outcome(source, config, monkeypatch, dedup=True):
-    """outcome() and, for each exploration in order, the paths it counted.
-    Without dedup no arrival repeats an entry, so every path counted is a
-    path finished."""
-    counts = []
-    run = _FunctionAnalysis.run
-
-    def counting_run(self):
-        run(self)
-        counts.append((self.fn.name, self.paths_counted))
-
+def outcome_without_dedup(source, config, monkeypatch):
+    """outcome() with a key that never repeats: no arrival repeats an entry,
+    so every path counted is a path finished."""
     with monkeypatch.context() as m:
-        m.setattr(_FunctionAnalysis, "run", counting_run)
-        if not dedup:
-            m.setattr(analysis, "_state_key", lambda *args: object())
-        return outcome(source, config), counts
+        m.setattr(analysis, "_state_key", lambda *args: object())
+        return outcome(source, config)
 
 
 def assert_same_without_dedup(source, config, monkeypatch):
@@ -256,9 +249,9 @@ def assert_same_without_dedup(source, config, monkeypatch):
     exploration counts more paths than the full walk, so a budget the full
     walk fits in is one the deduplicated walk fits in."""
     config = config.replace(path_budget=NO_LIMIT)
-    deduped, counts = counted_outcome(source, config, monkeypatch)
-    every_path, full_counts = counted_outcome(source, config, monkeypatch,
-                                              dedup=False)
+    deduped, counts = outcome(source, config)
+    every_path, full_counts = outcome_without_dedup(source, config,
+                                                    monkeypatch)
     assert not every_path[1], "raise NO_LIMIT: the reference was cut short"
     assert deduped == every_path, source
     assert [name for name, _ in counts] == [name for name, _ in full_counts]
@@ -267,8 +260,8 @@ def assert_same_without_dedup(source, config, monkeypatch):
     # the unroll bound counts none.
     tight = config.replace(
         path_budget=max(1, *(full for _, full in full_counts)))
-    if not counted_outcome(source, tight, monkeypatch, dedup=False)[0][1]:
-        assert outcome(source, tight) == every_path, source
+    if not outcome_without_dedup(source, tight, monkeypatch)[0][1]:
+        assert outcome(source, tight)[0] == every_path, source
 
 
 @pytest.mark.parametrize("seed", range(120))
@@ -333,11 +326,10 @@ def assert_same_as_unpruned(source, config, monkeypatch):
     paths than it does, so every budget the unpruned key fits in is one
     the pruned key fits in."""
     config = config.replace(path_budget=NO_LIMIT)
-    pruned, counts = counted_outcome(source, config, monkeypatch)
+    pruned, counts = outcome(source, config)
     with monkeypatch.context() as m:
         m.setattr(Cfg, "dead", no_dead_slots)
-        unpruned, unpruned_counts = counted_outcome(source, config,
-                                                    monkeypatch)
+        unpruned, unpruned_counts = outcome(source, config)
     assert pruned == unpruned, source
     assert [name for name, _ in counts] == \
         [name for name, _ in unpruned_counts]
@@ -462,50 +454,42 @@ def test_escaped_blocks_reach_only_escaped_blocks(make, seeds, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def paths(monkeypatch):
-    """Function name -> (paths counted, incomplete) of its last run."""
-    seen = {}
-    run = _FunctionAnalysis.run
-
-    def counting_run(self):
-        run(self)
-        seen[self.fn.name] = (self.paths_counted, self.incomplete)
-
-    monkeypatch.setattr(_FunctionAnalysis, "run", counting_run)
-    return seen
+def paths(report):
+    """Function name -> (paths counted, incomplete) of its last
+    exploration."""
+    return {e.function: (e.paths, e.incomplete) for e in report.explorations}
 
 
 class TestPathsCounted:
     @pytest.mark.parametrize("n", [0, 1, 4, 31, 48, 90, 96, 150])
-    def test_p_chain_is_linear(self, paths, n):
+    def test_p_chain_is_linear(self, n):
         # The key holds values, not stores, so two states leave each join:
         # x zero and x unknown.  Each enters the next if and reaches its
         # join twice, so of the 4 arrivals at joins 2..n, 2 are dropped:
         # 2 * (n - 1) dropped paths and 2 finished ones, 2n in all; with no
         # if, the one path.
-        analyze_unit(parse_source("t.c", p_chain(n)))
-        assert paths["f"] == (2 * n if n else 1, False)
+        result = analyze_unit(parse_source("t.c", p_chain(n)))
+        assert paths(result)["f"] == (2 * n if n else 1, False)
 
     @pytest.mark.parametrize("k", [1, 3, 8, 10, 46, 60])
-    def test_a_chain_is_linear(self, paths, k):
+    def test_a_chain_is_linear(self, k):
         # p is dead at every join: the next if writes it before reading
         # it, and its block is freed or was never allocated.  So one state
         # leaves each join, it reaches the next join three times (c false,
         # p allocated and freed, p null) and two of those are dropped:
         # 2 * k dropped paths and the one finished path.
-        analyze_unit(parse_source("t.c", a_chain(k)))
-        assert paths["f"] == (2 * k + 1, False)
+        result = analyze_unit(parse_source("t.c", a_chain(k)))
+        assert paths(result)["f"] == (2 * k + 1, False)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 20])
-    def test_loops_in_a_row_are_linear(self, paths, n):
+    def test_loops_in_a_row_are_linear(self, n):
         # The trip counts of a loop leave the key once no path can take
         # its back edge again, so each loop starts from the one state that
         # leaves the previous one, whatever its trip counts.
-        analyze_unit(parse_source("t.c", loops_in_a_row(n)))
-        assert paths["f"] == (8 * n - 1, False)
+        result = analyze_unit(parse_source("t.c", loops_in_a_row(n)))
+        assert paths(result)["f"] == (8 * n - 1, False)
 
-    def test_six_ifs_in_a_loop_finish(self, paths):
+    def test_six_ifs_in_a_loop_finish(self):
         # Trips 0, 1 and 2 round the loop (the unrolling bound is 2) hold
         # 1, 2 and 2 states at the loop head, and each state finishes one
         # path out of the loop: 5 paths.  In the body, joins 2..6 drop 2
@@ -514,15 +498,15 @@ class TestPathsCounted:
         # trip 2 count 0, because every path from there is abandoned at
         # the bound: 5 + 10 + 12 = 27.
         result = analyze_unit(parse_source("t.c", SIX_IF_LOOP))
-        assert paths["f"] == (27, False)
+        assert paths(result)["f"] == (27, False)
         assert not result.incomplete
 
     @pytest.mark.parametrize("budget, counted, incomplete, found", [
         (1, 2, True, []),
         (2, 3, False, [(3, "DEAD_STORE")]),
     ])
-    def test_budget_holds_where_a_path_ends(self, paths, budget, counted,
-                                            incomplete, found):
+    def test_budget_holds_where_a_path_ends(self, budget, counted, incomplete,
+                                            found):
         # The `return` forks on malloc, and both paths end there: under a
         # budget of 1 the first counts and the second is cut.  The false
         # arrival at the join, where c is dead, repeats the true one and
@@ -532,19 +516,19 @@ class TestPathsCounted:
         result = analyze_unit(parse_source("t.c", source),
                               config=PROFILES["union"].replace(
                                   path_budget=budget))
-        assert paths["f"] == (counted, incomplete)
+        assert paths(result)["f"] == (counted, incomplete)
         assert result.incomplete == incomplete
         assert [(f.line, f.kind) for f in result] == found
 
     @pytest.mark.parametrize("n", [11, 12])
-    def test_paths_that_never_meet_fit_the_budget_as_before(self, paths, n):
+    def test_paths_that_never_meet_fit_the_budget_as_before(self, n):
         # Nothing is dropped, so each path counts once: 2**12 = 4096 paths
         # is exactly the default budget and still complete.
         result = analyze_unit(parse_source("t.c", _own_var_ifs(n)))
-        assert paths["f"] == (2 ** n, False)
+        assert paths(result)["f"] == (2 ** n, False)
         assert not result.incomplete
 
-    def test_budget_still_cuts_what_it_cannot_fit(self, paths):
+    def test_budget_still_cuts_what_it_cannot_fit(self):
         # a46 returning `p == NULL` keeps p live at every join, and counts
         # 2 * 46 ** 2 + 1 = 4233 paths; _own_var_ifs(13) 8192.  Nothing new
         # is explored once the budget is counted, but an arrival dropped
@@ -553,5 +537,5 @@ class TestPathsCounted:
         for source, extra in ((a_chain(46, "p == NULL"), 1),
                               (_own_var_ifs(13), 0)):
             result = analyze_unit(parse_source("t.c", source))
-            assert paths["f"] == (budget + extra, True)
+            assert paths(result)["f"] == (budget + extra, True)
             assert result.incomplete

@@ -27,7 +27,7 @@ from memlab.analysis import (
     _state_key,
     truthiness,
 )
-from memlab.cfg import LOOP_BACK, build_cfg
+from memlab.cfg import build_cfg
 from memlab.frontend import Return, parse_source
 from test_dedup import a_chain, branching_loop, loop_nest, p_chain, \
     store_program
@@ -73,16 +73,15 @@ def _exec(self, block_id: int, state: AbstractHeap) -> None:
             self._branch(block_id, blk.branch_cond, s, succs)
     else:
         for s in states:
-            for dst, kind in succs:
-                self._follow(dst, s, kind, block_id)
+            for dst in succs:
+                self._follow(dst, s, block_id)
     if key is not None:
         self.seen[key] = int(self.paths_counted > before)
 
 
-def _follow(self, dst: int, state: AbstractHeap, edge_kind: str,
-            src: int) -> None:
-    if edge_kind == LOOP_BACK:
-        trip = self.cfg.blocks[src].trip
+def _follow(self, dst: int, state: AbstractHeap, src: int) -> None:
+    trip = self.cfg.blocks[src].trip
+    if trip is not None:  # the back edge of the loop
         taken = state.env[trip]
         if taken >= self.config.unroll_bound:
             return
@@ -91,19 +90,16 @@ def _follow(self, dst: int, state: AbstractHeap, edge_kind: str,
 
 
 def _branch(self, block_id: int, cond, state: AbstractHeap, succs) -> None:
-    true_edges = [(d, k) for d, k in succs if k == "true-branch"]
-    false_edges = [(d, k) for d, k in succs if k == "false-branch"]
+    then_dst, else_dst = succs
     for cstate, value in self.eval(cond, state):
         truth = truthiness(value)
         if truth != "false":
             tstate = cstate.clone() if truth == "unknown" else cstate
             self._refine(tstate, cond, branch=True)
-            for dst, kind in true_edges:
-                self._follow(dst, tstate, kind, block_id)
+            self._follow(then_dst, tstate, block_id)
         if truth != "true":
             self._refine(cstate, cond, branch=False)
-            for dst, kind in false_edges:
-                self._follow(dst, cstate, kind, block_id)
+            self._follow(else_dst, cstate, block_id)
 
 
 def recursive_reference(m) -> None:
@@ -120,23 +116,14 @@ def recursive_reference(m) -> None:
 
 def explore(source, config, monkeypatch, recursive):
     """(summaries, sorted findings, incomplete, explorations) of one unit,
-    with one (function, paths counted, merge entries, incomplete) per
-    exploration, in order."""
-    explorations = []
-    run = _FunctionAnalysis.run
-
-    def recording_run(self):
-        run(self)
-        explorations.append((self.fn.name, self.paths_counted,
-                             len(self.seen), self.incomplete))
-
+    with one `Exploration` per exploration, in order."""
     tu = parse_source("t.c", source)
     cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
     with monkeypatch.context() as m:
-        m.setattr(_FunctionAnalysis, "run", recording_run)
         if recursive:
             recursive_reference(m)
-        summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
+        summaries, findings, incomplete, explorations = analysis._explore(
+            tu, cfgs, config)
     return summaries, sorted(findings), incomplete, explorations
 
 
@@ -149,7 +136,7 @@ def assert_same_order(source, profiles, monkeypatch):
         want = explore(source, config, monkeypatch, recursive=True)
         assert explore(source, config, monkeypatch, recursive=False) \
             == want, (profile, source)
-        full = max(paths for _, paths, _, _ in want[3])
+        full = max(e.paths for e in want[3])
         for budget in (full, 1, 2, 3, 4, 5, 6):
             tight = config.replace(path_budget=budget)
             want = explore(source, tight, monkeypatch, recursive=True)

@@ -29,6 +29,7 @@ from memlab.analysis import (
     analyze_unit,
 )
 from memlab.cfg import build_cfg
+from memlab.diagnostics import Report, emit_structured, render_text
 from memlab.frontend import (
     AddressOf,
     Call,
@@ -110,9 +111,8 @@ def two_pass_reference(tu, config):
     incomplete = False
     for fn in tu.functions:
         fa = _FunctionAnalysis(tu, fn, cfgs[fn.name], config, summaries)
-        fa.run()
+        incomplete |= fa.run().incomplete
         findings |= fa.findings
-        incomplete = incomplete or fa.incomplete
     ordered = sorted(findings, key=lambda f: (
         f.file, f.line, f.kind, f.checker, f.message, f.function))
     return ordered, incomplete, summaries
@@ -228,7 +228,7 @@ def test_single_pass_matches_two_pass(seed, profile, budget):
         config = config.replace(path_budget=budget)
     want, want_incomplete, want_summaries = two_pass_reference(tu, config)
     cfgs = {fn.name: build_cfg(fn) for fn in tu.functions}
-    summaries, findings, incomplete = analysis._explore(tu, cfgs, config)
+    summaries, findings, incomplete, _ = analysis._explore(tu, cfgs, config)
     assert (sorted(findings), incomplete) == (want, want_incomplete), source
     assert summaries == want_summaries, source
 
@@ -328,18 +328,11 @@ def test_global_initializer_after_a_function_is_in_no_function():
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def explored(monkeypatch):
-    """Names of the functions explored, one entry per exploration."""
-    names = []
-    run = _FunctionAnalysis.run
-
-    def counting_run(self):
-        names.append(self.fn.name)
-        run(self)
-
-    monkeypatch.setattr(_FunctionAnalysis, "run", counting_run)
-    return names
+def explored(source):
+    """Names of the functions explored in `source`, one entry per
+    exploration, in order."""
+    report = analyze_unit(parse_source("<t>", source))
+    return [e.function for e in report.explorations]
 
 
 def _chain(n):
@@ -351,51 +344,58 @@ def _chain(n):
 
 class TestExplorationCount:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_call_chain_explores_each_function_once(self, explored, n):
-        analyze_unit(parse_source("<t>", _chain(n)))
-        assert sorted(explored) == sorted(f"g{i}" for i in range(n))
+    def test_call_chain_explores_each_function_once(self, n):
+        assert sorted(explored(_chain(n))) == sorted(f"g{i}" for i in range(n))
 
-    def test_chain_defined_callee_last_is_still_explored_once(self, explored):
+    def test_chain_defined_callee_last_is_still_explored_once(self):
         src = "\n".join(reversed(_chain(4).splitlines()))
-        analyze_unit(parse_source("<t>", src))
-        assert sorted(explored) == ["g0", "g1", "g2", "g3"]
+        assert sorted(explored(src)) == ["g0", "g1", "g2", "g3"]
 
-    def test_self_recursion_takes_one_extra_exploration(self, explored):
-        analyze_unit(parse_source("<t>", """
+    def test_self_recursion_takes_one_extra_exploration(self):
+        assert sorted(explored("""
             int fact(int n) {
                 if (n == 0) return 1;
                 return n * fact(n - 1);
             }
             int main() { return fact(5); }
-        """))
-        assert sorted(explored) == ["fact", "fact", "main"]
+        """)) == ["fact", "fact", "main"]
 
-    def test_mutual_recursion_explores_the_back_caller_again(self, explored):
+    def test_mutual_recursion_explores_the_back_caller_again(self):
         # The walk enters the cycle at `even`; `odd` is explored while
         # `even` has no summary yet, so only `odd` needs a second run.
-        # `even` runs after `odd` has its final summary.
-        analyze_unit(parse_source("<t>", """
+        # `even` runs after `odd` has its final summary.  The report
+        # records both runs of `odd`, in the order of the runs.
+        assert explored("""
             int even(int n) { if (n == 0) return 1; return odd(n - 1); }
             int odd(int n) { if (n == 0) return 0; return even(n - 1); }
             int main() { return even(4); }
             int leaf() { return 0; }
-        """))
-        assert sorted(explored) == ["even", "leaf", "main", "odd", "odd"]
+        """) == ["odd", "even", "main", "leaf", "odd"]
 
-    def test_three_cycle_explores_one_member_again(self, explored):
-        analyze_unit(parse_source("<t>", """
+    def test_three_cycle_explores_one_member_again(self):
+        assert explored("""
             int *a(int *p) { return b(p); }
             int *b(int *p) { return c(p); }
             int *c(int *p) { free(p); return a(NULL); }
-        """))
-        assert explored == ["c", "b", "a", "c"]
+        """) == ["c", "b", "a", "c"]
 
-    def test_function_named_like_a_builtin_is_not_waited_for(self, explored):
+    def test_function_named_like_a_builtin_is_not_waited_for(self):
         # `eval_call` models `free` itself and never reads its summary, so
         # `g` is final at its first exploration.
         result = analyze_unit(parse_source("<t>", """
             int g() { int *p = malloc(4); free(p); return 0; }
             void free(int *p) { }
         """))
-        assert explored == ["g", "free"]
+        assert [e.function for e in result.explorations] == ["g", "free"]
         assert list(result) == []
+
+
+def test_a_unit_s_explorations_change_neither_equality_nor_output():
+    for path in sorted(glob.glob("corpus/*.c")):
+        report = analyze_unit(parse_source(
+            path, open(path, encoding="utf-8").read()))
+        bare = Report(report.findings, report.incomplete)
+        assert report.explorations and not bare.explorations
+        assert report == bare and repr(report) == repr(bare)
+        assert render_text(report) == render_text(bare)
+        assert emit_structured(report) == emit_structured(bare)

@@ -21,9 +21,8 @@ import json
 import random
 import sys
 from pathlib import Path
-from unittest import mock
 
-from memlab.analysis import PROFILES, _FunctionAnalysis, analyze_unit
+from memlab.analysis import PROFILES, analyze_unit
 from memlab.diagnostics import emit_structured, render_text
 from memlab.frontend import parse_source
 from test_dedup import SIX_IF_LOOP, branching_loop, dying_program, \
@@ -55,27 +54,18 @@ FAMILIES = {
 }
 
 
-def _reports(name: str, text: str, explored: dict | None = None) -> dict:
-    """{profile: (render_text, emit_structured)} of one source text.  With
-    `explored`, also {profile: ["function paths-counted merge-entries
-    complete|incomplete", ...]}, one per exploration in order, into it."""
+def _reports(name: str, text: str) -> dict:
+    """{profile: (render_text, emit_structured, ["function paths-counted
+    merge-entries complete|incomplete", ...] one per exploration in
+    order)} of one source text."""
     tu = parse_source(name, text)
     out = {}
-    run = _FunctionAnalysis.run
     for profile in sorted(PROFILES):
-        runs = []
-
-        def recording_run(self):
-            run(self)
-            runs.append(f"{self.fn.name} {self.paths_counted} "
-                        f"{len(self.seen)} "
-                        f"{'incomplete' if self.incomplete else 'complete'}")
-
-        with mock.patch.object(_FunctionAnalysis, "run", recording_run):
-            report = analyze_unit(tu, config=PROFILES[profile])
-        out[profile] = (render_text(report), emit_structured(report))
-        if explored is not None:
-            explored[profile] = runs
+        report = analyze_unit(tu, config=PROFILES[profile])
+        out[profile] = (render_text(report), emit_structured(report), [
+            f"{e.function} {e.paths} {e.merge_entries} "
+            f"{'incomplete' if e.incomplete else 'complete'}"
+            for e in report.explorations])
     return out
 
 
@@ -87,7 +77,7 @@ def corpus_reports() -> dict:
         name = f"corpus/{path.name}"
         reports = _reports(name, path.read_text(encoding="utf-8"))
         out[name] = {profile: {"text": text, "structured": structured}
-                     for profile, (text, structured) in reports.items()}
+                     for profile, (text, structured, _) in reports.items()}
     return out
 
 
@@ -101,13 +91,12 @@ def generated_digests() -> tuple[dict, dict]:
                 for gen, make in GENERATORS.items()
                 for seed in GENERATED_SEEDS]
     for key, text in programs + list(FAMILIES.items()):
-        runs: dict = {}
-        reports = _reports(f"{key.replace('/', '-')}.c", text, runs)
-        for profile, (rendered, structured) in reports.items():
+        reports = _reports(f"{key.replace('/', '-')}.c", text)
+        for profile, (rendered, structured, runs) in reports.items():
             if key not in FAMILIES:
                 digests[f"{key}/{profile}"] = hashlib.sha256(
                     (rendered + structured).encode("utf-8")).hexdigest()
-            explored[f"{key}/{profile}"] = runs[profile]
+            explored[f"{key}/{profile}"] = runs
     return digests, explored
 
 

@@ -16,6 +16,10 @@ nothing else changes.
 The order in which a unit defines its functions is not part of what it
 means either: with no call cycle, defining the callees after their callers
 gives the same reports, each line counted from its function's first line.
+
+Nor should it matter whether a store is written as a declaration's
+initializer or as an assignment after the declaration: both should give the
+same checkers.  Today they do not, and that test is a strict xfail.
 """
 
 import graphlib
@@ -334,3 +338,24 @@ def test_a_call_cycle_in_either_order():
     for profile in sorted(PROFILES):
         assert relative_report(ab, profile) == relative_report(ba, profile), \
             profile
+
+
+# ---------------------------------------------------------------------------
+# A store written two ways
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a declaration's store is classed null-or-zero by its initializer's "
+    "syntax and an assignment's by its value, so the dead `z = x;` with x "
+    "zero is DEAD_STORE_NULL_INIT and the dead `int z = x;` is DEAD_STORE"))
+def test_a_store_declared_or_assigned_has_one_checker():
+    declared = "int f() {\n  int x = 0;\n  int z = x;\n  return 0;\n}\n"
+    assigned = ("int f() {\n  int x = 0;\n  int z;\n  z = x;\n"
+                "  return 0;\n}\n")
+    assert report(declared, "union")[1]
+    for profile in sorted(PROFILES):
+        declared_as, assigned_as = (
+            sorted(f.checker for f in report(text, profile)[1])
+            for text in (declared, assigned))
+        assert declared_as == assigned_as, profile
