@@ -50,7 +50,9 @@ Dead stores come from the same liveness, as in the Clang static analyzer
 and Infer, not from the paths: a store that an explored path executed is
 dead when no path of the CFG from it reads the variable before writing it
 again (`Cfg.live_stores`).  So the state holds no stores, and a store read
-only on a branch the engine proves infeasible is not reported.
+only on a branch the engine proves infeasible is not reported.  Each store
+of a block some path ran is checked once, after the walk, and a dead one is
+classed by how its statement spells the value, not by what paths wrote.
 
 Exploration is depth first over an explicit stack of entries into blocks,
 in the order of a recursive walk: the states leaving a block in turn, each
@@ -507,7 +509,9 @@ class _FunctionAnalysis:
         # _state_key of each merge-block entry explored -> 1 if the paths
         # from it counted any, else 0
         self.seen: dict = {}
-        self.returns: list = []  # (value, fresh_live_block: bool) snapshots
+        self.returns_fresh = False  # some path returns a live block
+        # None until a path returns a value, then "every value was null"
+        self.returns_null: bool | None = None
         self.frees_params: set[int] = set()
 
         self.has_user_calls = any(
@@ -521,10 +525,8 @@ class _FunctionAnalysis:
         self.pointer_globals = [slot for slot, ctype in
                                 self.global_types.items() if ctype.is_pointer]
 
-        # The stores some explored path executed: (slot, line) ->
-        # "null-or-zero" if every value written there was null or zero,
-        # else "other"
-        self.stores: dict = {}
+        # The blocks some path transferred: their statements all ran.
+        self.ran: set[int] = set()
 
     # -- reporting --
 
@@ -546,19 +548,16 @@ class _FunctionAnalysis:
             env[fn.global_count + idx] = PtrValue("unknown", param_index=idx) \
                 if ctype.is_pointer else UNKNOWN
         self._exec(self.cfg.entry, AbstractHeap(env, []))
-        self.check_dead_store()
+        self.check_stores()
         return Exploration(fn.name, self.paths_counted, len(self.seen),
                            self.incomplete)
 
     def summary(self) -> FunctionSummary:
         """The depth-1 summary of the paths explored by run()."""
-        returned = [(v, fresh) for v, fresh in self.returns if v is not None]
         return FunctionSummary(
             name=self.fn.name,
-            returns_fresh=any(fresh for _, fresh in returned),
-            returns_null_always=bool(returned) and all(
-                isinstance(v, PtrValue) and v.kind == "null"
-                for v, _ in returned),
+            returns_fresh=self.returns_fresh,
+            returns_null_always=bool(self.returns_null),
             frees_params=frozenset(self.frees_params),
         )
 
@@ -593,6 +592,7 @@ class _FunctionAnalysis:
                 # weight 0 until the paths from here are explored
                 self.seen[key] = 0
                 stack.append((None, (key, self.paths_counted)))
+            self.ran.add(block_id)
             blk = self.cfg.blocks[block_id]
             states = [state]
             for stmt in blk.statements:
@@ -666,26 +666,23 @@ class _FunctionAnalysis:
             if stmt.init is None:
                 out.append(state)
             else:
-                self._check_realloc_overwrite(stmt.slot, stmt.init, stmt.loc)
-                cls = "null-or-zero" if _is_null_expr(stmt.init) else "other"
                 for s, v in self.eval(stmt.init, state):
-                    self._store_var(s, stmt.slot, v, stmt.loc.line, cls)
+                    self._store_var(s, stmt.slot, v)
                     out.append(s)
         elif isinstance(stmt, ast.Assign):
-            if isinstance(stmt.target, ast.Ident):
-                self._check_realloc_overwrite(stmt.target.slot, stmt.value, stmt.loc)
             for s, v in self.eval(stmt.value, state):
-                out.extend(self._assign(stmt.target, v, s, stmt.loc))
+                out.extend(self._assign(stmt.target, v, s))
         elif isinstance(stmt, ast.ExprStmt):
             out.extend(s for s, _ in self.eval(stmt.expr, state))
         elif isinstance(stmt, ast.Return):
             if stmt.expr is None:
-                self.returns.append((None, False))
                 out.append(state)
             else:
                 for s, v in self.eval(stmt.expr, state):
-                    fresh = _is_block(v) and s.sites[v.site].status == "live"
-                    self.returns.append((v, fresh))
+                    if _is_block(v) and s.sites[v.site].status == "live":
+                        self.returns_fresh = True
+                    self.returns_null = self.returns_null is not False \
+                        and type(v) is PtrValue and v.kind == "null"
                     s.escape_value(v)
                     out.append(s)
         else:
@@ -694,23 +691,16 @@ class _FunctionAnalysis:
             self.check_memory_leak_at(s, stmt.loc.line)
         return out
 
-    def _store_var(self, state: AbstractHeap, slot: int, value,
-                   line: int, cls: str) -> None:
-        key = (slot, line)
-        # "other" wins over "null-or-zero" whatever order paths write in,
-        # so which duplicate paths are skipped cannot change the checker.
-        if cls != "null-or-zero" or key not in self.stores:
-            self.stores[key] = cls
+    def _store_var(self, state: AbstractHeap, slot: int, value) -> None:
         state.env[slot] = value
         if _is_block(value):
             info = state.sites[value.site]
             if not info.hint:
                 info.hint = self.fn.names[slot]
 
-    def _assign(self, target, value, state: AbstractHeap, loc) -> list:
+    def _assign(self, target, value, state: AbstractHeap) -> list:
         if isinstance(target, ast.Ident):
-            cls = "null-or-zero" if _is_null_expr_value(value) else "other"
-            self._store_var(state, target.slot, value, loc.line, cls)
+            self._store_var(state, target.slot, value)
             return [state]
         if isinstance(target, ast.Deref):
             results = []
@@ -1092,19 +1082,32 @@ class _FunctionAnalysis:
         self.emit(CHECKER_UNINIT_USE, loc.line,
                   f"variable `{name}` may be read before initialization")
 
-    def check_dead_store(self) -> None:
-        """Report each store an explored path executed that no path of the
-        CFG reads.  A run cut short reports none."""
+    def check_stores(self) -> None:
+        """Check once each store of a block some path ran: `p = realloc(p,
+        n)`, and a dead store unless the run was cut short, which is
+        DEAD_STORE_NULL_INIT if all its (slot, line) stores spell NULL or 0."""
+        null_only: dict = {}  # (slot, line) -> every store there is NULL/0
+        for block_id in self.ran:
+            for stmt in self.cfg.blocks[block_id].statements:
+                cls = type(stmt)
+                if cls is ast.VarDecl and stmt.init is not None:
+                    slot, value = stmt.slot, stmt.init
+                elif cls is ast.Assign and type(stmt.target) is ast.Ident:
+                    slot, value = stmt.target.slot, stmt.value
+                else:
+                    continue
+                self._check_realloc_overwrite(slot, value, stmt.loc)
+                key = (slot, stmt.loc.line)
+                null_only[key] = null_only.get(key, True) \
+                    and _is_null_expr(value)
         if self.incomplete or CHECKER_DEAD_STORE not in self.config.enabled:
             return
         read = self.cfg.live_stores()
-        for (slot, line), cls in self.stores.items():
-            if (slot, line) in read:
-                continue
-            checker = CHECKER_DEAD_STORE_NULL_INIT if cls == "null-or-zero" \
-                else CHECKER_DEAD_STORE
-            self.emit(checker, line, f"The value written to "
-                      f"&{self.fn.names[slot]} is never used")
+        for (slot, line), null in null_only.items():
+            if (slot, line) not in read:
+                self.emit(CHECKER_DEAD_STORE_NULL_INIT if null
+                          else CHECKER_DEAD_STORE, line, f"The value written "
+                          f"to &{self.fn.names[slot]} is never used")
 
 
 # The library functions the analyzer models itself, each by the method that
@@ -1123,11 +1126,6 @@ BUILTIN_FUNCTIONS = {
 def _is_null_expr(expr) -> bool:
     return isinstance(expr, ast.NullLit) or \
         (isinstance(expr, ast.IntLit) and expr.value == 0)
-
-
-def _is_null_expr_value(value) -> bool:
-    return value == ZERO or (type(value) is PtrValue and value.kind == "null"
-                             and value.origin == "literal")
 
 
 # ---------------------------------------------------------------------------

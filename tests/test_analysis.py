@@ -347,6 +347,33 @@ class TestReallocLeak:
         gated = UNION.replace(realloc_with_calls=False)
         assert run(src, gated) == []
 
+    def test_realloc_after_a_return_runs_on_no_path(self):
+        assert run("""int main() {
+            int *p = malloc(4);
+            free(p);
+            return 0;
+            p = realloc(p, 8);
+        }""") == []
+
+    def test_realloc_that_several_paths_run_is_one_finding(self):
+        # x tells the paths apart at the join, so each runs the realloc.
+        report = run_full("""int main(int c) {
+            int x = 0;
+            int *p = malloc(4);
+            if (p == NULL) {
+                return -1;
+            }
+            if (c) {
+                x = 1;
+            }
+            p = realloc(p, 8);
+            free(p);
+            return x;
+        }""")
+        assert [(f.line, f.checker) for f in report] == \
+            [(10, CHECKER_REALLOC_LEAK)]
+        assert report.explorations[0].paths > 3
+
 
 class TestDeadStore:
     def test_plain_dead_store(self):
@@ -372,9 +399,20 @@ class TestDeadStore:
         clang_like = PROFILES["clang-like"]
         assert run(src, clang_like) == []
 
+    def test_a_copy_of_a_null_is_a_plain_dead_store(self):
+        # The class is how the statement spells its value, not the value.
+        src = """int main() {
+            int *q = NULL;
+            int *p;
+            p = q;
+            return 0;
+        }"""
+        assert run(src) == [(4, CHECKER_DEAD_STORE)]
+        assert run(src, PROFILES["clang-like"]) == [(4, CHECKER_DEAD_STORE)]
+
     def test_null_on_some_paths_only_is_a_plain_dead_store(self):
-        # y = x stores 0 on one path and an unknown value on the other; the
-        # class must not depend on which path is explored last.
+        # y = x stores 0 on one path and an unknown value on the other, and
+        # is spelled as neither NULL nor 0.
         src = """int f(int c, int i) {
             int x = 0;
             int y;

@@ -13,8 +13,13 @@ small enough that the order shows.
 ``recursive_eval_binop`` does the same for the evaluation of a chain of
 binary operators, which forks paths in the order the engine then explores,
 and ``recursive_eval_field_chain`` for a chain of ``.`` and ``->``.
+
+The stores are checked once after the walk, over the statements of the
+blocks the engine records as run, so those must be exactly the statements
+some path transferred.
 """
 
+import itertools
 import random
 
 import pytest
@@ -32,6 +37,7 @@ from memlab.frontend import Return, parse_source
 from test_dedup import a_chain, branching_loop, loop_nest, p_chain, \
     store_program
 from test_exploration import random_program
+from test_golden import GENERATORS
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +59,7 @@ def _exec(self, block_id: int, state: AbstractHeap) -> None:
     if key is not None:
         self.seen[key] = 0
         before = self.paths_counted
+    self.ran.add(block_id)
     blk = self.cfg.blocks[block_id]
     states = [state]
     for stmt in blk.statements:
@@ -313,3 +320,45 @@ def test_field_chains_fold_in_the_recursive_order(seed, monkeypatch):
                           recursive_eval_field_chain)
                 want = explore(source, config, monkeypatch, recursive=False)
             assert got == want, (profile, budget, source)
+
+
+# ---------------------------------------------------------------------------
+# The blocks that ran: what the store checks go over after the walk
+# ---------------------------------------------------------------------------
+
+
+def test_a_block_ran_when_a_path_transferred_its_statements(monkeypatch):
+    runs = []
+
+    class Recorded(_FunctionAnalysis):
+        """Records each statement it transfers, and itself once run."""
+
+        def run(self):
+            self.transferred = set()
+            runs.append(self)
+            return super().run()
+
+        def transfer(self, stmt, state):
+            self.transferred.add(id(stmt))
+            return super().transfer(stmt, state)
+
+    monkeypatch.setattr(analysis, "_FunctionAnalysis", Recorded)
+    unrun = 0
+    for gen, seed in itertools.product(sorted(GENERATORS), range(20)):
+        tu = parse_source("t.c", GENERATORS[gen](random.Random(seed)))
+        for profile in ALL_PROFILES:
+            for budget in (1, 2, 3, 5, None):
+                config = PROFILES[profile]
+                if budget is not None:
+                    config = config.replace(path_budget=budget)
+                runs.clear()
+                analysis.analyze_unit(tu, config=config)
+                for fa in runs:
+                    for blk in fa.cfg.blocks:
+                        ran = blk.id in fa.ran
+                        unrun += not ran and bool(blk.statements)
+                        for stmt in blk.statements:
+                            assert (id(stmt) in fa.transferred) == ran, \
+                                (gen, seed, profile, budget, blk.id)
+    # Budgets cut some walks, and code after a return never runs.
+    assert unrun > 0

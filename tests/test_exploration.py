@@ -24,7 +24,6 @@ from memlab.analysis import (
     BUILTIN_FUNCTIONS,
     FunctionSummary,
     PROFILES,
-    PtrValue,
     _FunctionAnalysis,
     analyze_unit,
 )
@@ -74,16 +73,7 @@ def _summarize(tu, fn, cfg, config, summaries) -> FunctionSummary:
     fa = _FunctionAnalysis(tu, fn, cfg, config, summaries)
     fa.emit = lambda *args: None  # the summary pass reported nothing
     fa.run()
-    pointer_returns = [(v, fresh) for v, fresh in fa.returns if v is not None]
-    nulls = [v for v, _ in pointer_returns
-             if isinstance(v, PtrValue) and v.kind == "null"]
-    return FunctionSummary(
-        name=fn.name,
-        returns_fresh=any(fresh for _, fresh in pointer_returns),
-        returns_null_always=bool(pointer_returns)
-        and len(nulls) == len(pointer_returns),
-        frees_params=frozenset(fa.frees_params),
-    )
+    return fa.summary()
 
 
 def two_pass_reference(tu, config):

@@ -10,7 +10,8 @@ for a few loop families, each exploration's function, paths counted, merge
 entries recorded and ``incomplete`` flag, in order, in clear text: a change
 to how states are keyed that keeps the reports must keep these too.  A
 change meant to keep the output must keep all three files; one meant to
-change it regenerates them and shows the difference in review:
+change it regenerates them and shows the difference in review; the
+command prints each key it adds, removes or changes, and a count per file:
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
@@ -129,6 +130,24 @@ def test_exploration_counts_match_the_golden_file():
 
 
 def _write(path: Path, data: dict) -> None:
+    """Write one golden file, and print each key it adds, removes or
+    changes, then how many of each."""
+    old = json.loads(path.read_text(encoding="utf-8")) \
+        if path.exists() else {}
+    counts = {"added": 0, "removed": 0, "changed": 0}
+    for key in sorted(old.keys() | data.keys()):
+        if key not in old:
+            change = "added"
+        elif key not in data:
+            change = "removed"
+        elif old[key] != data[key]:
+            change = "changed"
+        else:
+            continue
+        counts[change] += 1
+        print(f"{path.name}: {change} {key}")
+    print(f"{path.name}: " + ", ".join(f"{n} {change}"
+                                       for change, n in counts.items()))
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")

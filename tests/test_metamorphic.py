@@ -345,10 +345,6 @@ def test_a_call_cycle_in_either_order():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a declaration's store is classed null-or-zero by its initializer's "
-    "syntax and an assignment's by its value, so the dead `z = x;` with x "
-    "zero is DEAD_STORE_NULL_INIT and the dead `int z = x;` is DEAD_STORE"))
 def test_a_store_declared_or_assigned_has_one_checker():
     declared = "int f() {\n  int x = 0;\n  int z = x;\n  return 0;\n}\n"
     assigned = ("int f() {\n  int x = 0;\n  int z;\n  z = x;\n"
